@@ -3,8 +3,9 @@
 All artifacts land under --out-dir with fixed names (taxonomy.json,
 report.json, transcript.jsonl, toplevel.json, attributes.json). A config
 file of ``key=value`` lines can seed any option; explicit flags win. The
-only environment input is the API key (TAXOFORGE_API_KEY), so secrets
-never live in config files. All randomness flows from --seed.
+only environment input is the API key (``remote.API_KEY_ENV``), so secrets
+never live in config files. All randomness flows from --seed. ``run`` exits
+0 on success, 1 on any error, and 2 when some gett tables failed.
 """
 
 from __future__ import annotations

@@ -16,19 +16,16 @@ import hashlib
 import logging
 import os
 import struct
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .corpus import Corpus, Table
-from .errors import DimensionMismatchError, ProviderError
+from .errors import BackendError, DimensionMismatchError
+from .remote import post_json
 
 logger = logging.getLogger(__name__)
-
-API_KEY_ENV = "TAXOFORGE_API_KEY"
 
 
 @dataclass(frozen=True)
@@ -41,13 +38,10 @@ class ColumnRef:
 class SerializationSpec:
     include_header: bool = True
     max_distinct_cells: int = 128
-    style: str = "sbert_markup"
 
     def __post_init__(self):
         if self.max_distinct_cells < 1:
             raise ValueError("max_distinct_cells must be >= 1")
-        if self.style != "sbert_markup":
-            raise ValueError(f"unknown serialization style {self.style!r}")
 
 
 def serialize_column(table: Table, col: int, spec: SerializationSpec | None = None) -> str:
@@ -113,11 +107,11 @@ class LocalHashProvider:
 
 
 class RemoteProvider:
-    """Client for a JSON embeddings endpoint, with bounded retries.
+    """Client for a JSON embeddings endpoint; retries and errors come from ``remote.post_json``.
 
     POSTs ``{"model": ..., "input": [texts]}`` and expects order-preserving
-    ``{"data": [{"embedding": [...]}, ...]}``. The API key is read from the
-    TAXOFORGE_API_KEY environment variable.
+    ``{"data": [{"embedding": [...]}, ...]}`` with one finite vector per text,
+    all of one dimension.
     """
 
     def __init__(
@@ -137,33 +131,16 @@ class RemoteProvider:
         self.max_retries = max_retries
         self.provider_id = f"remote:{model}"
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(API_KEY_ENV, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def _post_batch(self, texts: list[str]) -> list[list[float]]:
-        last_status: int | None = None
-        last_body = ""
-        for attempt in range(self.max_retries):
-            try:
-                resp = requests.post(
-                    self.url,
-                    json={"model": self.model, "input": texts},
-                    headers=self._headers(),
-                    timeout=self.timeout,
-                )
-                last_status, last_body = resp.status_code, resp.text
-                if resp.ok:
-                    data = resp.json()["data"]
-                    return [item["embedding"] for item in data]
-            except requests.RequestException as exc:
-                last_status, last_body = None, str(exc)
-            if attempt < self.max_retries - 1:
-                time.sleep(2**attempt)
-        raise ProviderError(last_status, last_body)
+        payload = {"model": self.model, "input": texts}
+        body = post_json(self.url, payload, timeout=self.timeout, retries=self.max_retries)
+        try:
+            vectors = [item["embedding"] for item in body["data"]]
+        except (KeyError, TypeError) as exc:
+            raise BackendError(f"malformed embeddings response: {str(body)[:200]}") from exc
+        if len(vectors) != len(texts):
+            raise BackendError(f"expected {len(texts)} vectors, got {len(vectors)}")
+        return vectors
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
         batches = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
@@ -172,13 +149,13 @@ class RemoteProvider:
             futures = {pool.submit(self._post_batch, b): i for i, b in enumerate(batches)}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
-        flat = [vec for batch in results for vec in batch]
-        if len(flat) != len(texts):
-            raise ProviderError(None, f"expected {len(texts)} vectors, got {len(flat)}")
-        dims = {len(v) for v in flat}
-        if len(dims) > 1:
-            raise DimensionMismatchError(f"provider returned mixed dims: {sorted(dims)}")
-        return np.asarray(flat, dtype=np.float32)
+        try:
+            matrix = np.array([vec for batch in results for vec in batch], dtype=np.float32)
+        except (TypeError, ValueError) as exc:
+            raise BackendError("embeddings are not equal-length lists of numbers") from exc
+        if matrix.ndim != 2 or not np.isfinite(matrix).all():
+            raise BackendError("embeddings are not finite vectors")
+        return matrix
 
 
 def cache_key(provider_id: str, text: str) -> str:

@@ -33,15 +33,6 @@ class NoCandidateError(TaxoforgeError):
 
 # --- embedding ------------------------------------------------------------
 
-class ProviderError(TaxoforgeError):
-    """Remote embedding provider failed after bounded retries."""
-
-    def __init__(self, status: int | None, body: str):
-        self.status = status
-        self.body = body
-        super().__init__(f"embedding provider failed (status={status}): {body[:200]}")
-
-
 class DimensionMismatchError(TaxoforgeError):
     """Vectors of different dimensions where one dimension was expected."""
 
@@ -67,11 +58,18 @@ class UnknownTypeError(TaxoforgeError):
     """A type id is not present in the taxonomy."""
 
 
-# --- llm ------------------------------------------------------------------
+# --- remote backends ------------------------------------------------------
 
 class BackendError(TaxoforgeError):
-    """A chat backend failed after bounded retries."""
+    """A remote embedding or chat backend failed: transport, HTTP status or response shape."""
 
+    def __init__(self, message: str, status: int | None = None, body: str = ""):
+        self.status = status
+        self.body = body
+        super().__init__(f"{message}: {body[:200]}" if body else message)
+
+
+# --- llm ------------------------------------------------------------------
 
 class EmptyParseError(TaxoforgeError):
     """No names survived response parsing."""

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -23,12 +21,13 @@ import numpy as np
 
 from .corpus import Corpus, Table, sample_rows, truncate_cell
 from .errors import (
+    BackendError,
     EmptyParseError,
     GenerationFailedError,
     LayerParseError,
     PipelineAbortedError,
 )
-from .llm import ChatRequest, TranscriptLogger, complete, parse_name_list
+from .llm import _BULLET_RE, ChatRequest, TranscriptLogger, complete, parse_name_list
 from .taxonomy import EntityType, Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -44,9 +43,6 @@ EDGE_TEMPLATES = (
     "{child} is a type of {parent}.",
     "Every {child} is a {parent}.",
 )
-
-_LINE_BULLET_RE = re.compile(r"^\s*(?:[-*•]+\s*|\d+[.)]\s*)?")
-
 
 def load_prompt(name: str) -> str:
     return resources.files("taxoforge").joinpath(f"prompts/{name}.txt").read_text("utf-8")
@@ -216,7 +212,7 @@ def parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], bool]:
         if "->" not in line:
             continue
         parent, _, child = line.partition("->")
-        parent = _LINE_BULLET_RE.sub("", parent, count=1).strip().strip("\"'").strip()
+        parent = _BULLET_RE.sub("", parent, count=1).strip().strip("\"'").strip()
         child = child.strip().strip("\"'").strip()
         if parent and child:
             edges.append((parent, child))
@@ -361,8 +357,9 @@ def run_gett(
 ) -> GettResult:
     """Generate types per table, flatten, and build the layered taxonomy.
 
-    Per-table failures are recorded and tolerated while at least half of
-    the tables succeed.
+    A table fails when its generation fails after the repair prompt or its
+    backend raises. Failures are recorded and tolerated while at least half
+    of the tables can still succeed; the run aborts as soon as they cannot.
     """
     per_table: dict[str, list[str]] = {}
     failures: list[str] = []
@@ -371,14 +368,13 @@ def run_gett(
             per_table[table.id] = generate_types(
                 table, backend, derive_table_seed(seed, table.id), transcript
             )
-        except GenerationFailedError:
-            logger.warning("type generation failed for table %s", table.id)
+        except (GenerationFailedError, BackendError) as exc:
+            logger.warning("table %s failed: %s", table.id, exc)
             failures.append(table.id)
-    required = math.ceil(len(corpus.tables) / 2)
-    if len(per_table) < required:
-        raise PipelineAbortedError(
-            f"only {len(per_table)}/{len(corpus.tables)} tables generated types"
-        )
+            if len(failures) > len(corpus.tables) // 2:
+                raise PipelineAbortedError(
+                    f"{len(failures)}/{len(corpus.tables)} tables failed type generation"
+                ) from exc
     candidates = flatten(per_table)
     tax = chain_of_layer(candidates, root_name, backend, edge_filter, max_iters, transcript)
     return GettResult(taxonomy=tax, per_table=per_table, candidates=candidates, failures=failures)

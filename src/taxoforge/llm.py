@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .errors import BackendError, EmptyParseError
+from .remote import post_json
 
 logger = logging.getLogger(__name__)
 
-API_KEY_ENV = "TAXOFORGE_API_KEY"
 CHAT_PATH = "/v1/chat/completions"
 
 
@@ -69,7 +65,7 @@ class ScriptedChatBackend:
 
 
 class RemoteChatBackend:
-    """OpenAI-compatible chat client with bounded retries and backoff."""
+    """OpenAI-compatible chat client; retries and errors come from ``remote.post_json``."""
 
     def __init__(
         self,
@@ -94,35 +90,16 @@ class RemoteChatBackend:
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(API_KEY_ENV, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        last_error: Exception | None = None
-        timed_out = False
-        for attempt in range(self.max_retries):
-            try:
-                resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-                if resp.ok:
-                    choice = resp.json()["choices"][0]
-                    reason = choice.get("finish_reason", "stop")
-                    return ChatResponse(
-                        text=choice["message"]["content"],
-                        finish_reason="length" if reason == "length" else "stop",
-                    )
-                last_error = BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                timed_out = False
-            except requests.Timeout as exc:
-                last_error = exc
-                timed_out = True
-            except requests.RequestException as exc:
-                last_error = exc
-                timed_out = False
-            if attempt < self.max_retries - 1:
-                time.sleep(2**attempt)
-        if timed_out:
-            raise TimeoutError(f"chat request timed out after {self.max_retries} attempts")
-        raise BackendError(f"chat request failed after {self.max_retries} attempts: {last_error}")
+        body = post_json(self.url, payload, timeout=self.timeout, retries=self.max_retries)
+        try:
+            choice = body["choices"][0]
+            text = choice["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError("message content is not a string")
+        except (KeyError, IndexError, TypeError) as exc:
+            raise BackendError(f"malformed chat response: {str(body)[:200]}") from exc
+        reason = choice.get("finish_reason", "stop")
+        return ChatResponse(text=text, finish_reason="length" if reason == "length" else "stop")
 
 
 class TranscriptLogger:

@@ -29,3 +29,11 @@ def make_table():
         return Table(id=table_id, headers=headers or ["a"], rows=rows or [])
 
     return build
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """Backoff sleeps of the remote client, recorded instead of slept."""
+    calls: list[float] = []
+    monkeypatch.setattr("taxoforge.remote.sleep", calls.append)
+    return calls

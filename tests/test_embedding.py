@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from taxoforge.cli import main
 from taxoforge.corpus import Table, Corpus
 from taxoforge.embedding import (
     ColumnRef,
@@ -18,7 +19,7 @@ from taxoforge.embedding import (
     cache_key,
     serialize_column,
 )
-from taxoforge.errors import DimensionMismatchError, ProviderError
+from taxoforge.errors import BackendError, DimensionMismatchError
 
 
 def table_of(headers, columns, table_id="t"):
@@ -160,7 +161,10 @@ def test_embed_columns_identical_texts_identical_vectors():
 
 class EmbedHandler(BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 500
     dim = 4
+    fill = None  # every component takes this value when set
+    reply = None  # JSON sent instead of the vectors when set
     seen_auth: list[str] = []
 
     def do_POST(self):
@@ -169,12 +173,15 @@ class EmbedHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         if cls.fail_first > 0:
             cls.fail_first -= 1
-            self.send_response(500)
+            self.send_response(cls.fail_status)
             self.end_headers()
             self.wfile.write(b"boom")
             return
-        data = [{"embedding": [float(len(text))] * cls.dim} for text in body["input"]]
-        payload = json.dumps({"data": data}).encode()
+        data = [
+            {"embedding": [float(len(text)) if cls.fill is None else cls.fill] * cls.dim}
+            for text in body["input"]
+        ]
+        payload = json.dumps({"data": data} if cls.reply is None else cls.reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -187,9 +194,12 @@ class EmbedHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def embed_server():
     server = HTTPServer(("127.0.0.1", 0), EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     EmbedHandler.fail_first = 0
+    EmbedHandler.fail_status = 500
+    EmbedHandler.fill = None
+    EmbedHandler.reply = None
     EmbedHandler.seen_auth = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -204,19 +214,104 @@ def test_remote_provider_roundtrip(embed_server, monkeypatch):
     assert all(auth == "Bearer sekret" for auth in EmbedHandler.seen_auth)
 
 
-def test_remote_provider_retries_then_succeeds(embed_server):
+def test_remote_provider_retries_then_succeeds(embed_server, sleeps):
     EmbedHandler.fail_first = 2
     provider = RemoteProvider(url=embed_server, model="m", max_retries=3)
     vecs = provider.embed_texts(["abc"])
     assert vecs.shape == (1, 4)
+    assert sleeps == [1, 2]
 
 
-def test_remote_provider_error_after_retries(embed_server):
+def test_remote_provider_error_after_retries(embed_server, sleeps):
     EmbedHandler.fail_first = 99
     provider = RemoteProvider(url=embed_server, model="m", max_retries=3)
-    with pytest.raises(ProviderError) as err:
+    with pytest.raises(BackendError) as err:
         provider.embed_texts(["abc"])
     assert err.value.status == 500
+    assert err.value.body == "boom"
+    assert len(EmbedHandler.seen_auth) == 3
+    assert sleeps == [1, 2]
+
+
+def test_remote_provider_401_is_sent_once(embed_server, sleeps):
+    EmbedHandler.fail_first, EmbedHandler.fail_status = 99, 401
+    provider = RemoteProvider(url=embed_server, model="m", max_retries=3)
+    with pytest.raises(BackendError) as err:
+        provider.embed_texts(["abc"])
+    assert err.value.status == 401
+    assert len(EmbedHandler.seen_auth) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "reply, texts",
+    [
+        ({"data": 5}, ["a"]),
+        ({"vectors": []}, ["a"]),
+        ({"data": [{"vector": [1.0, 2.0]}]}, ["a"]),
+        ({"data": [{"embedding": "1.0 2.0"}]}, ["a"]),
+        ({"data": [{"embedding": [1.0, 2.0]}, {"embedding": [1.0]}]}, ["a", "b"]),
+    ],
+    ids=["data-not-a-list", "no-data", "no-embedding", "embedding-not-numbers", "mixed-dims"],
+)
+def test_remote_provider_malformed_200(embed_server, sleeps, reply, texts):
+    EmbedHandler.reply = reply
+    provider = RemoteProvider(url=embed_server, model="m", max_retries=3)
+    with pytest.raises(BackendError):
+        provider.embed_texts(texts)
+    assert len(EmbedHandler.seen_auth) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("n_texts", [1, 3])
+def test_remote_provider_wrong_vector_count(embed_server, n_texts):
+    EmbedHandler.reply = {"data": [{"embedding": [1.0, 2.0]}] * 2}
+    provider = RemoteProvider(url=embed_server, model="m")
+    with pytest.raises(BackendError, match=f"expected {n_texts} vectors, got 2"):
+        provider.embed_texts([f"t{i}" for i in range(n_texts)])
+
+
+def test_remote_provider_nan_vector_is_not_cached(embed_server, tmp_path):
+    EmbedHandler.fill = float("nan")
+    service = EmbeddingService(RemoteProvider(url=embed_server, model="m"), cache_dir=tmp_path)
+    with pytest.raises(BackendError):
+        service.embed_texts(["abc", "de"])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "stub",
+    [
+        {"reply": {"data": 5}},
+        {"fail_first": 99, "fail_status": 401},
+        {"fail_first": 99},
+        {"reply": {"data": []}},
+        {"fill": float("inf")},
+    ],
+    ids=["malformed-200", "4xx", "5xx-after-retries", "wrong-vector-count", "non-finite-vector"],
+)
+def test_run_remote_embedder_failure_exits_1(
+    embed_server, sleeps, planted_dir, tmp_path, capsys, monkeypatch, stub
+):
+    for name, value in stub.items():
+        monkeypatch.setattr(EmbedHandler, name, value)
+    cache_dir = tmp_path / "cache"
+    code = main(
+        [
+            "run",
+            "--method", "emtt",
+            "--embedder", "remote",
+            "--embed-url", embed_server,
+            "--tables-dir", str(planted_dir / "tables"),
+            "--out-dir", str(tmp_path / "out"),
+            "--cache-dir", str(cache_dir),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: " in err
+    assert "Traceback" not in err
+    assert list(cache_dir.iterdir()) == []
 
 
 class MixedDimProvider:

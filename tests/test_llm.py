@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
+from taxoforge.cli import main
 from taxoforge.errors import BackendError, EmptyParseError
 from taxoforge.llm import (
     ChatRequest,
@@ -77,14 +80,18 @@ def test_chat_request_validation():
 
 class ChatHandler(BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 503
+    reply = None  # JSON sent instead of the completion when set
+    posts = 0
     last_payload = None
 
     def do_POST(self):
         cls = type(self)
+        cls.posts += 1
         cls.last_payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         if cls.fail_first > 0:
             cls.fail_first -= 1
-            self.send_response(503)
+            self.send_response(cls.fail_status)
             self.end_headers()
             return
         body = {
@@ -95,7 +102,7 @@ class ChatHandler(BaseHTTPRequestHandler):
                 }
             ]
         }
-        data = json.dumps(body).encode()
+        data = json.dumps(body if cls.reply is None else cls.reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -108,9 +115,12 @@ class ChatHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def chat_server():
     server = HTTPServer(("127.0.0.1", 0), ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     ChatHandler.fail_first = 0
+    ChatHandler.fail_status = 503
+    ChatHandler.reply = None
+    ChatHandler.posts = 0
     ChatHandler.last_payload = None
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -127,17 +137,104 @@ def test_remote_backend_roundtrip(chat_server):
     assert payload["temperature"] == 0.0
 
 
-def test_remote_backend_retries(chat_server):
+def test_remote_backend_retries(chat_server, sleeps):
     ChatHandler.fail_first = 2
     backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
     assert backend.complete(ChatRequest(user="x")).text == "Hospital\nClinic"
+    assert ChatHandler.posts == 3
+    assert sleeps == [1, 2]
 
 
-def test_remote_backend_fails_after_retries(chat_server):
+def test_remote_backend_fails_after_retries(chat_server, sleeps):
     ChatHandler.fail_first = 99
     backend = RemoteChatBackend(base_url=chat_server, max_retries=2)
+    with pytest.raises(BackendError) as err:
+        backend.complete(ChatRequest(user="x"))
+    assert err.value.status == 503
+    assert ChatHandler.posts == 2
+    assert sleeps == [1]
+
+
+def test_remote_backend_retries_429(chat_server, sleeps):
+    ChatHandler.fail_first, ChatHandler.fail_status = 1, 429
+    backend = RemoteChatBackend(base_url=chat_server)
+    assert backend.complete(ChatRequest(user="x")).text == "Hospital\nClinic"
+    assert sleeps == [1]
+
+
+def test_remote_backend_401_is_sent_once(chat_server, sleeps):
+    ChatHandler.fail_first, ChatHandler.fail_status = 99, 401
+    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
+    with pytest.raises(BackendError) as err:
+        backend.complete(ChatRequest(user="x"))
+    assert err.value.status == 401
+    assert ChatHandler.posts == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {},
+        {"choices": []},
+        {"choices": [{"message": {}}]},
+        {"choices": [{"message": {"content": None}}]},
+        ["not", "an", "object"],
+    ],
+)
+def test_remote_backend_malformed_200(chat_server, sleeps, reply):
+    ChatHandler.reply = reply
+    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
     with pytest.raises(BackendError):
         backend.complete(ChatRequest(user="x"))
+    assert ChatHandler.posts == 1
+    assert sleeps == []
+
+
+@pytest.fixture()
+def silent_url():
+    """A listening port that never answers, so every request times out."""
+    with socket.create_server(("127.0.0.1", 0), backlog=32) as sock:
+        yield f"http://127.0.0.1:{sock.getsockname()[1]}"
+
+
+def test_remote_backend_timeout_is_backend_error(silent_url, sleeps):
+    backend = RemoteChatBackend(base_url=silent_url, timeout=0.05, max_retries=2)
+    with pytest.raises(BackendError) as err:
+        backend.complete(ChatRequest(user="x"))
+    assert isinstance(err.value.__cause__, requests.Timeout)
+    assert sleeps == [1]
+
+
+def gett_remote_args(gett_dir, url, out_dir):
+    return [
+        "run",
+        "--method", "gett",
+        "--llm", "remote",
+        "--llm-url", url,
+        "--tables-dir", str(gett_dir / "tables"),
+        "--out-dir", str(out_dir),
+        "--edge-scorer", "constant",
+    ]
+
+
+def test_run_remote_llm_malformed_response_exits_1(chat_server, sleeps, gett_dir, tmp_path, capsys):
+    ChatHandler.reply = {}
+    code = main(gett_remote_args(gett_dir, chat_server, tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: " in err
+    assert "Traceback" not in err
+
+
+def test_run_remote_llm_timeout_exits_1(silent_url, sleeps, gett_dir, tmp_path, capsys, monkeypatch):
+    real_post = requests.post
+    monkeypatch.setattr(requests, "post", lambda *a, **kw: real_post(*a, **{**kw, "timeout": 0.01}))
+    code = main(gett_remote_args(gett_dir, silent_url, tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: " in err
+    assert "Traceback" not in err
 
 
 # --- parsing ------------------------------------------------------------------------
