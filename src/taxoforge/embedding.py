@@ -11,7 +11,6 @@ even against nondeterministic remote backends.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import logging
 import os
@@ -23,7 +22,7 @@ import numpy as np
 
 from .corpus import Corpus, Table
 from .errors import BackendError, DimensionMismatchError
-from .remote import post_json
+from .remote import in_order, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -119,14 +118,12 @@ class RemoteProvider:
         url: str,
         model: str,
         batch_size: int = 64,
-        parallelism: int = 8,
         timeout: float = 60.0,
         max_retries: int = 3,
     ):
         self.url = url
         self.model = model
         self.batch_size = batch_size
-        self.parallelism = max(1, parallelism)
         self.timeout = timeout
         self.max_retries = max_retries
         self.provider_id = f"remote:{model}"
@@ -140,15 +137,14 @@ class RemoteProvider:
             raise BackendError(f"malformed embeddings response: {str(body)[:200]}") from exc
         if len(vectors) != len(texts):
             raise BackendError(f"expected {len(texts)} vectors, got {len(vectors)}")
+        # JSON numbers only: numpy would turn "1" and true into floats; bool is an int subclass
+        if not all(isinstance(v, list) and all(type(x) in (int, float) for x in v) for v in vectors):
+            raise BackendError("embeddings are not lists of JSON numbers")
         return vectors
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
         batches = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
-        results: list[list[list[float]]] = [[] for _ in batches]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            futures = {pool.submit(self._post_batch, b): i for i, b in enumerate(batches)}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+        results = list(in_order(self._post_batch, batches))
         try:
             matrix = np.array([vec for batch in results for vec in batch], dtype=np.float32)
         except (TypeError, ValueError) as exc:

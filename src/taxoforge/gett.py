@@ -8,12 +8,18 @@ relations of the current layer's types, keeps only candidates that survive
 a template-based edge filter, and repeats until the candidate list is
 exhausted. Leftover candidates are attached directly under the root so
 every generated type appears exactly once.
+
+Independent chat calls (the tables' generations, one layer's proposals, one
+iteration's edge votes) run side by side through ``remote.in_order``. Each
+call's transcript entries are buffered and written in input order, so the
+transcript matches a run that made the calls one after another.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from contextlib import closing
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -27,7 +33,15 @@ from .errors import (
     LayerParseError,
     PipelineAbortedError,
 )
-from .llm import _BULLET_RE, ChatRequest, TranscriptLogger, complete, parse_name_list
+from .llm import (
+    _BULLET_RE,
+    ChatRequest,
+    TranscriptBuffer,
+    TranscriptLogger,
+    complete,
+    parse_name_list,
+)
+from .remote import in_order
 from .taxonomy import EntityType, Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -73,15 +87,15 @@ class ConstantScorer:
     def __init__(self, value: float = 1.0):
         self.value = value
 
-    def score(self, sentence: str, parent: str, child: str) -> float:
-        return self.value
+    def scores(self, edges: list[tuple[str, str]]) -> list[float]:
+        return [self.value] * len(edges)
 
 
 class EmbeddingCosineScorer:
     """Cosine plausibility of child/parent names, rescaled to [0, 1].
 
-    The template sentence is ignored; the signal comes entirely from the
-    name embeddings, which keeps the offline path free of a second model.
+    No sentence is built; the signal comes entirely from the name
+    embeddings, which keeps the offline path free of a second model.
     """
 
     def __init__(self, service):
@@ -93,37 +107,61 @@ class EmbeddingCosineScorer:
             self._cache[name] = self.service.embed_texts([name])[0].astype(np.float64)
         return self._cache[name]
 
-    def score(self, sentence: str, parent: str, child: str) -> float:
-        a, b = self._vector(child), self._vector(parent)
-        denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-        cos = float(a @ b) / denom if denom > 0 else 0.0
-        return min(1.0, max(0.0, (cos + 1.0) / 2.0))
+    def scores(self, edges: list[tuple[str, str]]) -> list[float]:
+        out = []
+        for parent, child in edges:
+            a, b = self._vector(child), self._vector(parent)
+            denom = float(np.linalg.norm(a) * np.linalg.norm(b))
+            cos = float(a @ b) / denom if denom > 0 else 0.0
+            out.append(min(1.0, max(0.0, (cos + 1.0) / 2.0)))
+        return out
 
 
 class LlmYesNoScorer:
-    """Asks the backend whether each templated subsumption sentence holds."""
+    """Asks the backend whether each templated subsumption sentence holds.
+
+    An edge scores the mean of its yes (1) / no (0) votes over
+    ``EDGE_TEMPLATES``; all votes of one ``scores`` call are sent together.
+    """
 
     def __init__(self, backend, transcript: TranscriptLogger | None = None):
         self.backend = backend
         self.transcript = transcript
         self._template = load_prompt("edge_yesno")
 
-    def score(self, sentence: str, parent: str, child: str) -> float:
-        req = ChatRequest(user=self._template.format(sentence=sentence))
-        resp = complete(req, self.backend, self.transcript)
+    def scores(self, edges: list[tuple[str, str]]) -> list[float]:
+        sentences = [tpl.format(parent=p, child=c) for p, c in edges for tpl in EDGE_TEMPLATES]
+        votes = list(_logged_in_order(self._vote, sentences, self.transcript))
+        n = len(EDGE_TEMPLATES)
+        return [sum(votes[i : i + n]) / n for i in range(0, len(votes), n)]
+
+    def _vote(self, sentence: str, log: TranscriptBuffer) -> float:
+        resp = complete(ChatRequest(user=self._template.format(sentence=sentence)), self.backend, log)
         return 1.0 if resp.text.strip().casefold().startswith("yes") else 0.0
 
 
 def filter_edges(edges: list[tuple[str, str]], scorer) -> list[EdgeScore]:
-    """Score each proposed edge as the mean over the sentence templates."""
-    out = []
-    for parent, child in edges:
-        scores = [
-            scorer.score(tpl.format(parent=parent, child=child), parent, child)
-            for tpl in EDGE_TEMPLATES
-        ]
-        out.append(EdgeScore(parent=parent, child=child, score=sum(scores) / len(scores)))
-    return out
+    """Pair each proposed edge with its score from ``scorer.scores``."""
+    return [EdgeScore(parent=p, child=c, score=s) for (p, c), s in zip(edges, scorer.scores(edges))]
+
+
+def _logged_in_order(fn, items, transcript: TranscriptLogger | None):
+    """``in_order`` over ``fn(item, log)``, where ``log`` is the call's own transcript buffer.
+
+    Each buffer goes to ``transcript`` when its result is taken, so the
+    entries and their ``seq`` numbers match calls made one after another.
+    """
+
+    def task(item):
+        buffer = TranscriptBuffer()
+        return buffer.pairs, fn(item, buffer)
+
+    with closing(in_order(task, items)) as results:
+        for pairs, result in results:
+            if transcript is not None:
+                for req, resp in pairs:
+                    transcript.log(req, resp)
+            yield result
 
 
 def serialize_table_block(table: Table, seed: int) -> str:
@@ -316,18 +354,18 @@ def _collect_proposals(
     backend,
     transcript: TranscriptLogger | None,
 ) -> tuple[list[tuple[str, str]], bool]:
+    outline = render_outline(tax)
+    candidates = ", ".join(remaining)
+
+    def propose(parent: str, log: TranscriptBuffer) -> tuple[list[tuple[str, str]], bool]:
+        prompt = template.format(
+            demonstration=demonstration, outline=outline, candidates=candidates, parent=parent
+        )
+        return parse_edge_lines(complete(ChatRequest(user=prompt), backend, log).text)
+
     proposals: list[tuple[str, str]] = []
     any_parseable = False
-    outline = render_outline(tax)
-    for parent in layer:
-        prompt = template.format(
-            demonstration=demonstration,
-            outline=outline,
-            candidates=", ".join(remaining),
-            parent=parent,
-        )
-        resp = complete(ChatRequest(user=prompt), backend, transcript)
-        edges, parseable = parse_edge_lines(resp.text)
+    for edges, parseable in _logged_in_order(propose, layer, transcript):
         any_parseable = any_parseable or parseable
         proposals.extend(edges)
     return proposals, any_parseable
@@ -358,23 +396,30 @@ def run_gett(
     """Generate types per table, flatten, and build the layered taxonomy.
 
     A table fails when its generation fails after the repair prompt or its
-    backend raises. Failures are recorded and tolerated while at least half
-    of the tables can still succeed; the run aborts as soon as they cannot.
+    backend raises. Failures are counted in table order and tolerated while
+    at least half of the tables can still succeed; once they cannot, the run
+    aborts and no further table is started.
     """
+
+    def attempt(table: Table, log: TranscriptBuffer) -> list[str] | Exception:
+        try:
+            return generate_types(table, backend, derive_table_seed(seed, table.id), log)
+        except (GenerationFailedError, BackendError) as exc:
+            return exc
+
     per_table: dict[str, list[str]] = {}
     failures: list[str] = []
-    for table in corpus.tables:
-        try:
-            per_table[table.id] = generate_types(
-                table, backend, derive_table_seed(seed, table.id), transcript
-            )
-        except (GenerationFailedError, BackendError) as exc:
-            logger.warning("table %s failed: %s", table.id, exc)
+    with closing(_logged_in_order(attempt, corpus.tables, transcript)) as outcomes:
+        for table, outcome in zip(corpus.tables, outcomes):
+            if not isinstance(outcome, Exception):
+                per_table[table.id] = outcome
+                continue
+            logger.warning("table %s failed: %s", table.id, outcome)
             failures.append(table.id)
             if len(failures) > len(corpus.tables) // 2:
                 raise PipelineAbortedError(
                     f"{len(failures)}/{len(corpus.tables)} tables failed type generation"
-                ) from exc
+                ) from outcome
     candidates = flatten(per_table)
     tax = chain_of_layer(candidates, root_name, backend, edge_filter, max_iters, transcript)
     return GettResult(taxonomy=tax, per_table=per_table, candidates=candidates, failures=failures)

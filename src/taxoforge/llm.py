@@ -132,10 +132,20 @@ class TranscriptLogger:
         return self._seq
 
 
+class TranscriptBuffer:
+    """Holds one task's request/response pairs until they are written to a ``TranscriptLogger``."""
+
+    def __init__(self):
+        self.pairs: list[tuple[ChatRequest, ChatResponse]] = []
+
+    def log(self, req: ChatRequest, resp: ChatResponse) -> None:
+        self.pairs.append((req, resp))
+
+
 def complete(
     req: ChatRequest,
     backend,
-    transcript: TranscriptLogger | None = None,
+    transcript: TranscriptLogger | TranscriptBuffer | None = None,
 ) -> ChatResponse:
     resp = backend.complete(req)
     if transcript is not None:

@@ -3,11 +3,17 @@
 Connection errors, timeouts, 429 and 5xx are retried after 1 s, 2 s, 4 s, ...;
 any other status, and a 2xx whose body is not a JSON object, fail at once.
 Every failure raises ``BackendError``.
+
+``in_order`` runs independent requests side by side, at most
+``MAX_IN_FLIGHT`` at once, and hands their results back in input order.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from time import sleep
 
 import requests
@@ -15,6 +21,23 @@ import requests
 from .errors import BackendError
 
 API_KEY_ENV = "TAXOFORGE_API_KEY"
+MAX_IN_FLIGHT = 8
+
+
+def in_order(fn, items):
+    """Yield ``fn(item)`` for every item, in input order, running up to ``MAX_IN_FLIGHT`` at once.
+
+    A further item is started only after an earlier item's result has been
+    taken. A call that raised re-raises at its place in the order, once the
+    calls still running have finished; closing the generator early likewise
+    starts nothing more and waits for the calls still running.
+    """
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
+        running = deque(pool.submit(fn, item) for item in islice(items, MAX_IN_FLIGHT))
+        while running:
+            yield running.popleft().result()
+            running.extend(pool.submit(fn, item) for item in islice(items, 1))
 
 
 def post_json(url: str, payload: dict, *, timeout: float, retries: int) -> dict:

@@ -251,8 +251,18 @@ def test_remote_provider_401_is_sent_once(embed_server, sleeps):
         ({"data": [{"vector": [1.0, 2.0]}]}, ["a"]),
         ({"data": [{"embedding": "1.0 2.0"}]}, ["a"]),
         ({"data": [{"embedding": [1.0, 2.0]}, {"embedding": [1.0]}]}, ["a", "b"]),
+        ({"data": [{"embedding": ["1", "2"]}]}, ["a"]),
+        ({"data": [{"embedding": [True, False]}]}, ["a"]),
     ],
-    ids=["data-not-a-list", "no-data", "no-embedding", "embedding-not-numbers", "mixed-dims"],
+    ids=[
+        "data-not-a-list",
+        "no-data",
+        "no-embedding",
+        "embedding-not-numbers",
+        "mixed-dims",
+        "string-components",
+        "bool-components",
+    ],
 )
 def test_remote_provider_malformed_200(embed_server, sleeps, reply, texts):
     EmbedHandler.reply = reply
@@ -287,8 +297,18 @@ def test_remote_provider_nan_vector_is_not_cached(embed_server, tmp_path):
         {"fail_first": 99},
         {"reply": {"data": []}},
         {"fill": float("inf")},
+        {"fill": "1"},
+        {"fill": True},
     ],
-    ids=["malformed-200", "4xx", "5xx-after-retries", "wrong-vector-count", "non-finite-vector"],
+    ids=[
+        "malformed-200",
+        "4xx",
+        "5xx-after-retries",
+        "wrong-vector-count",
+        "non-finite-vector",
+        "string-components",
+        "bool-components",
+    ],
 )
 def test_run_remote_embedder_failure_exits_1(
     embed_server, sleeps, planted_dir, tmp_path, capsys, monkeypatch, stub

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 import string
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from taxoforge import remote
 from taxoforge.corpus import Corpus, Table, ingest, tokenize_cell
 from taxoforge.errors import (
     BackendError,
@@ -16,6 +19,7 @@ from taxoforge.errors import (
 from taxoforge.gett import (
     ConstantScorer,
     EdgeFilter,
+    LlmYesNoScorer,
     build_generation_prompt,
     chain_of_layer,
     filter_edges,
@@ -139,17 +143,17 @@ def test_filter_edges_constant_keep_and_drop():
 
 
 def test_filter_edges_yes_yes_no_template_mean():
-    class TemplateScorer:
-        def score(self, sentence, parent, child):
-            return 0.0 if sentence.startswith("Every") else 1.0
-
-    scores = filter_edges([("Organization", "School")], TemplateScorer())
-    assert scores[0].score == pytest.approx(2 / 3)
+    # all nine votes are sent together; each edge still averages its own three
+    backend = ScriptedChatBackend(
+        [("Every School", "no"), ("Banana", "no"), ("Statement:", "yes")]
+    )
+    edges = [("Organization", "School"), ("Organization", "University"), ("Fruit", "Banana")]
+    scores = filter_edges(edges, LlmYesNoScorer(backend))
+    assert [(e.parent, e.child) for e in scores] == edges
+    assert [e.score for e in scores] == pytest.approx([2 / 3, 1.0, 0.0])
 
 
 def test_llm_yes_no_scorer_two_thirds():
-    from taxoforge.gett import LlmYesNoScorer
-
     backend = ScriptedChatBackend(
         [("kind of", "yes"), ("type of", "Yes."), ("Every", "no")]
     )
@@ -284,9 +288,11 @@ class OutageBackend:
         self.inner = inner
         self.needle = needle
         self.calls = 0
+        self._lock = threading.Lock()
 
     def complete(self, req):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         if self.needle in req.user:
             raise BackendError("HTTP 503", 503, "unavailable")
         return self.inner.complete(req)
@@ -304,11 +310,67 @@ def test_run_gett_backend_error_fails_only_that_table(gett_dir):
 def test_run_gett_aborts_as_soon_as_half_rule_is_lost(gett_dir):
     corpus = ingest(gett_dir / "tables")
     backend = OutageBackend(ScriptedChatBackend([]), "")
-    with pytest.raises(PipelineAbortedError) as err:
+    with pytest.raises(PipelineAbortedError, match="6/10 tables failed type generation") as err:
         run_gett(corpus, backend, EdgeFilter(ConstantScorer()), seed=7)
-    # 10 tables tolerate 5 failures; the sixth ends the run without calling the rest
-    assert backend.calls == 6
+    # 10 tables tolerate 5 failures; the sixth in table order ends the run
     assert isinstance(err.value.__cause__, BackendError)
+
+
+def test_run_gett_starts_no_table_after_half_rule_is_lost():
+    corpus = Corpus(tables=[table_of(f"t{i:02d}", ["name"], [[f"row {i}"]]) for i in range(40)])
+    backend = OutageBackend(ScriptedChatBackend([]), "")
+    with pytest.raises(PipelineAbortedError, match="21/40 tables failed type generation"):
+        run_gett(corpus, backend, EdgeFilter(ConstantScorer()), seed=7)
+    # the 21st failure ends the run; only tables already in flight were called
+    assert 21 <= backend.calls <= 21 + remote.MAX_IN_FLIGHT - 1
+
+
+class JitterBackend:
+    """Thread-safe wrapper that sleeps a seeded-random 1-5 ms per call, so calls
+    finish out of order, and records the most calls in flight at once."""
+
+    def __init__(self, inner, seed=0):
+        self.inner = inner
+        self.seed = seed
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, req):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(random.Random(f"{self.seed}:{req.user}").uniform(0.001, 0.005))
+            return self.inner.complete(req)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def test_run_gett_concurrent_calls_match_one_at_a_time(gett_dir, tmp_path, monkeypatch):
+    corpus = ingest(gett_dir / "tables")
+    script = ScriptedChatBackend.from_file(gett_dir / "script.json")
+    # edges under Bird are voted down; every other edge passes two of three templates
+    votes = [("Bird.", "no"), ("Statement: Every", "no"), ("Statement:", "yes")]
+    script.script = votes + script.script
+
+    def run(name):
+        backend = JitterBackend(script, seed=5)
+        transcript = TranscriptLogger(tmp_path / name)
+        edge_filter = EdgeFilter(LlmYesNoScorer(backend, transcript))
+        result = run_gett(corpus, backend, edge_filter, seed=7, transcript=transcript)
+        return (tmp_path / name).read_bytes(), result.taxonomy, backend.peak
+
+    with monkeypatch.context() as m:
+        m.setattr(remote, "MAX_IN_FLIGHT", 1)
+        one_bytes, one_tax, one_peak = run("one.jsonl")
+    many_bytes, many_tax, many_peak = run("many.jsonl")
+    assert many_bytes == one_bytes
+    assert many_tax.to_json() == one_tax.to_json()
+    assert ("Animal", "Bird") in one_tax.edges and ("Thing", "Duck") in one_tax.edges
+    assert one_peak == 1
+    assert 2 <= many_peak <= 8
 
 
 def test_run_gett_single_table():
