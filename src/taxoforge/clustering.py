@@ -13,7 +13,10 @@ id n+k.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -180,55 +183,54 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
     return Dendrogram(tuple(merges), n)
 
 
-def _cut_applied(den: Dendrogram, applied: int) -> FlatClustering:
-    """Clustering obtained by applying the first ``applied`` merges."""
+def _leaves(den: Dendrogram, node: int) -> list[int]:
+    """Leaves under ``node`` (leaf i, or merge j as n+j), ascending."""
     n = den.leaf_count
-    uf = list(range(n))
+    nodes = [node]
+    for x in nodes:
+        if x >= n:
+            nodes += (den.merges[x - n].left, den.merges[x - n].right)
+    return sorted(x for x in nodes if x < n)
 
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
 
-    rep: dict[int, int] = {i: i for i in range(n)}
-    for k, merge in enumerate(den.merges):
-        rep[n + k] = rep[merge.left]
-        if k < applied:
-            uf[find(rep[merge.right])] = find(rep[merge.left])
-    labels = []
-    canon: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        if root not in canon:
-            canon[root] = len(canon)
-        labels.append(canon[root])
-    return FlatClustering(tuple(labels), len(canon))
+def _cuts(
+    den: Dendrogram, heights: list[float]
+) -> Iterator[tuple[dict[int, list[int]], FlatClustering]]:
+    """The cut at each of the descending ``heights``, undoing merges last first.
+
+    The cut at h applies the first #(merge heights <= h) merges. Its clusters
+    map node ids to ascending leaves and are labelled by smallest leaf.
+    """
+    n = den.leaf_count
+    ascending = sorted(den.heights)
+    roots = {2 * n - 2: list(range(n))}
+    for height in heights:
+        for j in range(n - len(roots) - 1, bisect_right(ascending, height) - 1, -1):
+            del roots[n + j]
+            for child in (den.merges[j].left, den.merges[j].right):
+                roots[child] = _leaves(den, child)
+        clusters = dict(sorted(roots.items(), key=lambda item: item[1][0]))
+        labels = [0] * n
+        for label, leaves in enumerate(clusters.values()):
+            for i in leaves:
+                labels[i] = label
+        yield clusters, FlatClustering(tuple(labels), len(clusters))
 
 
 def cut(den: Dendrogram, height: float) -> FlatClustering:
-    """Sever all merges with height strictly greater than ``height``."""
+    """Apply the first #(merge heights <= ``height``) merges; labels follow smallest members."""
     if height < 0:
         raise ValueError("cut height must be >= 0")
-    applied = sum(1 for m in den.merges if m.height <= height)
-    return _cut_applied(den, applied)
+    return next(_cuts(den, [height]))[1]
 
 
-def silhouette(dm: DistanceMatrix, fc: FlatClustering) -> float:
-    """Mean silhouette coefficient; -1 sentinel outside 2 <= k <= n-1.
-
-    Items in singleton clusters contribute 0, and so do items whose intra
-    and nearest-other mean distances are both 0.
-    """
-    n = dm.n
-    k = fc.k
+def _mean_silhouette(columns: list[np.ndarray], labels: np.ndarray) -> float:
+    """Mean silhouette from each cluster's column of distance sums to every item."""
+    n, k = len(labels), len(columns)
     if k < 2 or k > n - 1:
         return UNDEFINED_SILHOUETTE
-    labels = np.asarray(fc.labels)
+    sums = np.stack(columns, axis=1)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.zeros((n, k))
-    for c in range(k):
-        sums[:, c] = dm.d[:, labels == c].sum(axis=1)
     own = counts[labels]
     a = sums[np.arange(n), labels] / np.maximum(own - 1, 1)
     mean_to = sums / counts[np.newaxis, :]
@@ -241,33 +243,48 @@ def silhouette(dm: DistanceMatrix, fc: FlatClustering) -> float:
     return float(scores.mean())
 
 
-def distinct_heights_desc(den: Dendrogram) -> list[float]:
-    """Distinct merge heights, highest first (the finite set of cut levels)."""
-    return sorted(set(den.heights), reverse=True)
+def silhouette(dm: DistanceMatrix, fc: FlatClustering) -> float:
+    """Mean silhouette coefficient; -1 sentinel outside 2 <= k <= n-1.
+
+    Items in singleton clusters contribute 0, and so do items whose intra
+    and nearest-other mean distances are both 0.
+    """
+    labels = np.asarray(fc.labels)
+    return _mean_silhouette([dm.d[:, labels == c].sum(axis=1) for c in range(fc.k)], labels)
+
+
+def sweep(dm: DistanceMatrix, den: Dendrogram) -> Iterator[tuple[float, FlatClustering, float]]:
+    """``(h, cut(den, h), its silhouette)`` at each distinct merge height h, highest first.
+
+    Level h applies the first #(merge heights <= h) merges, so k rises
+    strictly from 1. A cluster's distance sums are computed once, when it
+    appears, summing in ``silhouette``'s order, so scores equal it bit for bit.
+    """
+    levels = sorted(set(den.heights), reverse=True)
+    sums: dict[int, np.ndarray] = {}
+    for height, (clusters, fc) in zip(levels, _cuts(den, levels)):
+        sums = {
+            node: sums[node] if node in sums else dm.d[:, leaves].sum(axis=1)
+            for node, leaves in clusters.items()
+        }
+        yield height, fc, _mean_silhouette(list(sums.values()), np.asarray(fc.labels))
 
 
 def select_k(
     dm: DistanceMatrix, den: Dendrogram, k_range: tuple[int, int]
 ) -> tuple[int, FlatClustering]:
-    """Silhouette-maximizing cluster count over realizable dendrogram cuts.
+    """Silhouette-maximizing cluster count over the levels of ``sweep``.
 
-    Counts in the range that no cut produces are skipped; ties go to the
-    smallest k.
+    Level h applies the first #(merge heights <= h) merges; counts in the
+    range that no level produces are skipped, and ties go to the smallest k.
     """
     lo, hi = k_range
     n = den.leaf_count
     if not (2 <= lo <= hi <= n - 1):
         raise ValueError(f"invalid k range ({lo}, {hi}) for n={n}")
-    heights = den.heights
-    best: tuple[float, int, FlatClustering] | None = None
-    for k in range(lo, hi + 1):
-        applied = n - k
-        if heights[applied - 1] == heights[applied]:
-            continue
-        fc = _cut_applied(den, applied)
-        score = silhouette(dm, fc)
-        if best is None or score > best[0]:
-            best = (score, k, fc)
-    if best is None:
+    levels = takewhile(lambda level: level[1].k <= hi, sweep(dm, den))
+    candidates = [(score, fc) for _, fc, score in levels if fc.k >= lo]
+    if not candidates:
         raise NoValidKError(f"no k in [{lo}, {hi}] is realizable by a cut")
-    return best[1], best[2]
+    _, fc = max(candidates, key=lambda candidate: candidate[0])
+    return fc.k, fc

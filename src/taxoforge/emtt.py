@@ -13,15 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# cut and silhouette are not called here; bench/tracer.py wraps them in this module by name
 from .clustering import (
     DistanceMatrix,
     Dendrogram,
     agglomerate,
     cut,
-    distinct_heights_desc,
     euclidean_matrix,
     select_k,
     silhouette,
+    sweep,
 )
 from .corpus import Corpus
 from .embedding import ColumnRef, EmbeddingService, SerializationSpec
@@ -51,13 +52,10 @@ class ConceptualAttribute:
 @dataclass(frozen=True)
 class PruningParams:
     delta: float = DEFAULT_DELTA
-    min_cluster_size: int = 2
 
     def __post_init__(self):
         if not 0 <= self.delta <= 2:
             raise ValueError("delta must be in [0, 2]")
-        if self.min_cluster_size < 2:
-            raise ValueError("min_cluster_size must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,6 @@ class FragmentNode:
     parent: frozenset[int] | None
     emitted_at: float
     silhouette_at_emission: float
-
-
-def _k_range(n: int, k_max: int) -> tuple[int, int]:
-    return 2, min(k_max, n - 1)
 
 
 def identify_top_level(
@@ -95,10 +89,10 @@ def identify_top_level(
         return [TopLevelType(id="tlt0", member_tables={t.id for t in tables})]
     refs = [ColumnRef(t.id, t.subject_col) for t in tables]
     vec_map = service.embed_columns(corpus, refs, SerializationSpec(include_header=True))
-    dm = _euclidean_from_refs(vec_map, refs)
+    dm = euclidean_matrix(np.stack([vec_map[r] for r in refs]))
     den = agglomerate(dm, linkage)
     try:
-        k, fc = select_k(dm, den, _k_range(len(tables), k_max))
+        k, fc = select_k(dm, den, (2, min(k_max, len(tables) - 1)))
     except NoValidKError:
         logger.info("no realizable cluster count; using a single top-level type")
         return [TopLevelType(id="tlt0", member_tables={t.id for t in tables})]
@@ -107,10 +101,6 @@ def identify_top_level(
     for label, group in enumerate(fc.groups()):
         out.append(TopLevelType(id=f"tlt{label}", member_tables={tables[i].id for i in group}))
     return out
-
-
-def _euclidean_from_refs(vec_map: dict[ColumnRef, np.ndarray], refs: list[ColumnRef]) -> DistanceMatrix:
-    return euclidean_matrix(np.stack([vec_map[r] for r in refs]))
 
 
 def identify_attributes(
@@ -136,18 +126,16 @@ def identify_attributes(
     if len(refs) <= 2:
         return [ConceptualAttribute(id=f"{prefix}0", member_columns=set(refs))]
     vec_map = service.embed_columns(corpus, refs, SerializationSpec(include_header=True))
-    dm = _euclidean_from_refs(vec_map, refs)
+    dm = euclidean_matrix(np.stack([vec_map[r] for r in refs]))
     den = agglomerate(dm, linkage)
     try:
-        k, fc = select_k(dm, den, _k_range(len(refs), k_max))
+        k, fc = select_k(dm, den, (2, min(k_max, len(refs) - 1)))
     except NoValidKError:
         return [ConceptualAttribute(id=f"{prefix}0", member_columns=set(refs))]
-    out = []
-    for label, group in enumerate(fc.groups()):
-        out.append(
-            ConceptualAttribute(id=f"{prefix}{label}", member_columns={refs[i] for i in group})
-        )
-    return out
+    return [
+        ConceptualAttribute(id=f"{prefix}{label}", member_columns={refs[i] for i in group})
+        for label, group in enumerate(fc.groups())
+    ]
 
 
 def table_attribute_distance(attrs1: set[str], attrs2: set[str]) -> float:
@@ -187,31 +175,26 @@ def prune_dendrogram(
 ) -> list[FragmentNode]:
     """Emit subtype clusters from cuts whose silhouette clears the window.
 
-    The walk visits the finite set of distinct merge heights from highest
-    to lowest (the zero-step-size limit of scanning the y axis), so every
-    distinct clustering is considered exactly once. A cut qualifies when
-    its silhouette exceeds maxSilhouette - delta, where maxSilhouette is
-    the best score over all cuts with 2 <= k <= n-1; cuts outside that
-    range carry the -1 sentinel and only qualify under extreme deltas.
-    Each qualifying non-singleton cluster is emitted once, at its highest
-    qualifying height; its parent is the smallest previously emitted
-    strict superset (unique, because dendrogram clusters are laminar).
+    The cuts are the levels of ``sweep``: at each distinct merge height h,
+    highest first, the first #(merge heights <= h) merges. A cut qualifies
+    when its silhouette exceeds the best score over cuts with 2 <= k <= n-1
+    minus delta; the others carry the -1 sentinel and only qualify under
+    extreme deltas. Each qualifying non-singleton cluster is emitted once, at
+    its highest qualifying height; its parent is the smallest previously
+    emitted strict superset (unique, because dendrogram clusters are laminar).
     """
-    n = den.leaf_count
-    levels = distinct_heights_desc(den)
-    cuts = [(h, cut(den, h)) for h in levels]
-    scores = [silhouette(dm, fc) for _, fc in cuts]
-    valid = [s for (_, fc), s in zip(cuts, scores) if 2 <= fc.k <= n - 1]
+    levels = list(sweep(dm, den))
+    valid = [score for _, fc, score in levels if 2 <= fc.k <= den.leaf_count - 1]
     if not valid:
         return []
     max_sil = max(valid)
     emitted: dict[frozenset[int], tuple[frozenset[int] | None, float, float]] = {}
-    for (height, fc), score in zip(cuts, scores):
+    for height, fc, score in levels:
         if score <= max_sil - params.delta:
             continue
         for group in fc.groups():
             cluster = frozenset(group)
-            if len(cluster) < params.min_cluster_size or cluster in emitted:
+            if len(cluster) < 2 or cluster in emitted:
                 continue
             parent: frozenset[int] | None = None
             for candidate in emitted:

@@ -21,7 +21,7 @@ from oracles import (
     naive_agglomerate,
     oracle_prune,
 )
-from taxoforge.clustering import DistanceMatrix, agglomerate, cut, distinct_heights_desc, silhouette
+from taxoforge.clustering import DistanceMatrix, agglomerate, cut, silhouette
 from taxoforge.cli import main as cli_main
 from taxoforge.corpus import Table, ingest, tokenize_cell
 from taxoforge.embedding import EmbeddingService, LocalHashProvider
@@ -248,7 +248,7 @@ def test_criterion_4_pruning_window():
             dm = jaccard_matrix(ids, sets)
             den = agglomerate(dm)
             nodes = prune_dendrogram(den, dm, params)
-            levels = distinct_heights_desc(den)
+            levels = sorted(set(den.heights), reverse=True)
             valid = []
             for h in levels:
                 fc = cut(den, h)

@@ -10,11 +10,12 @@ from taxoforge.clustering import (
     FlatClustering,
     agglomerate,
     cut,
-    distinct_heights_desc,
     euclidean_matrix,
     select_k,
     silhouette,
+    sweep,
 )
+from taxoforge.emtt import jaccard_matrix
 from taxoforge.errors import NoValidKError
 
 
@@ -268,6 +269,65 @@ def test_select_k_scale_invariance():
     assert fc1.labels == fc2.labels
 
 
-def test_distinct_heights_desc():
-    _, den = line_dendrogram()
-    assert distinct_heights_desc(den) == sorted(set(den.heights), reverse=True)
+def ten_point_dendrogram():
+    # average linkage gives the heights ..., 0.4714045207910317 twice, then
+    # 0.4714045207910316: the cut there applies three merges and no cut
+    # applies four, so k = 7 is a cut and k = 6 is not
+    points = np.array(
+        [(0, 3, 3), (1, 0, 3), (1, 3, 3), (0, 1, 3), (3, 0, 2),
+         (1, 2, 0), (0, 1, 3), (1, 1, 2), (0, 0, 2), (3, 2, 1)],
+        dtype=np.float64,
+    ) / 3
+    dm = euclidean_matrix(points)
+    return dm, agglomerate(dm, "average")
+
+
+def test_select_k_non_monotone_heights_picks_only_cuts():
+    dm, den = ten_point_dendrogram()
+    assert den.heights[2:5] == [0.4714045207910317, 0.4714045207910317, 0.4714045207910316]
+    cuts = [cut(den, h) for h in den.heights]
+    assert sorted({fc.k for fc in cuts}) == [1, 2, 3, 4, 5, 7, 8, 9]
+    with pytest.raises(NoValidKError):
+        select_k(dm, den, (6, 6))
+    assert select_k(dm, den, (7, 7)) == (7, cut(den, 0.4714045207910316))
+    _, fc = select_k(dm, den, (2, 9))
+    assert fc.labels in {c.labels for c in cuts}
+
+
+# --- sweep ----------------------------------------------------------------------
+
+
+def assert_sweep_matches_cut(dm, den):
+    levels = list(sweep(dm, den))
+    heights = [h for h, _, _ in levels]
+    assert all(a > b for a, b in zip(heights, heights[1:]))
+    assert heights == sorted(set(den.heights), reverse=True)
+    for h, fc, score in levels:
+        assert fc.labels == cut(den, h).labels
+        assert fc.k == cut(den, h).k
+        # clusters are numbered in order of their smallest member
+        assert list(dict.fromkeys(fc.labels)) == list(range(fc.k))
+        assert score == silhouette(dm, fc)
+
+
+def test_sweep_matches_cut_on_non_monotone_heights():
+    assert_sweep_matches_cut(*ten_point_dendrogram())
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=14),
+    st.sampled_from(["euclidean", "jaccard"]),
+    st.sampled_from(["average", "complete", "single"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_cut_and_silhouette(seed, n, kind, linkage):
+    rng = np.random.default_rng(seed)
+    if kind == "euclidean":
+        # small integer grids give tied and one-ulp-apart merge heights
+        dm = euclidean_matrix(rng.integers(0, 4, size=(n, 3)) / 3)
+    else:
+        ids = [f"t{i}" for i in range(n)]
+        sets = {t: {f"a{j}" for j in range(6) if rng.random() < 0.5} for t in ids}
+        dm = jaccard_matrix(ids, sets)
+    assert_sweep_matches_cut(dm, agglomerate(dm, linkage))

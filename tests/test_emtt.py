@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_prune as shared_oracle_prune
-from taxoforge.clustering import DistanceMatrix, agglomerate, cut, distinct_heights_desc, silhouette
+from taxoforge.clustering import DistanceMatrix, agglomerate, cut, silhouette
 from taxoforge.corpus import Corpus, Table, ingest
 from taxoforge.embedding import EmbeddingService, LocalHashProvider
 from taxoforge.emtt import (
@@ -199,7 +199,7 @@ def test_prune_window_property_random_jaccard():
         den = agglomerate(dm)
         params = PruningParams(delta=0.15)
         nodes = prune_dendrogram(den, dm, params)
-        levels = distinct_heights_desc(den)
+        levels = sorted(set(den.heights), reverse=True)
         scores = [silhouette(dm, cut(den, h)) for h in levels]
         valid = [
             s for h, s in zip(levels, scores) if 2 <= cut(den, h).k <= den.leaf_count - 1
