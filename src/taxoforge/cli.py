@@ -21,6 +21,7 @@ from pathlib import Path
 from . import emtt as emtt_mod
 from . import gett as gett_mod
 from . import metrics as metrics_mod
+from .clustering import LINKAGES
 from .corpus import ingest
 from .embedding import EmbeddingService, LocalHashProvider, RemoteProvider
 from .errors import TaxoforgeError
@@ -32,6 +33,11 @@ logger = logging.getLogger(__name__)
 
 GT_TAXONOMY_FILE = "gt_taxonomy.json"
 GT_ANNOTATIONS_FILE = "gt_annotations.csv"
+
+METHODS = ("emtt", "gett")
+EMBEDDERS = ("remote", "local-hash")
+LLMS = ("remote", "scripted")
+EDGE_SCORERS = ("cosine", "llm", "constant")
 
 
 @dataclass
@@ -62,12 +68,16 @@ class RunConfig:
     def validate(self) -> None:
         if not self.tables_dir:
             raise ValueError("tables_dir is required")
-        if self.method not in ("emtt", "gett"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "emtt" and self.embedder not in ("remote", "local-hash"):
-            raise ValueError(f"unknown embedder {self.embedder!r}")
-        if self.method == "gett" and self.llm not in ("remote", "scripted"):
-            raise ValueError(f"unknown llm backend {self.llm!r}")
+        for name, choices in (
+            ("method", METHODS),
+            ("embedder", EMBEDDERS),
+            ("llm", LLMS),
+            ("linkage", LINKAGES),
+            ("edge_scorer", EDGE_SCORERS),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(choices)}")
         if self.method == "gett" and self.llm == "scripted" and not self.script_path:
             raise ValueError("scripted llm requires --script-path")
         if self.method == "gett" and self.llm == "remote" and not self.llm_url:
@@ -77,6 +87,8 @@ class RunConfig:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
+    """``RunConfig`` field -> raw value; unknown keys are errors, ``-`` reads as ``_``."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
     values: dict[str, str] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -85,24 +97,21 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"config line {line_no}: expected key=value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip()
+        name = key.replace("-", "_")
+        if name not in fields:
+            raise ValueError(f"config line {line_no}: unknown key {key!r}")
+        values[name] = value.strip()
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        file_values = load_config_file(args.config)
-        for f in dataclasses.fields(RunConfig):
-            if f.name in file_values:
-                raw = file_values[f.name]
-                current = getattr(cfg, f.name)
-                if f.type in ("int", int):
-                    setattr(cfg, f.name, int(raw))
-                elif f.type in ("float", float):
-                    setattr(cfg, f.name, float(raw))
-                else:
-                    setattr(cfg, f.name, raw)
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        convert = {"int": int, "float": float}
+        for name, raw in load_config_file(args.config).items():
+            setattr(cfg, name, convert.get(types[name], str)(raw))
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -129,10 +138,8 @@ def _make_edge_filter(cfg: RunConfig, backend, transcript) -> gett_mod.EdgeFilte
         scorer = gett_mod.ConstantScorer(1.0)
     elif cfg.edge_scorer == "llm":
         scorer = gett_mod.LlmYesNoScorer(backend, transcript)
-    elif cfg.edge_scorer == "cosine":
-        scorer = gett_mod.EmbeddingCosineScorer(_make_embedding_service(cfg))
     else:
-        raise ValueError(f"unknown edge scorer {cfg.edge_scorer!r}")
+        scorer = gett_mod.EmbeddingCosineScorer(_make_embedding_service(cfg))
     return gett_mod.EdgeFilter(scorer=scorer, threshold=cfg.edge_threshold)
 
 
@@ -151,6 +158,7 @@ def cmd_run(cfg: RunConfig) -> int:
     if not tables_dir.is_dir():
         print(f"error: tables directory not found: {tables_dir}", file=sys.stderr)
         return 1
+    gt = _load_gt(cfg.gt_path) if cfg.gt_path else None
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = ingest(tables_dir)
@@ -161,7 +169,7 @@ def cmd_run(cfg: RunConfig) -> int:
         result = emtt_mod.run_emtt(
             corpus,
             service,
-            params=emtt_mod.PruningParams(delta=cfg.delta),
+            delta=cfg.delta,
             linkage=cfg.linkage,
             k_max=cfg.k_max,
             subject_overrides=overrides,
@@ -187,8 +195,7 @@ def cmd_run(cfg: RunConfig) -> int:
         if partial:
             print(f"warning: {len(result.failures)} tables failed generation", file=sys.stderr)
     taxonomy.save(out_dir / "taxonomy.json")
-    if cfg.gt_path:
-        gt = _load_gt(cfg.gt_path)
+    if gt is not None:
         _write_json(out_dir / "report.json", metrics_mod.report(taxonomy, gt))
     return 2 if partial else 0
 
@@ -238,11 +245,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--tables-dir", dest="tables_dir")
     parser.add_argument("--gt-path", dest="gt_path", help="directory with gt_taxonomy.json and gt_annotations.csv")
-    parser.add_argument("--method", choices=["emtt", "gett"])
-    parser.add_argument("--embedder", choices=["remote", "local-hash"])
-    parser.add_argument("--llm", choices=["remote", "scripted"])
+    parser.add_argument("--method", choices=METHODS)
+    parser.add_argument("--embedder", choices=EMBEDDERS)
+    parser.add_argument("--llm", choices=LLMS)
     parser.add_argument("--delta", type=float)
-    parser.add_argument("--linkage", choices=["average", "complete", "single"])
+    parser.add_argument("--linkage", choices=LINKAGES)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("--cache-dir", dest="cache_dir")
@@ -254,7 +261,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embed-model", dest="embed_model")
     parser.add_argument("--embed-dim", dest="embed_dim", type=int)
     parser.add_argument("--k-max", dest="k_max", type=int)
-    parser.add_argument("--edge-scorer", dest="edge_scorer", choices=["cosine", "llm", "constant"])
+    parser.add_argument("--edge-scorer", dest="edge_scorer", choices=EDGE_SCORERS)
     parser.add_argument("--edge-threshold", dest="edge_threshold", type=float)
     parser.add_argument("--root-name", dest="root_name")
     parser.add_argument("--max-iters", dest="max_iters", type=int)

@@ -106,14 +106,12 @@ def _read_table(path: Path) -> Table | None:
     return Table(id=table_id, headers=headers, rows=rows)
 
 
-def ingest(dir_path: str | Path, fmt: str = "csv") -> Corpus:
+def ingest(dir_path: str | Path) -> Corpus:
     """Ingest every ``*.csv`` file under ``dir_path`` into a Corpus.
 
     Tables are ordered by id so downstream behaviour is independent of
-    filesystem enumeration order. CSV is the only supported format.
+    filesystem enumeration order.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported table format {fmt!r}")
     base = Path(dir_path)
     if not base.is_dir():
         raise EmptyCorpusError(f"not a directory: {base}")

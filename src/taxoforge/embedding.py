@@ -33,35 +33,24 @@ class ColumnRef:
     col: int
 
 
-@dataclass(frozen=True)
-class SerializationSpec:
-    include_header: bool = True
-    max_distinct_cells: int = 128
-
-    def __post_init__(self):
-        if self.max_distinct_cells < 1:
-            raise ValueError("max_distinct_cells must be >= 1")
+MAX_DISTINCT_CELLS = 128
 
 
-def serialize_column(table: Table, col: int, spec: SerializationSpec | None = None) -> str:
+def serialize_column(table: Table, col: int) -> str:
     """Render a column as ``<s> <header>H</header> v1 v2 ...``.
 
-    Values are the first ``max_distinct_cells`` unique non-empty cells in
-    first-occurrence order. With ``include_header=False`` the header
-    segment is omitted.
+    Values are the first ``MAX_DISTINCT_CELLS`` unique non-empty cells in
+    first-occurrence order.
     """
-    spec = spec or SerializationSpec()
     if col >= table.n_cols:
         raise IndexError(f"column {col} out of range for table {table.id!r}")
-    parts = ["<s>"]
-    if spec.include_header:
-        parts.append(f"<header>{table.headers[col]}</header>")
+    parts = ["<s>", f"<header>{table.headers[col]}</header>"]
     seen: set[str] = set()
     for value in table.column(col):
         if value and value not in seen:
             seen.add(value)
             parts.append(value)
-            if len(seen) >= spec.max_distinct_cells:
+            if len(seen) >= MAX_DISTINCT_CELLS:
                 break
     return " ".join(parts)
 
@@ -202,7 +191,6 @@ class EmbeddingService:
     def __init__(self, provider, cache_dir: str | Path | None = None):
         self.provider = provider
         self.cache = VectorCache(cache_dir) if cache_dir else None
-        self.provider_calls = 0
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
         if not texts:
@@ -223,7 +211,6 @@ class EmbeddingService:
         else:
             missing = list(range(len(unique)))
         if missing:
-            self.provider_calls += 1
             fresh = self.provider.embed_texts([unique[i] for i in missing])
             for slot, vec in zip(missing, fresh):
                 vectors[slot] = vec
@@ -234,13 +221,6 @@ class EmbeddingService:
             raise DimensionMismatchError(f"mixed dims across texts: {sorted(dims)}")
         return np.stack([vectors[index[t]] for t in texts])
 
-    def embed_columns(
-        self,
-        corpus: Corpus,
-        refs: list[ColumnRef],
-        spec: SerializationSpec | None = None,
-    ) -> dict[ColumnRef, np.ndarray]:
-        spec = spec or SerializationSpec()
-        texts = [serialize_column(corpus.get(r.table_id), r.col, spec) for r in refs]
-        matrix = self.embed_texts(texts)
-        return {ref: matrix[i] for i, ref in enumerate(refs)}
+    def embed_columns(self, corpus: Corpus, refs: list[ColumnRef]) -> np.ndarray:
+        """One row per ref, in ``refs`` order."""
+        return self.embed_texts([serialize_column(corpus.get(r.table_id), r.col) for r in refs])

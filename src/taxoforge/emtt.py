@@ -25,7 +25,7 @@ from .clustering import (
     sweep,
 )
 from .corpus import Corpus
-from .embedding import ColumnRef, EmbeddingService, SerializationSpec
+from .embedding import ColumnRef, EmbeddingService
 from .errors import NoValidKError
 from .subject import assign_subjects
 from .taxonomy import EntityType, Taxonomy
@@ -50,15 +50,6 @@ class ConceptualAttribute:
 
 
 @dataclass(frozen=True)
-class PruningParams:
-    delta: float = DEFAULT_DELTA
-
-    def __post_init__(self):
-        if not 0 <= self.delta <= 2:
-            raise ValueError("delta must be in [0, 2]")
-
-
-@dataclass(frozen=True)
 class FragmentNode:
     """One pruned cluster: all members, direct members, and its parent cluster."""
 
@@ -69,38 +60,49 @@ class FragmentNode:
     silhouette_at_emission: float
 
 
+def _cluster_refs(
+    corpus: Corpus,
+    service: EmbeddingService,
+    refs: list[ColumnRef],
+    linkage: str,
+    k_max: int,
+) -> list[list[int]]:
+    """Group refs by the embeddings of their serialized columns.
+
+    Returns the groups of the silhouette-selected cut, or one group of all
+    refs when there are fewer than three or no cut is realizable: the
+    silhouette criterion needs 2 <= k <= n-1 to separate anything.
+    """
+    whole = [list(range(len(refs)))]
+    if len(refs) <= 2:
+        return whole
+    dm = euclidean_matrix(service.embed_columns(corpus, refs))
+    den = agglomerate(dm, linkage)
+    try:
+        _, fc = select_k(dm, den, (2, min(k_max, len(refs) - 1)))
+    except NoValidKError:
+        return whole
+    return fc.groups()
+
+
 def identify_top_level(
     corpus: Corpus,
     service: EmbeddingService,
     linkage: str = "average",
     k_max: int = DEFAULT_K_MAX,
 ) -> list[TopLevelType]:
-    """Cluster tables by subject-column embeddings; one type per cluster.
-
-    Degenerate corpora (one or two tables, or a dendrogram with no
-    realizable cut) collapse to a single top-level type: the silhouette
-    criterion needs 2 <= k <= n-1 to separate anything.
-    """
+    """Cluster tables by subject-column embeddings; one type per cluster."""
     tables = corpus.tables
     for t in tables:
         if t.subject_col is None:
             raise ValueError(f"table {t.id!r} has no subject column assigned")
-    if len(tables) <= 2:
-        return [TopLevelType(id="tlt0", member_tables={t.id for t in tables})]
     refs = [ColumnRef(t.id, t.subject_col) for t in tables]
-    vec_map = service.embed_columns(corpus, refs, SerializationSpec(include_header=True))
-    dm = euclidean_matrix(np.stack([vec_map[r] for r in refs]))
-    den = agglomerate(dm, linkage)
-    try:
-        k, fc = select_k(dm, den, (2, min(k_max, len(tables) - 1)))
-    except NoValidKError:
-        logger.info("no realizable cluster count; using a single top-level type")
-        return [TopLevelType(id="tlt0", member_tables={t.id for t in tables})]
-    logger.info("top-level clustering selected k=%d", k)
-    out = []
-    for label, group in enumerate(fc.groups()):
-        out.append(TopLevelType(id=f"tlt{label}", member_tables={tables[i].id for i in group}))
-    return out
+    groups = _cluster_refs(corpus, service, refs, linkage, k_max)
+    logger.info("top-level clustering selected k=%d", len(groups))
+    return [
+        TopLevelType(id=f"tlt{label}", member_tables={tables[i].id for i in group})
+        for label, group in enumerate(groups)
+    ]
 
 
 def identify_attributes(
@@ -112,8 +114,7 @@ def identify_attributes(
 ) -> list[ConceptualAttribute]:
     """Cluster every column of the type's tables into conceptual attributes.
 
-    Each column lands in exactly one attribute; degenerate inputs (fewer
-    than three columns, or no realizable cut) yield a single attribute.
+    Each column lands in exactly one attribute.
     """
     refs = [
         ColumnRef(tid, col)
@@ -122,19 +123,9 @@ def identify_attributes(
     ]
     if not refs:
         return []
-    prefix = f"{tlt.id}.attr"
-    if len(refs) <= 2:
-        return [ConceptualAttribute(id=f"{prefix}0", member_columns=set(refs))]
-    vec_map = service.embed_columns(corpus, refs, SerializationSpec(include_header=True))
-    dm = euclidean_matrix(np.stack([vec_map[r] for r in refs]))
-    den = agglomerate(dm, linkage)
-    try:
-        k, fc = select_k(dm, den, (2, min(k_max, len(refs) - 1)))
-    except NoValidKError:
-        return [ConceptualAttribute(id=f"{prefix}0", member_columns=set(refs))]
     return [
-        ConceptualAttribute(id=f"{prefix}{label}", member_columns={refs[i] for i in group})
-        for label, group in enumerate(fc.groups())
+        ConceptualAttribute(id=f"{tlt.id}.attr{label}", member_columns={refs[i] for i in group})
+        for label, group in enumerate(_cluster_refs(corpus, service, refs, linkage, k_max))
     ]
 
 
@@ -170,9 +161,7 @@ def jaccard_matrix(table_ids: list[str], attr_sets: dict[str, set[str]]) -> Dist
     return DistanceMatrix(d)
 
 
-def prune_dendrogram(
-    den: Dendrogram, dm: DistanceMatrix, params: PruningParams
-) -> list[FragmentNode]:
+def prune_dendrogram(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[FragmentNode]:
     """Emit subtype clusters from cuts whose silhouette clears the window.
 
     The cuts are the levels of ``sweep``: at each distinct merge height h,
@@ -190,7 +179,7 @@ def prune_dendrogram(
     max_sil = max(valid)
     emitted: dict[frozenset[int], tuple[frozenset[int] | None, float, float]] = {}
     for height, fc, score in levels:
-        if score <= max_sil - params.delta:
+        if score <= max_sil - delta:
             continue
         for group in fc.groups():
             cluster = frozenset(group)
@@ -246,7 +235,7 @@ class EmttResult:
 def run_emtt(
     corpus: Corpus,
     service: EmbeddingService,
-    params: PruningParams | None = None,
+    delta: float = DEFAULT_DELTA,
     linkage: str = "average",
     k_max: int = DEFAULT_K_MAX,
     subject_overrides: dict[str, int] | None = None,
@@ -257,7 +246,8 @@ def run_emtt(
     beneath its type, and tables not claimed by any subtype stay directly
     assigned to the top-level type.
     """
-    params = params or PruningParams()
+    if not 0 <= delta <= 2:
+        raise ValueError("delta must be in [0, 2]")
     if any(t.subject_col is None for t in corpus.tables) or subject_overrides:
         assign_subjects(corpus, subject_overrides)
     top_level = identify_top_level(corpus, service, linkage, k_max)
@@ -276,7 +266,7 @@ def run_emtt(
             sets = attribute_sets(attrs)
             dm = jaccard_matrix(member_ids, sets)
             den = agglomerate(dm, linkage)
-            fragment = prune_dendrogram(den, dm, params)
+            fragment = prune_dendrogram(den, dm, delta)
         claimed_by_roots: set[str] = set()
         for node in fragment:
             if node.parent is None:

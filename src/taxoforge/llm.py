@@ -53,9 +53,10 @@ class ScriptedChatBackend:
         self.fallback = fallback
 
     @classmethod
-    def from_file(cls, path: str | Path, fallback: str = "") -> "ScriptedChatBackend":
+    def from_file(cls, path: str | Path) -> "ScriptedChatBackend":
+        """Load ``[{"match", "response"}, ...]``; an empty ``match`` acts as a fallback."""
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls([(e["match"], e["response"]) for e in entries], fallback=fallback)
+        return cls([(e["match"], e["response"]) for e in entries])
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         for pattern, response in self.script:

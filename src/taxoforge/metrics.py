@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -32,8 +32,18 @@ ANNOTATION_HEADER = ("table_id", "top_level", "path")
 
 @dataclass
 class GroundTruth:
+    """GT taxonomy plus per-table annotations; type names must be unique."""
+
     taxonomy: Taxonomy
     per_table: dict[str, tuple[str, list[str]]]
+    ids_by_name: dict[str, str] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ids_by_name = {}
+        for et in self.taxonomy.types.values():
+            if et.name in self.ids_by_name:
+                raise ValueError(f"ground-truth type name {et.name!r} is not unique")
+            self.ids_by_name[et.name] = et.id
 
     def top_level_of(self, table_id: str) -> str:
         return self.per_table[table_id][0]
@@ -41,17 +51,8 @@ class GroundTruth:
     def most_specific_of(self, table_id: str) -> str:
         return self.per_table[table_id][1][-1]
 
-    def name_to_id(self) -> dict[str, str]:
-        mapping: dict[str, str] = {}
-        for et in self.taxonomy.types.values():
-            if et.name in mapping:
-                raise ValueError(f"ground-truth type name {et.name!r} is not unique")
-            mapping[et.name] = et.id
-        return mapping
-
     def ancestor_names(self, name: str) -> set[str]:
-        ids = self.name_to_id()
-        type_id = ids[name]
+        type_id = self.ids_by_name[name]
         return {self.taxonomy.types[a].name for a in self.taxonomy.ancestors(type_id)}
 
 
@@ -62,8 +63,8 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     starting at its declared top-level type.
     """
     tax = Taxonomy.load(taxonomy_path)
-    names = {et.name: et.id for et in tax.types.values()}
-    per_table: dict[str, tuple[str, list[str]]] = {}
+    gt = GroundTruth(taxonomy=tax, per_table={})
+    names = gt.ids_by_name
     with Path(annotations_path).open(newline="", encoding="utf-8") as fh:
         for row_no, row in enumerate(csv.reader(fh), 1):
             if not row or not any(c.strip() for c in row):
@@ -86,18 +87,10 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
                     raise ValueError(
                         f"annotation line {row_no}: {parent!r} -> {child!r} is not a GT edge"
                     )
-            per_table[table_id] = (top_level, path)
-    if not per_table:
+            gt.per_table[table_id] = (top_level, path)
+    if not gt.per_table:
         raise ValueError(f"no annotations in {annotations_path}")
-    return GroundTruth(taxonomy=tax, per_table=per_table)
-
-
-@dataclass
-class Matching:
-    m: dict[str, str]
-
-    def get(self, type_id: str) -> str | None:
-        return self.m.get(type_id)
+    return gt
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,7 @@ def purity(tables_by_type: dict[str, set[str]], gt: GroundTruth) -> float:
     return sum(scores) / len(scores)
 
 
-def match_types(out: Taxonomy, gt: GroundTruth) -> Matching:
+def match_types(out: Taxonomy, gt: GroundTruth) -> dict[str, str]:
     """m(t): most frequent most-specific annotation over t's associated tables."""
     mapping: dict[str, str] = {}
     for type_id in out.types:
@@ -173,11 +166,11 @@ def match_types(out: Taxonomy, gt: GroundTruth) -> Matching:
         ]
         if annotated:
             mapping[type_id] = _majority(annotated)
-    return Matching(m=mapping)
+    return mapping
 
 
 def type_consistency(
-    out: Taxonomy, gt: GroundTruth, matching: Matching, type_id: str
+    out: Taxonomy, gt: GroundTruth, matching: dict[str, str], type_id: str
 ) -> float:
     """Fraction of non-synthetic output ancestors whose match is a GT ancestor of m(t).
 
@@ -187,7 +180,7 @@ def type_consistency(
     ancestors = [a for a in out.ancestors(type_id) if not out.types[a].synthetic]
     if not ancestors:
         return 1.0
-    gt_ancestors = gt.ancestor_names(matching.m[type_id])
+    gt_ancestors = gt.ancestor_names(matching[type_id])
     hits = 0
     for a in ancestors:
         matched = matching.get(a)
@@ -196,15 +189,25 @@ def type_consistency(
     return hits / len(ancestors)
 
 
-def tcs(out: Taxonomy, gt: GroundTruth, matching: Matching | None = None) -> float:
+def per_type_consistency(
+    out: Taxonomy, gt: GroundTruth, matching: dict[str, str]
+) -> dict[str, float]:
+    """Type consistency of every matched, non-synthetic output type, in id order."""
+    return {
+        t: type_consistency(out, gt, matching, t)
+        for t in sorted(out.types)
+        if not out.types[t].synthetic and t in matching
+    }
+
+
+def tcs(out: Taxonomy, gt: GroundTruth, matching: dict[str, str] | None = None) -> float:
     """Mean type consistency over matched, non-synthetic output types."""
-    matching = matching or match_types(out, gt)
-    evaluated = [
-        t for t in sorted(out.types) if not out.types[t].synthetic and t in matching.m
-    ]
-    if not evaluated:
+    if matching is None:
+        matching = match_types(out, gt)
+    per_type = per_type_consistency(out, gt, matching)
+    if not per_type:
         raise NoMatchedTypesError("no matched non-synthetic types")
-    return sum(type_consistency(out, gt, matching, t) for t in evaluated) / len(evaluated)
+    return sum(per_type.values()) / len(per_type)
 
 
 def top_level_assignment(tax: Taxonomy) -> dict[str, str]:
@@ -239,16 +242,12 @@ def report(out: Taxonomy, gt: GroundTruth) -> dict:
         pur = purity({t: out.associated_tables(t) for t in out.top_level_ids()}, gt)
     except NoTypesError:
         pur = None
-    per_type: dict[str, float] = {}
-    for type_id in sorted(out.types):
-        if out.types[type_id].synthetic or type_id not in matching.m:
-            continue
-        per_type[type_id] = type_consistency(out, gt, matching, type_id)
+    per_type = per_type_consistency(out, gt, matching)
     tcs_value = sum(per_type.values()) / len(per_type) if per_type else None
     type_count, depth = out.stats()
     gt_count, gt_depth = gt.taxonomy.stats()
     unmatched = sorted(
-        t for t in out.types if t not in matching.m and not out.types[t].synthetic
+        t for t in out.types if t not in matching and not out.types[t].synthetic
     )
     return {
         "rand_index": ri,
@@ -258,7 +257,7 @@ def report(out: Taxonomy, gt: GroundTruth) -> dict:
         "depth": depth,
         "gt_type_count": gt_count,
         "gt_depth": gt_depth,
-        "matching": dict(sorted(matching.m.items())),
+        "matching": dict(sorted(matching.items())),
         "per_type_consistency": per_type,
         "excluded_tables": excluded,
         "unmatched_types": unmatched,

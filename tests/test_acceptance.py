@@ -25,7 +25,7 @@ from taxoforge.clustering import DistanceMatrix, agglomerate, cut, silhouette
 from taxoforge.cli import main as cli_main
 from taxoforge.corpus import Table, ingest, tokenize_cell
 from taxoforge.embedding import EmbeddingService, LocalHashProvider
-from taxoforge.emtt import PruningParams, jaccard_matrix, prune_dendrogram, run_emtt
+from taxoforge.emtt import jaccard_matrix, prune_dendrogram, run_emtt
 from taxoforge.gett import build_generation_prompt
 from taxoforge.metrics import (
     GroundTruth,
@@ -183,7 +183,7 @@ def test_criterion_3_planted_recovery(planted_dir):
         corpus = ingest(planted_dir / "tables")
         assert len(corpus) == 24
         service = EmbeddingService(LocalHashProvider(dim=64))
-        result = run_emtt(corpus, service, PruningParams(delta=0.15))
+        result = run_emtt(corpus, service, 0.15)
         gt = load_ground_truth(
             planted_dir / "gt" / "gt_taxonomy.json", planted_dir / "gt" / "gt_annotations.csv"
         )
@@ -216,7 +216,7 @@ def test_criterion_3_planted_recovery(planted_dir):
                     for j in outside:
                         assert dm.d[i, j] >= 0.6
             den = agglomerate(dm)
-            nodes = prune_dendrogram(den, dm, PruningParams(delta=0.15))
+            nodes = prune_dendrogram(den, dm, 0.15)
             merges = [(m.left, m.right, m.height, m.size) for m in den.merges]
             expected = oracle_prune(merges, den.leaf_count, dm.d.tolist(), 0.15)
             assert {n.members: n.parent for n in nodes} == expected
@@ -235,7 +235,7 @@ def test_criterion_4_pruning_window():
     def body():
         rng = random.Random(4242)
         emitted_total = 0
-        params = PruningParams(delta=0.15)
+        delta = 0.15
         for _ in range(50):
             n_tables = rng.randint(4, 16)
             n_attrs = rng.randint(3, 9)
@@ -247,7 +247,7 @@ def test_criterion_4_pruning_window():
             ids = sorted(sets)
             dm = jaccard_matrix(ids, sets)
             den = agglomerate(dm)
-            nodes = prune_dendrogram(den, dm, params)
+            nodes = prune_dendrogram(den, dm, delta)
             levels = sorted(set(den.heights), reverse=True)
             valid = []
             for h in levels:
@@ -260,7 +260,7 @@ def test_criterion_4_pruning_window():
             max_sil = max(valid)
             for node in nodes:
                 recomputed = silhouette(dm, cut(den, node.emitted_at))
-                assert recomputed > max_sil - params.delta
+                assert recomputed > max_sil - delta
                 if node.parent is not None:
                     assert node.members < node.parent
                 emitted_total += 1
@@ -370,7 +370,7 @@ def test_criterion_7_tcs_hand_worked():
         )
         out = build_tax(["Ap", "Cp"], [("Ap", "Cp")], tables={"Ap": {"t1"}, "Cp": {"t2"}})
         matching = match_types(out, gt)
-        assert matching.m == {"Ap": "A", "Cp": "C"}
+        assert matching == {"Ap": "A", "Cp": "C"}
         assert tcs(out, gt, matching) == 1.0
         # sibling collapse -> 0.5
         gt2 = gt_from(
@@ -378,7 +378,7 @@ def test_criterion_7_tcs_hand_worked():
         )
         out2 = build_tax(["Bp", "Cp"], [("Bp", "Cp")], tables={"Bp": {"t1"}, "Cp": {"t2"}})
         matching2 = match_types(out2, gt2)
-        assert matching2.m == {"Bp": "B", "Cp": "C"}
+        assert matching2 == {"Bp": "B", "Cp": "C"}
         assert tcs(out2, gt2, matching2) == 0.5
 
     check("criterion 7 (tree-consistency hand-worked cases)", body)

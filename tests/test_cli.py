@@ -151,6 +151,42 @@ def test_config_file_with_flag_override(planted_dir, tmp_path):
     assert (out_dir / "taxonomy.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("detla=0.05", "config line 2: unknown key 'detla'"),
+        ("linkage=bogus", "unknown linkage 'bogus'"),
+    ],
+    ids=["unknown-key", "bad-linkage"],
+)
+def test_config_file_rejected_before_out_dir(planted_dir, tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tables_dir={planted_dir / 'tables'}\n{line}\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out-dir", str(out_dir)) == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_delta_out_of_range(planted_dir, tmp_path, capsys):
+    code = main(emtt_args(planted_dir, tmp_path / "out", extra=["--delta", "2.5"]))
+    assert code == 1
+    assert "delta must be in [0, 2]" in capsys.readouterr().err
+
+
+def test_run_duplicate_gt_names_fails_before_artifacts(planted_dir, tmp_path, capsys):
+    gt_dir = tmp_path / "gt"
+    gt_dir.mkdir()
+    tax = json.loads((planted_dir / "gt" / "gt_taxonomy.json").read_text())
+    tax["types"].append({"id": "dup", "name": tax["types"][0]["name"], "tables": [], "synthetic": False})
+    (gt_dir / "gt_taxonomy.json").write_text(json.dumps(tax), encoding="utf-8")
+    (gt_dir / "gt_annotations.csv").write_bytes((planted_dir / "gt" / "gt_annotations.csv").read_bytes())
+    out_dir = tmp_path / "out"
+    assert main(emtt_args(planted_dir, out_dir, extra=["--gt-path", str(gt_dir)])) == 1
+    assert "is not unique" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_subject_override_flag(planted_dir, tmp_path):
     override = tmp_path / "subjects.csv"
     override.write_text("veh_car_1,0\n", encoding="utf-8")

@@ -10,7 +10,6 @@ from taxoforge.clustering import DistanceMatrix, agglomerate, cut, silhouette
 from taxoforge.corpus import Corpus, Table, ingest
 from taxoforge.embedding import EmbeddingService, LocalHashProvider
 from taxoforge.emtt import (
-    PruningParams,
     identify_attributes,
     identify_top_level,
     jaccard_matrix,
@@ -140,14 +139,14 @@ def test_prune_two_tables_empty_fragment():
     dm = DistanceMatrix(np.array([[0.0, 0.7], [0.7, 0.0]]))
     den = agglomerate(dm)
     for delta in (0.05, 0.15, 1.0):
-        assert prune_dendrogram(den, dm, PruningParams(delta=delta)) == []
+        assert prune_dendrogram(den, dm, delta) == []
 
 
 def test_prune_three_planted_blocks():
     blocks = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
     dm = block_matrix(blocks, intra=0.0, inter=1.0)
     den = agglomerate(dm)
-    nodes = prune_dendrogram(den, dm, PruningParams(delta=0.15))
+    nodes = prune_dendrogram(den, dm, 0.15)
     assert {node.members for node in nodes} == {frozenset(b) for b in blocks}
     assert all(node.parent is None for node in nodes)
     assert {node.members: node.parent for node in nodes} == oracle_prune(den, dm, 0.15)
@@ -170,7 +169,7 @@ def test_prune_nested_plant_builds_two_levels():
     np.fill_diagonal(d, 0.0)
     dm = DistanceMatrix(d)
     den = agglomerate(dm)
-    nodes = prune_dendrogram(den, dm, PruningParams(delta=0.15))
+    nodes = prune_dendrogram(den, dm, 0.15)
     by_members = {node.members: node for node in nodes}
     assert set(by_members) == {frozenset(b) for b in subs + supers}
     for sub in subs:
@@ -197,8 +196,8 @@ def test_prune_window_property_random_jaccard():
         ids = sorted(sets)
         dm = jaccard_matrix(ids, sets)
         den = agglomerate(dm)
-        params = PruningParams(delta=0.15)
-        nodes = prune_dendrogram(den, dm, params)
+        delta = 0.15
+        nodes = prune_dendrogram(den, dm, delta)
         levels = sorted(set(den.heights), reverse=True)
         scores = [silhouette(dm, cut(den, h)) for h in levels]
         valid = [
@@ -211,7 +210,7 @@ def test_prune_window_property_random_jaccard():
         for node in nodes:
             recomputed = silhouette(dm, cut(den, node.emitted_at))
             assert recomputed == node.silhouette_at_emission
-            assert recomputed > max_sil - params.delta
+            assert recomputed > max_sil - delta
             if node.parent is not None:
                 assert node.members < node.parent
             checked_nodes += 1
@@ -224,7 +223,7 @@ def test_prune_window_property_random_jaccard():
 
 def test_run_emtt_planted_fixture(planted_dir):
     corpus = ingest(planted_dir / "tables")
-    result = run_emtt(corpus, service(), PruningParams(delta=0.15))
+    result = run_emtt(corpus, service(), 0.15)
     gt = load_ground_truth(planted_dir / "gt" / "gt_taxonomy.json",
                            planted_dir / "gt" / "gt_annotations.csv")
     rep = report(result.taxonomy, gt)

@@ -142,15 +142,15 @@ def test_match_types_majority_and_ties():
     )
     out = build_tax(["u", "v", "w"], [], tables={"u": {"t1", "t2", "t3"}, "v": {"t3", "t4"}, "w": set()})
     matching = match_types(out, gt)
-    assert matching.m["u"] == "School"
-    assert matching.m["v"] == "Hospital"
-    assert "w" not in matching.m
+    assert matching["u"] == "School"
+    assert matching["v"] == "Hospital"
+    assert "w" not in matching
 
 
 def test_match_types_tie_lexicographic():
     gt = gt_from(["A", "B"], [], {"t1": ["A"], "t2": ["A"], "t3": ["B"], "t4": ["B"]})
     out = build_tax(["u"], [], tables={"u": {"t1", "t2", "t3", "t4"}})
-    assert match_types(out, gt).m["u"] == "A"
+    assert match_types(out, gt)["u"] == "A"
 
 
 # --- tcs -------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_tcs_chain_vs_chain_is_one():
     gt = gt_from(["A", "B", "C"], [("A", "B"), ("B", "C")], {"t1": ["A"], "t2": ["A", "B", "C"]})
     out = build_tax(["Ap", "Cp"], [("Ap", "Cp")], tables={"Ap": {"t1"}, "Cp": {"t2"}})
     matching = match_types(out, gt)
-    assert matching.m == {"Ap": "A", "Cp": "C"}
+    assert matching == {"Ap": "A", "Cp": "C"}
     assert tcs(out, gt, matching) == 1.0
 
 
@@ -170,7 +170,7 @@ def test_tcs_sibling_collapse_is_half():
     gt = gt_from(["A", "B", "C"], [("A", "B"), ("A", "C")], {"t1": ["A", "B"], "t2": ["A", "C"]})
     out = build_tax(["Bp", "Cp"], [("Bp", "Cp")], tables={"Bp": {"t1"}, "Cp": {"t2"}})
     matching = match_types(out, gt)
-    assert matching.m == {"Bp": "B", "Cp": "C"}
+    assert matching == {"Bp": "B", "Cp": "C"}
     assert tcs(out, gt, matching) == 0.5
 
 
@@ -264,6 +264,16 @@ def test_load_ground_truth_rejects_bad_path(tmp_path):
 def test_load_ground_truth_rejects_unknown_type(tmp_path):
     tax_path, ann_path = write_gt(tmp_path, BASE_TAX, ["t1,A,A>Z"])
     with pytest.raises(ValueError):
+        load_ground_truth(tax_path, ann_path)
+
+
+def test_load_ground_truth_rejects_duplicate_type_names(tmp_path):
+    tax = {
+        "types": BASE_TAX["types"] + [{"id": "B2", "name": "B", "tables": [], "synthetic": False}],
+        "edges": BASE_TAX["edges"] + [["A", "B2"]],
+    }
+    tax_path, ann_path = write_gt(tmp_path, tax, ["t1,A,A>B"])
+    with pytest.raises(ValueError, match="'B' is not unique"):
         load_ground_truth(tax_path, ann_path)
 
 
