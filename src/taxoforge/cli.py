@@ -82,7 +82,10 @@ class RunConfig:
             raise ValueError("scripted llm requires --script-path")
         if self.method == "gett" and self.llm == "remote" and not self.llm_url:
             raise ValueError("remote llm requires --llm-url")
-        if self.embedder == "remote" and self.method == "emtt" and not self.embed_url:
+        if not 0 <= self.delta <= 2:
+            raise ValueError("delta must be in [0, 2]")
+        embeds = self.method == "emtt" or self.edge_scorer == "cosine"
+        if self.embedder == "remote" and embeds and not self.embed_url:
             raise ValueError("remote embedder requires --embed-url")
 
 

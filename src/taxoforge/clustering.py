@@ -110,10 +110,11 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
 
     Inter-cluster distances follow the Lance-Williams updates (UPGMA for
     average), so the result matches a naive recomputation from cluster
-    members up to floating-point roundoff. Per-row minima are cached and
-    only rows whose cached argmin pointed at a merged slot are rescanned,
-    which keeps desk-scale inputs fast without changing the merge order:
-    the global minimum and the full tie set are recovered exactly.
+    members up to floating-point roundoff. Each row's minimum is cached
+    exactly; a merge rescans only the rows whose cached argmin pointed at a
+    merged slot, and resolves a tie among any number of pairs with a fixed
+    handful of O(n) array operations, so each merge costs O(n) NumPy work
+    plus O(n) per rescanned row.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -122,28 +123,28 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
         raise ValueError("need at least 2 items to agglomerate")
     dist = dm.d.copy()
     np.fill_diagonal(dist, np.inf)
-    active = np.ones(n, dtype=bool)
+    # retired slots keep row_min = inf and row_arg = -1, so they are never
+    # tied, never rescanned and never improved
     row_min = dist.min(axis=1)
     row_arg = dist.argmin(axis=1)
-    cid = list(range(n))
+    cid = np.arange(n)
     sizes = [1] * n
     merges: list[Merge] = []
-    next_id = n
-    for _ in range(n - 1):
-        current_min = row_min[active].min()
-        # every tied pair has both endpoints' row minimum at current_min
-        best_key: tuple[int, int] | None = None
-        best_slots = (-1, -1)
-        for r in np.flatnonzero(active & (row_min == current_min)):
-            for c in np.flatnonzero(dist[r] == current_min):
-                a, b = cid[r], cid[c]
-                key = (a, b) if a < b else (b, a)
-                if best_key is None or key < best_key:
-                    best_key, best_slots = key, (int(r), int(c))
-        assert best_key is not None
-        i, j = best_slots
+    for step in range(n - 1):
+        current_min = row_min.min()
+        # Every tied pair (a, b) has both endpoints among the tied rows, so no
+        # tied pair's smaller id is below the smallest tied row id cid[r]; the
+        # pairs that reach it all contain r, and the smallest id among r's tied
+        # partners completes the lexicographically smallest (min id, max id).
+        tied = np.flatnonzero(row_min == current_min)
+        r = tied[cid[tied].argmin()]
+        partners = np.flatnonzero(dist[r] == current_min)
+        c = partners[cid[partners].argmin()]
+        i, j = (r, c) if r < c else (c, r)
         si_size, sj_size = sizes[i], sizes[j]
-        merges.append(Merge(best_key[0], best_key[1], float(current_min), si_size + sj_size))
+        merges.append(Merge(int(cid[r]), int(cid[c]), float(current_min), si_size + sj_size))
+        if step == n - 2:
+            break
         row_i, row_j = dist[i], dist[j]
         if linkage == "average":
             new_row = (si_size * row_i + sj_size * row_j) / (si_size + sj_size)
@@ -155,26 +156,20 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
         new_row[j] = np.inf
         dist[i, :] = new_row
         dist[:, i] = new_row
-        dist[j, :] = np.inf
         dist[:, j] = np.inf
-        active[j] = False
         row_min[j] = np.inf
-        cid[i] = next_id
+        row_arg[j] = -1
+        cid[i] = n + step
         sizes[i] = si_size + sj_size
-        next_id += 1
-        if not active.any() or next_id - n == n - 1:
-            break
         # rows whose cached minimum lived in a merged slot need a rescan;
-        # everyone else only sees slot i change, and only downward moves matter
-        stale = active & ((row_arg == i) | (row_arg == j))
+        # every other row only sees slot i change, and only downward moves matter
+        stale = (row_arg == i) | (row_arg == j)
         stale[i] = True
         stale_rows = np.flatnonzero(stale)
-        if stale_rows.size:
-            row_min[stale_rows] = dist[stale_rows].min(axis=1)
-            row_arg[stale_rows] = dist[stale_rows].argmin(axis=1)
-        fresh = active & ~stale
-        improved = fresh & (dist[:, i] < row_min)
-        row_min[improved] = dist[improved, i]
+        row_min[stale_rows] = dist[stale_rows].min(axis=1)
+        row_arg[stale_rows] = dist[stale_rows].argmin(axis=1)
+        improved = new_row < row_min
+        row_min[improved] = new_row[improved]
         row_arg[improved] = i
     heights = [m.height for m in merges]
     for prev, cur in zip(heights, heights[1:]):

@@ -149,15 +149,23 @@ def attribute_sets(
 
 
 def jaccard_matrix(table_ids: list[str], attr_sets: dict[str, set[str]]) -> DistanceMatrix:
-    n = len(table_ids)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = table_attribute_distance(
-                attr_sets.get(table_ids[i], set()), attr_sets.get(table_ids[j], set())
-            )
-            d[i, j] = dist
-            d[j, i] = dist
+    """``table_attribute_distance`` between every pair of tables, bit for bit.
+
+    Intersections come from one product of the 0/1 table x attribute
+    incidence matrix. It is an integer product, so the counts are exact (and
+    no BLAS thread start-up is paid on these small shapes), and the one true
+    division per pair rounds correctly, as Python's int division does.
+    """
+    sets = [attr_sets.get(tid, set()) for tid in table_ids]
+    column = {attr: k for k, attr in enumerate(sorted(set().union(*sets)))}
+    incidence = np.zeros((len(sets), len(column)), dtype=np.int64)
+    for row, attrs in enumerate(sets):
+        incidence[row, [column[attr] for attr in attrs]] = 1
+    inter = incidence @ incidence.T
+    sizes = incidence.sum(axis=1)
+    union = sizes[:, np.newaxis] + sizes[np.newaxis, :] - inter
+    with np.errstate(invalid="ignore"):
+        d = np.where(union > 0, 1.0 - inter / union, 0.0)
     return DistanceMatrix(d)
 
 

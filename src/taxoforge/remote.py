@@ -16,8 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from time import sleep
 
-import requests
-
 from .errors import BackendError
 
 API_KEY_ENV = "TAXOFORGE_API_KEY"
@@ -42,6 +40,9 @@ def in_order(fn, items):
 
 def post_json(url: str, payload: dict, *, timeout: float, retries: int) -> dict:
     """POST ``payload`` in at most ``retries`` attempts; return the response's JSON object."""
+    # imported here: runs that make no HTTP call should not pay for importing requests
+    import requests
+
     headers = {"Content-Type": "application/json"}
     if os.environ.get(API_KEY_ENV):
         headers["Authorization"] = f"Bearer {os.environ[API_KEY_ENV]}"

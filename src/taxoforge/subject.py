@@ -28,7 +28,8 @@ _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
 def is_numeric_or_date(value: str) -> bool:
     """True for integers, decimals, and ISO-8601 dates; everything else is text."""
     v = value.strip()
-    if not v:
+    # both patterns and every ISO-8601 date start with a sign, a point or a digit
+    if not v or not (v[0] in "+-." or v[0].isdecimal()):
         return False
     if _INT_RE.match(v) or _DECIMAL_RE.match(v):
         return True

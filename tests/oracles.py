@@ -1,14 +1,22 @@
 """Independent brute-force references for the oracle-equivalence tests.
 
-Everything here recomputes from first principles (member-list linkage
+Most of what is here recomputes from first principles (member-list linkage
 distances, all-pairs enumeration, forward path search) and deliberately
 avoids the library's own data structures and algorithms, so agreement is
-evidence rather than tautology.
+evidence rather than tautology. The exceptions are earlier, slower
+versions of library functions, kept verbatim so that a faster rewrite can
+be required to give identical results, ties and rounding included.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
+from datetime import date
+
+import numpy as np
+
+from taxoforge.clustering import LINKAGES, Dendrogram, DistanceMatrix, Merge
 
 
 # --- clustering -------------------------------------------------------------
@@ -60,6 +68,76 @@ def naive_agglomerate(dist: list[list[float]], linkage: str) -> list[tuple[int, 
         clusters.append((next_id, merged))
         next_id += 1
     return merges
+
+
+def reference_agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
+    """The per-row tie-scan merge loop that ``clustering.agglomerate`` replaced.
+
+    Same Lance-Williams arithmetic, so its dendrograms must be ``==``; every
+    tied pair is enumerated and compared by (min cluster id, max cluster id).
+    """
+    if linkage not in LINKAGES:
+        raise ValueError(f"unknown linkage {linkage!r}")
+    n = dm.n
+    if n < 2:
+        raise ValueError("need at least 2 items to agglomerate")
+    dist = dm.d.copy()
+    np.fill_diagonal(dist, np.inf)
+    active = np.ones(n, dtype=bool)
+    row_min = dist.min(axis=1)
+    row_arg = dist.argmin(axis=1)
+    cid = list(range(n))
+    sizes = [1] * n
+    merges: list[Merge] = []
+    next_id = n
+    for _ in range(n - 1):
+        current_min = row_min[active].min()
+        # every tied pair has both endpoints' row minimum at current_min
+        best_key: tuple[int, int] | None = None
+        best_slots = (-1, -1)
+        for r in np.flatnonzero(active & (row_min == current_min)):
+            for c in np.flatnonzero(dist[r] == current_min):
+                a, b = cid[r], cid[c]
+                key = (a, b) if a < b else (b, a)
+                if best_key is None or key < best_key:
+                    best_key, best_slots = key, (int(r), int(c))
+        assert best_key is not None
+        i, j = best_slots
+        si_size, sj_size = sizes[i], sizes[j]
+        merges.append(Merge(best_key[0], best_key[1], float(current_min), si_size + sj_size))
+        row_i, row_j = dist[i], dist[j]
+        if linkage == "average":
+            new_row = (si_size * row_i + sj_size * row_j) / (si_size + sj_size)
+        elif linkage == "complete":
+            new_row = np.maximum(row_i, row_j)
+        else:
+            new_row = np.minimum(row_i, row_j)
+        new_row[i] = np.inf
+        new_row[j] = np.inf
+        dist[i, :] = new_row
+        dist[:, i] = new_row
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        active[j] = False
+        row_min[j] = np.inf
+        cid[i] = next_id
+        sizes[i] = si_size + sj_size
+        next_id += 1
+        if not active.any() or next_id - n == n - 1:
+            break
+        # rows whose cached minimum lived in a merged slot need a rescan;
+        # everyone else only sees slot i change, and only downward moves matter
+        stale = active & ((row_arg == i) | (row_arg == j))
+        stale[i] = True
+        stale_rows = np.flatnonzero(stale)
+        if stale_rows.size:
+            row_min[stale_rows] = dist[stale_rows].min(axis=1)
+            row_arg[stale_rows] = dist[stale_rows].argmin(axis=1)
+        fresh = active & ~stale
+        improved = fresh & (dist[:, i] < row_min)
+        row_min[improved] = dist[improved, i]
+        row_arg[improved] = i
+    return Dendrogram(tuple(merges), n)
 
 
 def naive_silhouette(dist: list[list[float]], labels: list[int]) -> float:
@@ -129,6 +207,26 @@ def oracle_prune(merges, leaf_count: int, dist: list[list[float]], delta: float)
             supersets = [e for e in emitted if cluster < e]
             emitted[cluster] = min(supersets, key=len) if supersets else None
     return emitted
+
+
+# --- subject detection --------------------------------------------------------
+
+_INT_RE = re.compile(r"^[+-]?\d+$")
+_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+
+
+def reference_is_numeric_or_date(value: str) -> bool:
+    """``subject.is_numeric_or_date`` without its first-character prefilter."""
+    v = value.strip()
+    if not v:
+        return False
+    if _INT_RE.match(v) or _DECIMAL_RE.match(v):
+        return True
+    try:
+        date.fromisoformat(v)
+        return True
+    except ValueError:
+        return False
 
 
 # --- pair-counting metrics ----------------------------------------------------

@@ -169,9 +169,37 @@ def test_config_file_rejected_before_out_dir(planted_dir, tmp_path, capsys, line
 
 
 def test_run_delta_out_of_range(planted_dir, tmp_path, capsys):
-    code = main(emtt_args(planted_dir, tmp_path / "out", extra=["--delta", "2.5"]))
+    out_dir = tmp_path / "out"
+    code = main(emtt_args(planted_dir, out_dir, extra=["--delta", "2.5"]))
     assert code == 1
     assert "delta must be in [0, 2]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_gett_cosine_remote_embedder_requires_embed_url(gett_dir, tmp_path, capsys):
+    # the default cosine edge scorer embeds, so the check must come before any chat call
+    out_dir = tmp_path / "out"
+    code = run_cli(
+        "run",
+        "--method", "gett",
+        "--llm", "scripted",
+        "--script-path", str(gett_dir / "script.json"),
+        "--tables-dir", str(gett_dir / "tables"),
+        "--out-dir", str(out_dir),
+        "--embedder", "remote",
+    )
+    assert code == 1
+    assert "remote embedder requires --embed-url" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # requests is imported on the first HTTP call, so local runs never pay for it
+    code = "import sys, taxoforge.cli; print('requests' in sys.modules)"
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_duplicate_gt_names_fails_before_artifacts(planted_dir, tmp_path, capsys):

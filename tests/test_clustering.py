@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_agglomerate, naive_euclidean, naive_silhouette
+from oracles import naive_agglomerate, naive_euclidean, naive_silhouette, reference_agglomerate
 from taxoforge.clustering import (
     DistanceMatrix,
     FlatClustering,
@@ -102,6 +102,39 @@ def test_tie_break_prefers_smallest_ids():
     den = agglomerate(DistanceMatrix(d), "average")
     assert (den.merges[0].left, den.merges[0].right) == (0, 1)
     assert (den.merges[1].left, den.merges[1].right) == (2, 3)
+
+
+def integer_distance_matrix(values: list[int], n: int) -> DistanceMatrix:
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = values
+    return DistanceMatrix(d + d.T)
+
+
+tie_heavy_matrices = st.one_of(
+    # integer distances in {0..3}: most pairs tie with many others
+    st.integers(min_value=2, max_value=24).flatmap(
+        lambda n: st.lists(
+            st.integers(min_value=0, max_value=3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+        ).map(lambda values: integer_distance_matrix(values, n))
+    ),
+    # points on a small grid, drawn with repeats: duplicate rows sit at distance 0
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=24
+    ).map(lambda points: euclidean_matrix(np.asarray(points, dtype=np.float64))),
+    # attribute sets over a small vocabulary: Jaccard distances repeat
+    st.lists(st.sets(st.sampled_from("abcde"), max_size=4), min_size=2, max_size=24).map(
+        lambda sets: jaccard_matrix(
+            [f"t{i}" for i in range(len(sets))], {f"t{i}": s for i, s in enumerate(sets)}
+        )
+    ),
+)
+
+
+@pytest.mark.parametrize("linkage", ["average", "complete", "single"])
+@given(dm=tie_heavy_matrices)
+@settings(max_examples=150)
+def test_matches_reference_under_ties(linkage, dm):
+    assert agglomerate(dm, linkage) == reference_agglomerate(dm, linkage)
 
 
 def test_heights_non_decreasing():

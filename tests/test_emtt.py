@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import oracle_prune as shared_oracle_prune
 from taxoforge.clustering import DistanceMatrix, agglomerate, cut, silhouette
@@ -114,6 +115,18 @@ def test_table_attribute_distance():
     assert table_attribute_distance({"a", "b"}, {"b", "c"}) == pytest.approx(2 / 3)
     assert table_attribute_distance({"a"}, {"b"}) == 1.0
     assert table_attribute_distance(set(), set()) == 0.0
+
+
+@given(st.lists(st.one_of(st.none(), st.sets(st.sampled_from("abcdefgh"), max_size=8)), max_size=12))
+def test_jaccard_matrix_is_pairwise_distance_bit_for_bit(sets):
+    # None: the table has no entry in attr_sets and counts as having no attributes
+    ids = [f"t{i}" for i in range(len(sets))]
+    attr_sets = {tid: attrs for tid, attrs in zip(ids, sets) if attrs is not None}
+    expected = [
+        [table_attribute_distance(attr_sets.get(a, set()), attr_sets.get(b, set())) for b in ids]
+        for a in ids
+    ]
+    assert jaccard_matrix(ids, attr_sets).d.tolist() == expected
 
 
 # --- pruning ------------------------------------------------------------------

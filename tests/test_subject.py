@@ -3,8 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import reference_is_numeric_or_date
 from taxoforge.corpus import Table
 from taxoforge.errors import NoCandidateError
 from taxoforge.subject import (
@@ -88,6 +89,25 @@ def test_appending_constant_column_is_noop(names):
 )
 def test_numeric_or_date_rules(value, expected):
     assert is_numeric_or_date(value) is expected
+
+
+# ASCII, Arabic-Indic and fullwidth digits, the superscript two (a digit but
+# not a decimal), signs, points, exponents, date and week separators, blanks
+NUMERIC_ALPHABET = "0123456789٠١٢٣٤٥٦٧٨٩０１２３４５６７８９²+-.eE:TWZ \t\n\u3000a"
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet=NUMERIC_ALPHABET, max_size=12),
+        st.dates().map(lambda d: d.isoformat()),
+        st.dates().map(lambda d: d.isoformat().translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))),
+        st.dates().map(lambda d: d.isoformat().translate(str.maketrans("0123456789", "０１２３４５６７８９"))),
+    )
+)
+@settings(max_examples=1000)
+def test_numeric_or_date_prefilter_changes_nothing(value):
+    assert is_numeric_or_date(value) is reference_is_numeric_or_date(value)
 
 
 def test_overrides(tmp_path):
