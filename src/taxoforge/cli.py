@@ -4,8 +4,9 @@ All artifacts land under --out-dir with fixed names (taxonomy.json,
 report.json, transcript.jsonl, toplevel.json, attributes.json). A config
 file of ``key=value`` lines can seed any option; explicit flags win. The
 only environment input is the API key (``remote.API_KEY_ENV``), so secrets
-never live in config files. All randomness flows from --seed. ``run`` exits
-0 on success, 1 on any error, and 2 when some gett tables failed.
+never live in config files. All randomness flows from --seed. Every
+subcommand exits 0 on success and 1 on any error, with one ``error:`` line
+on stderr; ``run`` exits 2 when some gett tables failed.
 """
 
 from __future__ import annotations
@@ -157,21 +158,19 @@ def _load_gt(gt_path: str) -> metrics_mod.GroundTruth:
 
 def cmd_run(cfg: RunConfig) -> int:
     cfg.validate()
-    tables_dir = Path(cfg.tables_dir)
-    if not tables_dir.is_dir():
-        print(f"error: tables directory not found: {tables_dir}", file=sys.stderr)
-        return 1
+    # read every input before --out-dir is made, so a bad one leaves nothing behind
     gt = _load_gt(cfg.gt_path) if cfg.gt_path else None
+    corpus = ingest(cfg.tables_dir)
+    emtt = cfg.method == "emtt"
+    overrides = load_overrides(cfg.subject_col_map) if emtt and cfg.subject_col_map else None
+    backend = None if emtt else _make_chat_backend(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = ingest(tables_dir)
     partial = False
-    if cfg.method == "emtt":
-        service = _make_embedding_service(cfg)
-        overrides = load_overrides(cfg.subject_col_map) if cfg.subject_col_map else None
+    if emtt:
         result = emtt_mod.run_emtt(
             corpus,
-            service,
+            _make_embedding_service(cfg),
             delta=cfg.delta,
             linkage=cfg.linkage,
             k_max=cfg.k_max,
@@ -181,7 +180,6 @@ def cmd_run(cfg: RunConfig) -> int:
         _write_json(out_dir / "toplevel.json", result.toplevel_dict())
         _write_json(out_dir / "attributes.json", result.attributes_dict())
     else:
-        backend = _make_chat_backend(cfg)
         transcript = TranscriptLogger(out_dir / "transcript.jsonl")
         edge_filter = _make_edge_filter(cfg, backend, transcript)
         result = gett_mod.run_gett(
@@ -204,13 +202,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_eval(taxonomy_path: str, gt_path: str, out: str | None = None) -> int:
-    try:
-        taxonomy = Taxonomy.load(taxonomy_path)
-        gt = _load_gt(gt_path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, TaxoforgeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rep = metrics_mod.report(taxonomy, gt)
+    rep = metrics_mod.report(Taxonomy.load(taxonomy_path), _load_gt(gt_path))
     text = json.dumps(rep, sort_keys=True, indent=2)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -219,22 +211,13 @@ def cmd_eval(taxonomy_path: str, gt_path: str, out: str | None = None) -> int:
 
 
 def cmd_stats(taxonomy_path: str) -> int:
-    try:
-        taxonomy = Taxonomy.load(taxonomy_path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, TaxoforgeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    count, depth = taxonomy.stats()
+    count, depth = Taxonomy.load(taxonomy_path).stats()
     print(json.dumps({"type_count": count, "depth": depth}, sort_keys=True))
     return 0
 
 
 def cmd_ingest_check(tables_dir: str) -> int:
-    try:
-        corpus = ingest(tables_dir)
-    except TaxoforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    corpus = ingest(tables_dir)
     summary = {
         "tables": len(corpus),
         "columns": corpus.total_columns,
@@ -290,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     check_p.add_argument("tables_dir")
 
     args = parser.parse_args(argv)
+    # the one error boundary: every subcommand ends a bad input in one line and exit 1
     try:
         if args.command == "run":
             return cmd_run(build_config(args))
@@ -297,12 +281,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_eval(args.taxonomy, args.gt, args.out)
         if args.command == "stats":
             return cmd_stats(args.taxonomy)
-        if args.command == "ingest-check":
-            return cmd_ingest_check(args.tables_dir)
-    except (TaxoforgeError, ValueError, OSError, json.JSONDecodeError) as exc:
+        return cmd_ingest_check(args.tables_dir)
+    except (TaxoforgeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ sets and prunes the dendrogram into a subtype forest.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ DEFAULT_K_MAX = 50
 class TopLevelType:
     id: str
     member_tables: set[str]
-    attributes: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -178,42 +177,40 @@ def prune_dendrogram(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[
     minus delta; the others carry the -1 sentinel and only qualify under
     extreme deltas. Each qualifying non-singleton cluster is emitted once, at
     its highest qualifying height; its parent is the smallest previously
-    emitted strict superset (unique, because dendrogram clusters are laminar).
+    emitted strict superset, and its direct members are those in no emitted
+    strict subset.
     """
     levels = list(sweep(dm, den))
     valid = [score for _, fc, score in levels if 2 <= fc.k <= den.leaf_count - 1]
     if not valid:
         return []
     max_sil = max(valid)
-    emitted: dict[frozenset[int], tuple[frozenset[int] | None, float, float]] = {}
+    emitted: list[tuple[frozenset[int], frozenset[int] | None, float, float]] = []
+    # leaf -> smallest cluster emitted so far that holds it. Each level refines
+    # the one before, so any one leaf's entry holds its whole group: it is the
+    # group's parent, or the group itself when that was emitted higher up.
+    smallest: dict[int, frozenset[int]] = {}
     for height, fc, score in levels:
         if score <= max_sil - delta:
             continue
         for group in fc.groups():
-            cluster = frozenset(group)
-            if len(cluster) < 2 or cluster in emitted:
+            parent = smallest.get(group[0])
+            if len(group) < 2 or (parent is not None and len(parent) == len(group)):
                 continue
-            parent: frozenset[int] | None = None
-            for candidate in emitted:
-                if cluster < candidate and (parent is None or len(candidate) < len(parent)):
-                    parent = candidate
-            emitted[cluster] = (parent, height, score)
-    nodes = []
-    for cluster, (parent, height, score) in emitted.items():
-        claimed: set[int] = set()
-        for other in emitted:
-            if other < cluster:
-                claimed |= other
-        nodes.append(
-            FragmentNode(
-                members=cluster,
-                direct=frozenset(cluster - claimed),
-                parent=parent,
-                emitted_at=height,
-                silhouette_at_emission=score,
-            )
+            cluster = frozenset(group)
+            emitted.append((cluster, parent, height, score))
+            for i in group:
+                smallest[i] = cluster
+    return [
+        FragmentNode(
+            members=cluster,
+            direct=frozenset(i for i in cluster if smallest[i] is cluster),
+            parent=parent,
+            emitted_at=height,
+            silhouette_at_emission=score,
         )
-    return nodes
+        for cluster, parent, height, score in emitted
+    ]
 
 
 @dataclass
@@ -221,11 +218,12 @@ class EmttResult:
     taxonomy: Taxonomy
     top_level: list[TopLevelType]
     attributes: dict[str, list[ConceptualAttribute]]
-    assignments: dict[str, str]
 
     def toplevel_dict(self) -> dict:
         return {
-            "assignments": dict(sorted(self.assignments.items())),
+            "assignments": dict(
+                sorted((tid, tlt.id) for tlt in self.top_level for tid in tlt.member_tables)
+            ),
             "top_level_types": {
                 tlt.id: sorted(tlt.member_tables) for tlt in self.top_level
             },
@@ -261,46 +259,21 @@ def run_emtt(
     top_level = identify_top_level(corpus, service, linkage, k_max)
     tax = Taxonomy()
     attributes: dict[str, list[ConceptualAttribute]] = {}
-    assignments: dict[str, str] = {}
     for tlt in top_level:
-        for tid in tlt.member_tables:
-            assignments[tid] = tlt.id
         attrs = identify_attributes(tlt, corpus, service, linkage, k_max)
-        tlt.attributes = {a.id for a in attrs}
         attributes[tlt.id] = attrs
         member_ids = sorted(tlt.member_tables)
         fragment: list[FragmentNode] = []
         if len(member_ids) >= 2:
-            sets = attribute_sets(attrs)
-            dm = jaccard_matrix(member_ids, sets)
-            den = agglomerate(dm, linkage)
-            fragment = prune_dendrogram(den, dm, delta)
-        claimed_by_roots: set[str] = set()
-        for node in fragment:
-            if node.parent is None:
-                claimed_by_roots |= {member_ids[i] for i in node.members}
-        tax.add_type(
-            EntityType(
-                id=tlt.id,
-                name=tlt.id,
-                tables=set(tlt.member_tables) - claimed_by_roots,
-            )
-        )
-        node_ids: dict[frozenset[int], str] = {}
+            dm = jaccard_matrix(member_ids, attribute_sets(attrs))
+            fragment = prune_dendrogram(agglomerate(dm, linkage), dm, delta)
+        claimed = {member_ids[i] for node in fragment for i in node.members}
+        tax.add_type(EntityType(id=tlt.id, name=tlt.id, tables=tlt.member_tables - claimed))
+        node_ids: dict[frozenset[int] | None, str] = {None: tlt.id}
         for idx, node in enumerate(fragment):
-            node_id = f"{tlt.id}.sub{idx}"
-            node_ids[node.members] = node_id
+            node_id = node_ids[node.members] = f"{tlt.id}.sub{idx}"
             tax.add_type(
-                EntityType(
-                    id=node_id,
-                    name=node_id,
-                    tables={member_ids[i] for i in node.direct},
-                )
+                EntityType(id=node_id, name=node_id, tables={member_ids[i] for i in node.direct})
             )
-        for node in fragment:
-            child_id = node_ids[node.members]
-            parent_id = tlt.id if node.parent is None else node_ids[node.parent]
-            tax.add_edge(parent_id, child_id)
-    return EmttResult(
-        taxonomy=tax, top_level=top_level, attributes=attributes, assignments=assignments
-    )
+            tax.add_edge(node_ids[node.parent], node_id)
+    return EmttResult(taxonomy=tax, top_level=top_level, attributes=attributes)

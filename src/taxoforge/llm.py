@@ -46,11 +46,14 @@ class ChatResponse:
 
 
 class ScriptedChatBackend:
-    """Deterministic mock: first entry whose pattern is a substring of the prompt."""
+    """Deterministic mock: first entry whose pattern is a substring of the prompt.
 
-    def __init__(self, script: list[tuple[str, str]], fallback: str = ""):
+    An empty pattern matches every prompt, so a last ``("", text)`` entry is
+    the fallback; a prompt that matches nothing gets ``""``.
+    """
+
+    def __init__(self, script: list[tuple[str, str]]):
         self.script = list(script)
-        self.fallback = fallback
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatBackend":
@@ -62,7 +65,7 @@ class ScriptedChatBackend:
         for pattern, response in self.script:
             if pattern in req.user:
                 return ChatResponse(text=response)
-        return ChatResponse(text=self.fallback)
+        return ChatResponse(text="")
 
 
 class RemoteChatBackend:

@@ -16,7 +16,8 @@ from datetime import date
 
 import numpy as np
 
-from taxoforge.clustering import LINKAGES, Dendrogram, DistanceMatrix, Merge
+from taxoforge.clustering import LINKAGES, Dendrogram, DistanceMatrix, Merge, sweep
+from taxoforge.emtt import FragmentNode
 
 
 # --- clustering -------------------------------------------------------------
@@ -207,6 +208,55 @@ def oracle_prune(merges, leaf_count: int, dist: list[list[float]], delta: float)
             supersets = [e for e in emitted if cluster < e]
             emitted[cluster] = min(supersets, key=len) if supersets else None
     return emitted
+
+
+def reference_prune(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[FragmentNode]:
+    """The pruning loop that ``emtt.prune_dendrogram`` replaced, kept verbatim.
+
+    Emit subtype clusters from cuts whose silhouette clears the window.
+
+    The cuts are the levels of ``sweep``: at each distinct merge height h,
+    highest first, the first #(merge heights <= h) merges. A cut qualifies
+    when its silhouette exceeds the best score over cuts with 2 <= k <= n-1
+    minus delta; the others carry the -1 sentinel and only qualify under
+    extreme deltas. Each qualifying non-singleton cluster is emitted once, at
+    its highest qualifying height; its parent is the smallest previously
+    emitted strict superset (unique, because dendrogram clusters are laminar).
+    """
+    levels = list(sweep(dm, den))
+    valid = [score for _, fc, score in levels if 2 <= fc.k <= den.leaf_count - 1]
+    if not valid:
+        return []
+    max_sil = max(valid)
+    emitted: dict[frozenset[int], tuple[frozenset[int] | None, float, float]] = {}
+    for height, fc, score in levels:
+        if score <= max_sil - delta:
+            continue
+        for group in fc.groups():
+            cluster = frozenset(group)
+            if len(cluster) < 2 or cluster in emitted:
+                continue
+            parent: frozenset[int] | None = None
+            for candidate in emitted:
+                if cluster < candidate and (parent is None or len(candidate) < len(parent)):
+                    parent = candidate
+            emitted[cluster] = (parent, height, score)
+    nodes = []
+    for cluster, (parent, height, score) in emitted.items():
+        claimed: set[int] = set()
+        for other in emitted:
+            if other < cluster:
+                claimed |= other
+        nodes.append(
+            FragmentNode(
+                members=cluster,
+                direct=frozenset(cluster - claimed),
+                parent=parent,
+                emitted_at=height,
+                silhouette_at_emission=score,
+            )
+        )
+    return nodes
 
 
 # --- subject detection --------------------------------------------------------

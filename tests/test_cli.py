@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 import threading
@@ -47,6 +48,7 @@ def test_run_missing_tables_dir(tmp_path, capsys):
     )
     assert code == 1
     assert "nope" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_twice_byte_identical(planted_dir, tmp_path):
@@ -124,11 +126,55 @@ def test_run_missing_script_path(gett_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "absent.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_gt_path(planted_dir, tmp_path, capsys):
     code = main(emtt_args(planted_dir, tmp_path / "out", extra=["--gt-path", str(tmp_path / "nogt")]))
     assert code == 1
+    assert not (tmp_path / "out").exists()
+
+
+def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
+    """Flags that put one bad input, named by ``case``, into an otherwise good emtt run."""
+    if case == "empty-tables":
+        (tmp_path / "empty").mkdir()
+        return ["--tables-dir", str(tmp_path / "empty")]
+    if case == "missing-overrides":
+        return ["--subject-col-map", str(tmp_path / "absent.csv")]
+    if case == "gt-type-without-id":
+        gt_dir = tmp_path / "gt"
+        shutil.copytree(planted_dir / "gt", gt_dir)
+        tax = json.loads((gt_dir / "gt_taxonomy.json").read_text())
+        del tax["types"][0]["id"]
+        (gt_dir / "gt_taxonomy.json").write_text(json.dumps(tax), encoding="utf-8")
+        return ["--gt-path", str(gt_dir)]
+    assert case == "script-entry-without-response"
+    script = json.loads((gett_dir / "script.json").read_text())
+    del script[0]["response"]
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    return [
+        "--method", "gett",
+        "--llm", "scripted",
+        "--script-path", str(script_path),
+        "--tables-dir", str(gett_dir / "tables"),
+        "--edge-scorer", "constant",
+    ]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["empty-tables", "missing-overrides", "gt-type-without-id", "script-entry-without-response"],
+)
+def test_run_bad_input_fails_before_out_dir(planted_dir, gett_dir, tmp_path, capsys, case):
+    out_dir = tmp_path / "out"
+    extra = bad_run_input(case, planted_dir, gett_dir, tmp_path)
+    assert main(emtt_args(planted_dir, out_dir, extra=extra)) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_config_file_with_flag_override(planted_dir, tmp_path):

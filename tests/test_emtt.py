@@ -4,10 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_prune as shared_oracle_prune
-from taxoforge.clustering import DistanceMatrix, agglomerate, cut, silhouette
+from oracles import oracle_prune as shared_oracle_prune, reference_prune
+from taxoforge.clustering import DistanceMatrix, agglomerate, cut, euclidean_matrix, silhouette
 from taxoforge.corpus import Corpus, Table, ingest
 from taxoforge.embedding import EmbeddingService, LocalHashProvider
 from taxoforge.emtt import (
@@ -229,6 +229,30 @@ def test_prune_window_property_random_jaccard():
             checked_nodes += 1
         assert {n.members: n.parent for n in nodes} == oracle_prune(den, dm, 0.15)
     assert checked_nodes > 0
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=2, max_value=12),
+    st.sampled_from(["integer", "grid", "jaccard"]),
+    st.sampled_from(["average", "complete", "single"]),
+    st.sampled_from([0.0, 0.05, 0.15, 2.0]),
+)
+@settings(max_examples=300)
+def test_prune_matches_reference(seed, n, kind, linkage, delta):
+    # equal as lists: emission order, members, direct, parent, height and score
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        d = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(np.float64)
+        dm = DistanceMatrix(d + d.T)
+    elif kind == "grid":
+        # few grid points for n items: repeated points tie at distance 0
+        dm = euclidean_matrix(rng.integers(0, 3, size=(n, 2)).astype(np.float64))
+    else:
+        ids = [f"t{i}" for i in range(n)]
+        dm = jaccard_matrix(ids, {t: {f"a{j}" for j in range(6) if rng.random() < 0.5} for t in ids})
+    den = agglomerate(dm, linkage)
+    assert prune_dendrogram(den, dm, delta) == reference_prune(den, dm, delta)
 
 
 # --- full pipeline --------------------------------------------------------------

@@ -26,7 +26,7 @@ from taxoforge.llm import (
 
 def test_scripted_first_match():
     backend = ScriptedChatBackend(
-        [("List of Entities", "Hospital, Clinic"), ("List", "WRONG")], fallback="nothing"
+        [("List of Entities", "Hospital, Clinic"), ("List", "WRONG"), ("", "nothing")]
     )
     resp = complete(ChatRequest(user="here is the List of Entities please"), backend)
     assert resp.text == "Hospital, Clinic"
@@ -34,12 +34,14 @@ def test_scripted_first_match():
 
 
 def test_scripted_fallback():
-    backend = ScriptedChatBackend([("xyz", "match")], fallback="fb")
+    # an empty pattern matches every prompt; without one, no match gives ""
+    backend = ScriptedChatBackend([("xyz", "match"), ("", "fb")])
     assert complete(ChatRequest(user="no hit"), backend).text == "fb"
+    assert complete(ChatRequest(user="no hit"), ScriptedChatBackend([("xyz", "match")])).text == ""
 
 
 def test_scripted_deterministic():
-    backend = ScriptedChatBackend([("a", "A")], fallback="")
+    backend = ScriptedChatBackend([("a", "A")])
     first = complete(ChatRequest(user="aaa"), backend)
     second = complete(ChatRequest(user="aaa"), backend)
     assert first == second

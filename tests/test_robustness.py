@@ -63,7 +63,7 @@ def test_run_emtt_random_corpora_invariants(seed):
             assert table not in direct
             direct[table] = et.id
     assert set(direct) == {t.id for t in corpus.tables}
-    assert set(result.assignments) == {t.id for t in corpus.tables}
+    assert set(result.toplevel_dict()["assignments"]) == {t.id for t in corpus.tables}
     # a fresh corpus and service must reproduce the taxonomy exactly
     rerun = run_emtt(build_random_corpus(seed), EmbeddingService(LocalHashProvider(dim=32)))
     assert rerun.taxonomy.to_json() == tax.to_json()
