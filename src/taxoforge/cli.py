@@ -35,16 +35,26 @@ logger = logging.getLogger(__name__)
 GT_TAXONOMY_FILE = "gt_taxonomy.json"
 GT_ANNOTATIONS_FILE = "gt_annotations.csv"
 
-METHODS = ("emtt", "gett")
-EMBEDDERS = ("remote", "local-hash")
-LLMS = ("remote", "scripted")
-EDGE_SCORERS = ("cosine", "llm", "constant")
+# the allowed values of each RunConfig field that has a fixed set of them
+CHOICES = {
+    "method": ("emtt", "gett"),
+    "embedder": ("remote", "local-hash"),
+    "llm": ("remote", "scripted"),
+    "linkage": LINKAGES,
+    "edge_scorer": ("cosine", "llm", "constant"),
+}
+# converts a flag or config value by its field's annotation; the rest stay strings
+CONVERTERS = {"int": int, "float": float}
 
 
 @dataclass
 class RunConfig:
+    """Every option of ``run``; each field is both a ``--flag-name`` and a config key."""
+
     tables_dir: str = ""
-    gt_path: str | None = None
+    gt_path: str | None = dataclasses.field(
+        default=None, metadata={"help": "directory with gt_taxonomy.json and gt_annotations.csv"}
+    )
     method: str = "emtt"
     embedder: str = "local-hash"
     llm: str = "scripted"
@@ -69,13 +79,7 @@ class RunConfig:
     def validate(self) -> None:
         if not self.tables_dir:
             raise ValueError("tables_dir is required")
-        for name, choices in (
-            ("method", METHODS),
-            ("embedder", EMBEDDERS),
-            ("llm", LLMS),
-            ("linkage", LINKAGES),
-            ("edge_scorer", EDGE_SCORERS),
-        ):
+        for name, choices in CHOICES.items():
             value = getattr(self, name)
             if value not in choices:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(choices)}")
@@ -85,15 +89,18 @@ class RunConfig:
             raise ValueError("remote llm requires --llm-url")
         if not 0 <= self.delta <= 2:
             raise ValueError("delta must be in [0, 2]")
+        for name in ("embed_dim", "k_max"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2")
         embeds = self.method == "emtt" or self.edge_scorer == "cosine"
         if self.embedder == "remote" and embeds and not self.embed_url:
             raise ValueError("remote embedder requires --embed-url")
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """``RunConfig`` field -> raw value; unknown keys are errors, ``-`` reads as ``_``."""
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values: dict[str, str] = {}
+def load_config_file(path: str | Path) -> dict[str, object]:
+    """``RunConfig`` field -> converted value; unknown keys and bad values are errors, ``-`` reads as ``_``."""
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    values: dict[str, object] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -103,19 +110,20 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             raise ValueError(f"config line {line_no}: expected key=value")
         key = key.strip()
         name = key.replace("-", "_")
-        if name not in fields:
+        if name not in types:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
-        values[name] = value.strip()
+        try:
+            values[name] = CONVERTERS.get(types[name], str)(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"config line {line_no}: key {key!r}: {exc}") from exc
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-        convert = {"int": int, "float": float}
-        for name, raw in load_config_file(args.config).items():
-            setattr(cfg, name, convert.get(types[name], str)(raw))
+        for name, value in load_config_file(args.config).items():
+            setattr(cfg, name, value)
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -229,28 +237,13 @@ def cmd_ingest_check(tables_dir: str) -> int:
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--tables-dir", dest="tables_dir")
-    parser.add_argument("--gt-path", dest="gt_path", help="directory with gt_taxonomy.json and gt_annotations.csv")
-    parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--embedder", choices=EMBEDDERS)
-    parser.add_argument("--llm", choices=LLMS)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--linkage", choices=LINKAGES)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--cache-dir", dest="cache_dir")
-    parser.add_argument("--llm-url", dest="llm_url")
-    parser.add_argument("--llm-model", dest="llm_model")
-    parser.add_argument("--script-path", dest="script_path")
-    parser.add_argument("--subject-col-map", dest="subject_col_map")
-    parser.add_argument("--embed-url", dest="embed_url")
-    parser.add_argument("--embed-model", dest="embed_model")
-    parser.add_argument("--embed-dim", dest="embed_dim", type=int)
-    parser.add_argument("--k-max", dest="k_max", type=int)
-    parser.add_argument("--edge-scorer", dest="edge_scorer", choices=EDGE_SCORERS)
-    parser.add_argument("--edge-threshold", dest="edge_threshold", type=float)
-    parser.add_argument("--root-name", dest="root_name")
-    parser.add_argument("--max-iters", dest="max_iters", type=int)
+    for f in dataclasses.fields(RunConfig):
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=CONVERTERS.get(f.type, str),
+            choices=CHOICES.get(f.name),
+            help=f.metadata.get("help"),
+        )
 
 
 def main(argv: list[str] | None = None) -> int:

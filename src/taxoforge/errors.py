@@ -95,17 +95,3 @@ class LayerParseError(TaxoforgeError):
 
 class PipelineAbortedError(TaxoforgeError):
     """More than half of the tables failed type generation."""
-
-
-# --- metrics --------------------------------------------------------------
-
-class InsufficientTablesError(TaxoforgeError):
-    """Fewer than two tables shared between output and ground truth."""
-
-
-class NoTypesError(TaxoforgeError):
-    """No evaluable types (each needs at least one associated table)."""
-
-
-class NoMatchedTypesError(TaxoforgeError):
-    """No output type could be matched against the ground truth."""

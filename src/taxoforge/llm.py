@@ -59,6 +59,12 @@ class ScriptedChatBackend:
     def from_file(cls, path: str | Path) -> "ScriptedChatBackend":
         """Load ``[{"match", "response"}, ...]``; an empty ``match`` acts as a fallback."""
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: script must be a JSON list")
+        for i, entry in enumerate(entries):
+            for key in ("match", "response"):
+                if not (isinstance(entry, dict) and isinstance(entry.get(key), str)):
+                    raise ValueError(f"{path}: entry {i} has no string {key!r}")
         return cls([(e["match"], e["response"]) for e in entries])
 
     def complete(self, req: ChatRequest) -> ChatResponse:

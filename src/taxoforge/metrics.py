@@ -6,7 +6,8 @@ consistency score: each output type is matched to the ground-truth type
 most frequently annotated (as most-specific) on its associated tables,
 and its consistency is the fraction of its output ancestors whose matches
 are ancestors of its own match in the ground truth. Types without
-hierarchy above them score 1 by convention.
+hierarchy above them score 1 by convention. A metric with nothing to
+average over is undefined and returned as ``None``.
 """
 
 from __future__ import annotations
@@ -14,14 +15,10 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    InsufficientTablesError,
-    NoMatchedTypesError,
-    NoTypesError,
-)
 from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -120,14 +117,19 @@ def confusion_counts(out_labels: list, gt_labels: list) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, tn=total - tp - fp - fn, fp=fp, fn=fn)
 
 
-def rand_index(out_assign: dict[str, str], gt: GroundTruth) -> float:
-    """(TP + TN) / all pairs, over tables present on both sides."""
+def _mean(values: Collection[float]) -> float | None:
+    """Arithmetic mean, or ``None`` when there is nothing to average."""
+    return sum(values) / len(values) if values else None
+
+
+def rand_index(out_assign: dict[str, str], gt: GroundTruth) -> float | None:
+    """(TP + TN) / all pairs, over tables present on both sides; ``None`` below 2 tables."""
     shared = sorted(set(out_assign) & set(gt.per_table))
     excluded = sorted((set(out_assign) | set(gt.per_table)) - set(shared))
     if excluded:
         logger.info("rand_index excludes %d tables absent from one side", len(excluded))
     if len(shared) < 2:
-        raise InsufficientTablesError("need at least 2 tables present in both output and GT")
+        return None
     counts = confusion_counts(
         [out_assign[t] for t in shared], [gt.top_level_of(t) for t in shared]
     )
@@ -140,8 +142,11 @@ def _majority(names: list[str]) -> str:
     return min(counts, key=lambda name: (-counts[name], name))
 
 
-def purity(tables_by_type: dict[str, set[str]], gt: GroundTruth) -> float:
-    """Unweighted mean, over types, of the majority GT-top-level fraction."""
+def purity(tables_by_type: dict[str, set[str]], gt: GroundTruth) -> float | None:
+    """Unweighted mean, over types, of the majority GT-top-level fraction.
+
+    ``None`` when no type has a GT-covered table.
+    """
     scores = []
     for type_id in sorted(tables_by_type):
         tops = [gt.top_level_of(t) for t in tables_by_type[type_id] if t in gt.per_table]
@@ -150,9 +155,7 @@ def purity(tables_by_type: dict[str, set[str]], gt: GroundTruth) -> float:
             continue
         majority = _majority(tops)
         scores.append(tops.count(majority) / len(tops))
-    if not scores:
-        raise NoTypesError("no types with GT-covered tables to evaluate")
-    return sum(scores) / len(scores)
+    return _mean(scores)
 
 
 def match_types(out: Taxonomy, gt: GroundTruth) -> dict[str, str]:
@@ -200,14 +203,11 @@ def per_type_consistency(
     }
 
 
-def tcs(out: Taxonomy, gt: GroundTruth, matching: dict[str, str] | None = None) -> float:
-    """Mean type consistency over matched, non-synthetic output types."""
+def tcs(out: Taxonomy, gt: GroundTruth, matching: dict[str, str] | None = None) -> float | None:
+    """Mean type consistency over matched, non-synthetic output types; ``None`` if there are none."""
     if matching is None:
         matching = match_types(out, gt)
-    per_type = per_type_consistency(out, gt, matching)
-    if not per_type:
-        raise NoMatchedTypesError("no matched non-synthetic types")
-    return sum(per_type.values()) / len(per_type)
+    return _mean(per_type_consistency(out, gt, matching).values())
 
 
 def top_level_assignment(tax: Taxonomy) -> dict[str, str]:
@@ -228,31 +228,22 @@ def report(out: Taxonomy, gt: GroundTruth) -> dict:
     """All metrics plus the matching table and exclusions, as a JSON-ready dict.
 
     Metrics that are undefined for the given inputs (too few shared tables,
-    nothing matched) are reported as null rather than aborting the report.
+    nothing matched) are ``None``, which JSON writes as null.
     """
     matching = match_types(out, gt)
     assignment = top_level_assignment(out)
     shared = set(assignment) & set(gt.per_table)
     excluded = sorted((set(assignment) | set(gt.per_table)) - shared)
-    try:
-        ri = rand_index(assignment, gt)
-    except InsufficientTablesError:
-        ri = None
-    try:
-        pur = purity({t: out.associated_tables(t) for t in out.top_level_ids()}, gt)
-    except NoTypesError:
-        pur = None
     per_type = per_type_consistency(out, gt, matching)
-    tcs_value = sum(per_type.values()) / len(per_type) if per_type else None
     type_count, depth = out.stats()
     gt_count, gt_depth = gt.taxonomy.stats()
     unmatched = sorted(
         t for t in out.types if t not in matching and not out.types[t].synthetic
     )
     return {
-        "rand_index": ri,
-        "purity": pur,
-        "tcs": tcs_value,
+        "rand_index": rand_index(assignment, gt),
+        "purity": purity({t: out.associated_tables(t) for t in out.top_level_ids()}, gt),
+        "tcs": _mean(per_type.values()),
         "type_count": type_count,
         "depth": depth,
         "gt_type_count": gt_count,

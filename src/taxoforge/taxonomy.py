@@ -173,20 +173,40 @@ class Taxonomy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Taxonomy":
+        """Inverse of ``to_dict``; a malformed shape raises ``ValueError`` naming the entry and key."""
+        if not isinstance(data, dict):
+            raise ValueError("taxonomy must be a JSON object")
+        types, edges = data.get("types", []), data.get("edges", [])
+        if not isinstance(types, list) or not isinstance(edges, list):
+            raise ValueError("taxonomy 'types' and 'edges' must be lists")
         tax = cls()
-        for entry in data.get("types", []):
+        for i, entry in enumerate(types):
+            if not isinstance(entry, dict):
+                raise ValueError(f"types[{i}] must be an object")
+            for key in ("id", "name"):
+                if not isinstance(entry.get(key), str):
+                    raise ValueError(f"types[{i}] has no string {key!r}")
+            tables = entry.get("tables", [])
+            if not isinstance(tables, list) or not all(isinstance(t, str) for t in tables):
+                raise ValueError(f"types[{i}] 'tables' must be a list of strings")
             tax.add_type(
                 EntityType(
                     id=entry["id"],
                     name=entry["name"],
-                    tables=set(entry.get("tables", [])),
+                    tables=set(tables),
                     synthetic=bool(entry.get("synthetic", False)),
                 )
             )
-        for parent, child in data.get("edges", []):
-            tax.add_edge(parent, child)
+        for i, edge in enumerate(edges):
+            pair = isinstance(edge, (list, tuple)) and len(edge) == 2
+            if not (pair and all(isinstance(e, str) for e in edge)):
+                raise ValueError(f"edges[{i}] must be a [parent, child] pair of type ids")
+            tax.add_edge(*edge)
         return tax
 
     @classmethod
     def load(cls, path: str | Path) -> "Taxonomy":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import taxoforge
-from taxoforge.cli import main
+from taxoforge import cli
+from taxoforge.cli import CHOICES, RunConfig, main
 
 
 def run_cli(*args) -> int:
@@ -90,9 +92,13 @@ def test_eval_gt_against_itself(planted_dir, tmp_path, capsys):
 
 def test_eval_malformed_json(tmp_path, planted_dir, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    code = run_cli("eval", str(bad), "--gt", str(planted_dir / "gt"))
-    assert code == 1
+    for text in ("{not json", "[]"):
+        bad.write_text(text, encoding="utf-8")
+        code = run_cli("eval", str(bad), "--gt", str(planted_dir / "gt"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err
+        assert "Traceback" not in err
 
 
 def test_stats(planted_dir, capsys):
@@ -135,6 +141,25 @@ def test_run_missing_gt_path(planted_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def break_gt_taxonomy(tax: dict, case: str):
+    """The planted GT taxonomy JSON with the one fault named by ``case``."""
+    first = tax["types"][0]
+    if case == "gt-type-without-id":
+        del first["id"]
+    elif case == "gt-type-without-name":
+        del first["name"]
+    elif case == "gt-type-is-string":
+        tax["types"][0] = first["name"]
+    elif case == "gt-tables-not-list":
+        first["tables"] = 5
+    elif case == "gt-edge-not-pair":
+        tax["edges"][0] = 5
+    else:
+        assert case == "gt-is-list"
+        return []
+    return tax
+
+
 def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     """Flags that put one bad input, named by ``case``, into an otherwise good emtt run."""
     if case == "empty-tables":
@@ -142,16 +167,19 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         return ["--tables-dir", str(tmp_path / "empty")]
     if case == "missing-overrides":
         return ["--subject-col-map", str(tmp_path / "absent.csv")]
-    if case == "gt-type-without-id":
+    if case.startswith("gt-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
         tax = json.loads((gt_dir / "gt_taxonomy.json").read_text())
-        del tax["types"][0]["id"]
+        tax = break_gt_taxonomy(tax, case)
         (gt_dir / "gt_taxonomy.json").write_text(json.dumps(tax), encoding="utf-8")
         return ["--gt-path", str(gt_dir)]
-    assert case == "script-entry-without-response"
     script = json.loads((gett_dir / "script.json").read_text())
-    del script[0]["response"]
+    if case == "script-entry-without-response":
+        del script[0]["response"]
+    else:
+        assert case == "script-is-object"
+        script = script[0]
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps(script), encoding="utf-8")
     return [
@@ -163,16 +191,29 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["empty-tables", "missing-overrides", "gt-type-without-id", "script-entry-without-response"],
-)
+# each bad input and a part of the one error line it must give
+BAD_RUN_INPUTS = {
+    "empty-tables": "no parseable .csv files in",
+    "missing-overrides": "absent.csv",
+    "gt-type-without-id": "gt_taxonomy.json: types[0] has no string 'id'",
+    "gt-type-without-name": "gt_taxonomy.json: types[0] has no string 'name'",
+    "gt-type-is-string": "gt_taxonomy.json: types[0] must be an object",
+    "gt-tables-not-list": "gt_taxonomy.json: types[0] 'tables' must be a list of strings",
+    "gt-edge-not-pair": "gt_taxonomy.json: edges[0] must be a [parent, child] pair of type ids",
+    "gt-is-list": "gt_taxonomy.json: taxonomy must be a JSON object",
+    "script-entry-without-response": "script.json: entry 0 has no string 'response'",
+    "script-is-object": "script.json: script must be a JSON list",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUN_INPUTS))
 def test_run_bad_input_fails_before_out_dir(planted_dir, gett_dir, tmp_path, capsys, case):
     out_dir = tmp_path / "out"
     extra = bad_run_input(case, planted_dir, gett_dir, tmp_path)
     assert main(emtt_args(planted_dir, out_dir, extra=extra)) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
+    assert BAD_RUN_INPUTS[case] in err
     assert "Traceback" not in err
     assert not out_dir.exists()
 
@@ -202,8 +243,9 @@ def test_config_file_with_flag_override(planted_dir, tmp_path):
     [
         ("detla=0.05", "config line 2: unknown key 'detla'"),
         ("linkage=bogus", "unknown linkage 'bogus'"),
+        ("seed=abc", "config line 2: key 'seed': invalid literal for int()"),
     ],
-    ids=["unknown-key", "bad-linkage"],
+    ids=["unknown-key", "bad-linkage", "bad-int"],
 )
 def test_config_file_rejected_before_out_dir(planted_dir, tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
@@ -214,11 +256,46 @@ def test_config_file_rejected_before_out_dir(planted_dir, tmp_path, capsys, line
     assert not out_dir.exists()
 
 
-def test_run_delta_out_of_range(planted_dir, tmp_path, capsys):
+def non_default_value(f: dataclasses.Field) -> str:
+    """A value for ``f``, as typed on a command line, that differs from its default."""
+    if f.name in CHOICES:
+        return next(c for c in CHOICES[f.name] if c != f.default)
+    if f.type == "int":
+        return str(f.default + 1)
+    if f.type == "float":
+        return str(f.default + 0.25)
+    return f"{f.name}-value"
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch, f):
+    built: list[RunConfig] = []
+    monkeypatch.setattr(cli, "cmd_run", lambda cfg: built.append(cfg) or 0)
+    value = non_default_value(f)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{f.name}={value}\n", encoding="utf-8")
+    assert main(["run", "--" + f.name.replace("_", "-"), value]) == 0
+    assert main(["run", "--config", str(cfg_file)]) == 0
+    by_flag, by_config = built
+    assert getattr(by_flag, f.name) != f.default
+    assert str(getattr(by_flag, f.name)) == value
+    assert by_flag == by_config
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--delta", "2.5"], "delta must be in [0, 2]"),
+        (["--embed-dim", "1"], "embed_dim must be >= 2"),
+        (["--k-max", "1"], "k_max must be >= 2"),
+    ],
+    ids=["delta", "embed-dim", "k-max"],
+)
+def test_run_delta_out_of_range(planted_dir, tmp_path, capsys, flags, message):
     out_dir = tmp_path / "out"
-    code = main(emtt_args(planted_dir, out_dir, extra=["--delta", "2.5"]))
+    code = main(emtt_args(planted_dir, out_dir, extra=flags))
     assert code == 1
-    assert "delta must be in [0, 2]" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 

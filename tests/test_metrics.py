@@ -5,7 +5,6 @@ import random
 
 import pytest
 from oracles import brute_confusion, brute_purity, brute_rand_index, brute_tcs
-from taxoforge.errors import InsufficientTablesError, NoTypesError
 from taxoforge.metrics import (
     GroundTruth,
     confusion_counts,
@@ -73,8 +72,7 @@ def test_rand_index_excludes_one_sided_tables():
 
 def test_rand_index_insufficient():
     gt = simple_gt({"a": "X"})
-    with pytest.raises(InsufficientTablesError):
-        rand_index({"a": "p"}, gt)
+    assert rand_index({"a": "p"}, gt) is None
 
 
 def test_rand_index_relabeling_symmetry():
@@ -127,8 +125,7 @@ def test_purity_matches_brute():
 
 def test_purity_no_types():
     gt = simple_gt({"a": "X", "b": "X"})
-    with pytest.raises(NoTypesError):
-        purity({"c1": {"zz"}}, gt)
+    assert purity({"c1": {"zz"}}, gt) is None
 
 
 # --- matching --------------------------------------------------------------------
@@ -209,6 +206,15 @@ def test_report_gt_against_itself():
     assert rep["tcs"] == 1.0
     assert rep["type_count"] == 4
     assert rep["gt_type_count"] == 4
+
+
+def test_report_undefined_metrics_are_null():
+    gt = gt_from(["A", "B"], [("A", "B")], {"t1": ["A"], "t2": ["A", "B"]})
+    out = build_tax(["X"], [], tables={"X": {"zz"}})
+    assert tcs(out, gt) is None
+    rep = json.loads(json.dumps(report(out, gt)))
+    assert (rep["rand_index"], rep["purity"], rep["tcs"]) == (None, None, None)
+    assert rep["unmatched_types"] == ["X"]
 
 
 def test_report_deterministic_json():
