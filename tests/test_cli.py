@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import shutil
 import subprocess
@@ -78,6 +79,48 @@ def test_run_gett_scripted(gett_dir, tmp_path):
     rep = json.loads((out_dir / "report.json").read_text())
     assert rep["tcs"] == 1.0
     assert rep["depth"] == 3
+
+
+# SHA-256 of each artifact of the scripted gett fixture at seed 7, per edge scorer
+GETT_GOLDEN_DIGESTS = {
+    "constant": {
+        "taxonomy.json": "047db38e462ce737731e8b0ae9b9e2fd44be4676521c6092de9094bd8d5cbe2b",
+        "transcript.jsonl": "38dae9ad68f101001601f776f1b17a9b7a9a77d8b404a8c8c8f849d22d1f82f4",
+        "report.json": "f3fe936b27d034fd26c19ce23695d7b247988853110ccad7112d8952a92bf701",
+    },
+    "cosine": {
+        "taxonomy.json": "fb02368fb8c160cf6e04c1ef0d9833388da7cae0bbadc709c053f743599be871",
+        "transcript.jsonl": "7876be958bfff2749234a36204b90c6174030a66a01db108cc36cde70556b93d",
+        "report.json": "d466d4c1d263b40c3e61733cfa1e968888ce460d66e617d7fb6fa44e4cef9ed9",
+    },
+    "llm": {
+        "taxonomy.json": "0ea4301b729c627699a6068d91066ad9c41edc788069ad246aeb11a69f025f2e",
+        "transcript.jsonl": "65598b5e4052abe337fd2fd980e40a830df204b4610bd4a06e766799ca951b02",
+        "report.json": "9a7ff2e0ae91dfb0ad9c601a90e86684d58acf1800c1bf6ca8c2ddba98361dcb",
+    },
+}
+
+
+@pytest.mark.parametrize("scorer", list(GETT_GOLDEN_DIGESTS))
+def test_run_gett_fixture_golden_digests(gett_dir, tmp_path, scorer):
+    out_dir = tmp_path / "out"
+    code = run_cli(
+        "run",
+        "--method", "gett",
+        "--llm", "scripted",
+        "--script-path", str(gett_dir / "script.json"),
+        "--tables-dir", str(gett_dir / "tables"),
+        "--gt-path", str(gett_dir / "gt"),
+        "--out-dir", str(out_dir),
+        "--seed", "7",
+        "--edge-scorer", scorer,
+    )
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in GETT_GOLDEN_DIGESTS[scorer]
+    }
+    assert digests == GETT_GOLDEN_DIGESTS[scorer]
 
 
 def test_eval_gt_against_itself(planted_dir, tmp_path, capsys):

@@ -29,7 +29,7 @@ from taxoforge.gett import (
     run_gett,
     serialize_table_block,
 )
-from taxoforge.llm import ScriptedChatBackend, TranscriptLogger
+from taxoforge.llm import ChatResponse, ScriptedChatBackend, TranscriptLogger
 from taxoforge.metrics import load_ground_truth, report
 
 GOLDEN = Path(__file__).parent / "golden" / "generation_prompt.txt"
@@ -228,6 +228,75 @@ def test_chain_root_collision_rejected():
     backend = ScriptedChatBackend([demo_entry()])
     with pytest.raises(ValueError):
         chain_of_layer(cands(["Thing"]), "Thing", backend, EdgeFilter(ConstantScorer()))
+
+
+def test_chain_guard_ignores_case_and_whitespace_runs():
+    backend = ScriptedChatBackend(
+        [demo_entry(), ('child types of "Thing"', "thing ->  x\nTHING -> big   cat")]
+    )
+    tax = chain_of_layer(cands(["X", "Big Cat"]), "Thing", backend, EdgeFilter(ConstantScorer()))
+    assert tax.edges == [("Thing", "Big Cat"), ("Thing", "X")]
+
+
+class CountingScorer:
+    """Scores every edge 1.0 and records each edge it was asked to score."""
+
+    def __init__(self):
+        self.edges = []
+
+    def scores(self, edges):
+        self.edges.extend(edges)
+        return [1.0] * len(edges)
+
+
+def test_chain_pair_proposed_twice_is_scored_once():
+    backend = ScriptedChatBackend(
+        [demo_entry(), ('child types of "Thing"', "Thing -> X\n- thing -> x\nThing -> Y")]
+    )
+    scorer = CountingScorer()
+    tax = chain_of_layer(cands(["X", "Y"]), "Thing", backend, EdgeFilter(scorer))
+    assert scorer.edges == [("Thing", "X"), ("Thing", "Y")]
+    assert tax.edges == [("Thing", "X"), ("Thing", "Y")]
+
+
+class ReplayBackend:
+    """Answers the demonstration prompt, then gives each layer prompt the next reply in turn."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.prompts = []
+
+    def complete(self, req):
+        if "example of a taxonomy" in req.user:
+            return ChatResponse(text="Food -> Fruit")
+        self.prompts.append(req.user)
+        return ChatResponse(text=self.replies.pop(0))
+
+
+def test_chain_layer_placed_after_one_retry(tmp_path):
+    backend = ReplayBackend(["complete gibberish", "Thing -> X"])
+    transcript = TranscriptLogger(tmp_path / "t.jsonl")
+    tax = chain_of_layer(
+        cands(["X"]), "Thing", backend, EdgeFilter(ConstantScorer()), transcript=transcript
+    )
+    assert tax.edges == [("Thing", "X")]
+    assert backend.prompts[0] == backend.prompts[1]  # the retry repeats the prompt
+    assert transcript.entries == 3  # demonstration, first reply, retry
+
+
+def test_chain_max_iters_leaves_rest_under_root():
+    backend = ScriptedChatBackend(
+        [
+            demo_entry(),
+            ('child types of "Thing"', "Thing -> A"),
+            ('child types of "A"', "A -> B"),
+        ]
+    )
+    tax = chain_of_layer(
+        cands(["A", "B"]), "Thing", backend, EdgeFilter(ConstantScorer()), max_iters=1
+    )
+    assert tax.edges == [("Thing", "A"), ("Thing", "B")]
+    assert tax.types["B"].tables == {"tab_B"}
 
 
 # --- full pipeline --------------------------------------------------------------------
