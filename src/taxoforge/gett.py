@@ -203,6 +203,11 @@ def normalize_name(name: str) -> str:
     return " ".join(name.split())
 
 
+def _fold(name: str) -> str:
+    """The key two names share when they differ only in case and whitespace runs."""
+    return normalize_name(name).casefold()
+
+
 def flatten(per_table: dict[str, list[str]]) -> TypeCandidateList:
     """Merge per-table names case-insensitively, keeping first casing and origins."""
     if not per_table:
@@ -215,7 +220,7 @@ def flatten(per_table: dict[str, list[str]]) -> TypeCandidateList:
             name = normalize_name(raw)
             if not name:
                 continue
-            key = name.casefold()
+            key = _fold(name)
             if key not in canonical:
                 canonical[key] = name
                 names.append(name)
@@ -271,104 +276,84 @@ def chain_of_layer(
     """Iteratively layer the candidate list beneath a synthetic root.
 
     The demonstration is requested from the backend once per run (its
-    zero-shot mode) and reused across iterations. Children may land under
+    zero-shot mode) and reused across iterations. A proposed edge passes
+    the membership guard when its parent, ignoring case and whitespace
+    runs, is a placed type and its child an unplaced candidate; each
+    guarded pair is scored once, in proposal order. Children may land under
     several parents in one iteration (the taxonomy is a DAG); candidates
     never placed by the loop are attached directly under the root.
     """
     if not candidates.names:
         raise ValueError("candidate list is empty")
-    if root_name.casefold() in {n.casefold() for n in candidates.names}:
-        raise ValueError(f"root name {root_name!r} collides with a candidate type")
+    # folded name -> name: the root and every type placed so far, and the rest
+    placed = {_fold(root_name): root_name}
+    unplaced: dict[str, str] = {}
+    for name in candidates.names:
+        key = _fold(name)
+        if key in placed:
+            raise ValueError(f"root name {root_name!r} collides with a candidate type")
+        if key in unplaced:
+            raise ValueError(
+                f"candidate types {unplaced[key]!r} and {name!r} differ only in case or spacing"
+            )
+        unplaced[key] = name
     tax = Taxonomy()
     tax.add_type(EntityType(id=root_name, name=root_name, synthetic=True))
-    name_by_fold = {root_name.casefold(): root_name}
-    remaining: list[str] = list(candidates.names)
-    demo = complete(
+
+    def place(name: str) -> None:
+        tax.add_type(EntityType(id=name, name=name, tables=set(candidates.origin.get(name, ()))))
+        placed[_fold(name)] = unplaced.pop(_fold(name))
+
+    demonstration = complete(
         ChatRequest(user=load_prompt("layer_demonstration")), backend, transcript
     ).text
-    layer_template = load_prompt("layer_step")
+    template = load_prompt("layer_step")
     layer = [root_name]
     for iteration in range(max_iters):
-        if not remaining:
+        if not unplaced:
             break
-        remaining_fold = {n.casefold(): n for n in remaining}
-        proposals, parseable = _collect_proposals(
-            layer, remaining, demo, layer_template, tax, backend, transcript
-        )
-        if not parseable:
-            logger.warning("iteration %d yielded no parseable edges; retrying", iteration)
-            proposals, parseable = _collect_proposals(
-                layer, remaining, demo, layer_template, tax, backend, transcript
+        outline = render_outline(tax)
+        names = ", ".join(unplaced.values())
+
+        def propose(parent: str, log: TranscriptBuffer) -> tuple[list[tuple[str, str]], bool]:
+            prompt = template.format(
+                demonstration=demonstration, outline=outline, candidates=names, parent=parent
             )
-            if not parseable:
+            return parse_edge_lines(complete(ChatRequest(user=prompt), backend, log).text)
+
+        for retry in (False, True):
+            replies = list(_logged_in_order(propose, layer, transcript))
+            if any(parseable for _, parseable in replies):
+                break
+            if retry:
                 raise LayerParseError(iteration)
-        guarded: list[tuple[str, str]] = []
-        seen_pairs: set[tuple[str, str]] = set()
-        for parent, child in proposals:
-            parent_name = name_by_fold.get(normalize_name(parent).casefold())
-            child_name = remaining_fold.get(normalize_name(child).casefold())
-            if parent_name is None or child_name is None:
-                logger.info("discarding edge %r -> %r (membership guard)", parent, child)
+            logger.warning("iteration %d yielded no parseable edges; retrying", iteration)
+        guarded: dict[tuple[str, str], None] = {}
+        for edges, _ in replies:
+            for parent, child in edges:
+                parent_name, child_name = placed.get(_fold(parent)), unplaced.get(_fold(child))
+                if parent_name is None or child_name is None:
+                    logger.info("discarding edge %r -> %r (membership guard)", parent, child)
+                else:
+                    guarded[parent_name, child_name] = None
+        children: dict[str, None] = {}
+        for edge in filter_edges(list(guarded), edge_filter.scorer):
+            if edge.score < edge_filter.threshold:
                 continue
-            pair = (parent_name, child_name)
-            if pair not in seen_pairs:
-                seen_pairs.add(pair)
-                guarded.append(pair)
-        kept = [
-            e for e in filter_edges(guarded, edge_filter.scorer) if e.score >= edge_filter.threshold
-        ]
-        next_layer: list[str] = []
-        for edge in kept:
-            if edge.child not in next_layer:
-                tax.add_type(
-                    EntityType(
-                        id=edge.child,
-                        name=edge.child,
-                        tables=set(candidates.origin.get(edge.child, set())),
-                    )
-                )
-                name_by_fold[edge.child.casefold()] = edge.child
-                next_layer.append(edge.child)
-            else:
+            if edge.child in children:
                 logger.info("type %r placed under multiple parents", edge.child)
+            else:
+                place(edge.child)
+                children[edge.child] = None
             tax.add_edge(edge.parent, edge.child)
-        remaining = [n for n in remaining if n not in next_layer]
-        if not next_layer:
+        if not children:
             break
-        layer = next_layer
-    for name in remaining:
+        layer = list(children)
+    for name in list(unplaced.values()):
         logger.warning("attaching leftover type %r under the root", name)
-        tax.add_type(
-            EntityType(id=name, name=name, tables=set(candidates.origin.get(name, set())))
-        )
+        place(name)
         tax.add_edge(root_name, name)
     return tax
-
-
-def _collect_proposals(
-    layer: list[str],
-    remaining: list[str],
-    demonstration: str,
-    template: str,
-    tax: Taxonomy,
-    backend,
-    transcript: TranscriptLogger | None,
-) -> tuple[list[tuple[str, str]], bool]:
-    outline = render_outline(tax)
-    candidates = ", ".join(remaining)
-
-    def propose(parent: str, log: TranscriptBuffer) -> tuple[list[tuple[str, str]], bool]:
-        prompt = template.format(
-            demonstration=demonstration, outline=outline, candidates=candidates, parent=parent
-        )
-        return parse_edge_lines(complete(ChatRequest(user=prompt), backend, log).text)
-
-    proposals: list[tuple[str, str]] = []
-    any_parseable = False
-    for edges, parseable in _logged_in_order(propose, layer, transcript):
-        any_parseable = any_parseable or parseable
-        proposals.extend(edges)
-    return proposals, any_parseable
 
 
 def derive_table_seed(seed: int, table_id: str) -> int:
@@ -379,8 +364,6 @@ def derive_table_seed(seed: int, table_id: str) -> int:
 @dataclass
 class GettResult:
     taxonomy: Taxonomy
-    per_table: dict[str, list[str]]
-    candidates: TypeCandidateList
     failures: list[str] = field(default_factory=list)
 
 
@@ -420,6 +403,5 @@ def run_gett(
                 raise PipelineAbortedError(
                     f"{len(failures)}/{len(corpus.tables)} tables failed type generation"
                 ) from outcome
-    candidates = flatten(per_table)
-    tax = chain_of_layer(candidates, root_name, backend, edge_filter, max_iters, transcript)
-    return GettResult(taxonomy=tax, per_table=per_table, candidates=candidates, failures=failures)
+    tax = chain_of_layer(flatten(per_table), root_name, backend, edge_filter, max_iters, transcript)
+    return GettResult(taxonomy=tax, failures=failures)

@@ -58,7 +58,10 @@ class ScriptedChatBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatBackend":
         """Load ``[{"match", "response"}, ...]``; an empty ``match`` acts as a fallback."""
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         if not isinstance(entries, list):
             raise ValueError(f"{path}: script must be a JSON list")
         for i, entry in enumerate(entries):

@@ -93,7 +93,10 @@ def load_overrides(path: str | Path) -> dict[str, int]:
         table_id, _, col = line.rpartition(",")
         if not table_id:
             raise ValueError(f"override line {line_no}: expected 'table_id,col_index'")
-        overrides[table_id.strip()] = int(col)
+        try:
+            overrides[table_id.strip()] = int(col)
+        except ValueError as exc:
+            raise ValueError(f"override line {line_no}: {exc}") from exc
     return overrides
 
 

@@ -210,6 +210,9 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         return ["--tables-dir", str(tmp_path / "empty")]
     if case == "missing-overrides":
         return ["--subject-col-map", str(tmp_path / "absent.csv")]
+    if case == "overrides-bad-col":
+        (tmp_path / "overrides.csv").write_text("# table_id,col_index\nveh_car_1,x\n", encoding="utf-8")
+        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
     if case.startswith("gt-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
@@ -220,11 +223,13 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     script = json.loads((gett_dir / "script.json").read_text())
     if case == "script-entry-without-response":
         del script[0]["response"]
-    else:
-        assert case == "script-is-object"
+    elif case == "script-is-object":
         script = script[0]
     script_path = tmp_path / "script.json"
-    script_path.write_text(json.dumps(script), encoding="utf-8")
+    if case == "script-not-json":
+        script_path.write_text("not json", encoding="utf-8")
+    else:
+        script_path.write_text(json.dumps(script), encoding="utf-8")
     return [
         "--method", "gett",
         "--llm", "scripted",
@@ -238,6 +243,7 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
 BAD_RUN_INPUTS = {
     "empty-tables": "no parseable .csv files in",
     "missing-overrides": "absent.csv",
+    "overrides-bad-col": "override line 2: invalid literal for int()",
     "gt-type-without-id": "gt_taxonomy.json: types[0] has no string 'id'",
     "gt-type-without-name": "gt_taxonomy.json: types[0] has no string 'name'",
     "gt-type-is-string": "gt_taxonomy.json: types[0] must be an object",
@@ -246,6 +252,7 @@ BAD_RUN_INPUTS = {
     "gt-is-list": "gt_taxonomy.json: taxonomy must be a JSON object",
     "script-entry-without-response": "script.json: entry 0 has no string 'response'",
     "script-is-object": "script.json: script must be a JSON list",
+    "script-not-json": "script.json: Expecting value: line 1 column 1",
 }
 
 

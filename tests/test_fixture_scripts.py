@@ -26,7 +26,7 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     "script, fixture",
     [("gen_gett_fixture", "gett"), ("gen_planted_corpus", "planted")],
 )
-def test_generator_reproduces_checked_in_fixture(tmp_path, monkeypatch, capsys, script, fixture):
+def test_generator_reproduces_checked_in_fixture(tmp_path, monkeypatch, script, fixture):
     module = load_script(script)
     monkeypatch.setattr(module, "FIXTURE_DIR", tmp_path)
     module.main()
