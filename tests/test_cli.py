@@ -123,6 +123,29 @@ def test_run_gett_fixture_golden_digests(gett_dir, tmp_path, scorer):
     assert digests == GETT_GOLDEN_DIGESTS[scorer]
 
 
+# SHA-256 of each artifact of the planted emtt fixture with local-hash at seed 7
+EMTT_GOLDEN_DIGESTS = {
+    "attributes.json": "0ae377c8112dd87e7e7851316ef9d2390eb0615e40cc362bc9c389d3fac1b577",
+    "report.json": "76a539e0c2d5410916515201f4ea53bfb26ca7b7743a8e76f525ad2cd8417022",
+    "taxonomy.json": "d8bf0536beaad7992b1f7dfc50639c53c8398877156226f70edcfa9aae802928",
+    "toplevel.json": "97db7c7e513c19679c603b1030e99bf103055cf76bbb3a8bcdc39373706911b5",
+}
+
+
+def test_run_emtt_fixture_golden_digests(planted_dir, tmp_path):
+    """Without a cache, then cold and warm against one cache, the artifacts are the golden bytes."""
+    gt = ["--gt-path", str(planted_dir / "gt")]
+    cached = [*gt, "--cache-dir", str(tmp_path / "cache")]
+    for run, extra in (("plain", gt), ("cold", cached), ("warm", cached)):
+        out_dir = tmp_path / run
+        assert main(emtt_args(planted_dir, out_dir, extra=extra)) == 0
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in EMTT_GOLDEN_DIGESTS
+        }
+        assert digests == EMTT_GOLDEN_DIGESTS, run
+
+
 def test_eval_gt_against_itself(planted_dir, tmp_path, capsys):
     gt_dir = planted_dir / "gt"
     code = run_cli("eval", str(gt_dir / "gt_taxonomy.json"), "--gt", str(gt_dir))
