@@ -147,7 +147,7 @@ def _make_chat_backend(cfg: RunConfig):
 
 def _make_edge_filter(cfg: RunConfig, backend, transcript) -> gett_mod.EdgeFilter:
     if cfg.edge_scorer == "constant":
-        scorer = gett_mod.ConstantScorer(1.0)
+        scorer = gett_mod.ConstantScorer()
     elif cfg.edge_scorer == "llm":
         scorer = gett_mod.LlmYesNoScorer(backend, transcript)
     else:

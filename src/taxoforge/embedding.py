@@ -22,9 +22,12 @@ import numpy as np
 
 from .corpus import Corpus, Table
 from .errors import BackendError, DimensionMismatchError
-from .remote import in_order, post_json
+from .remote import MAX_ATTEMPTS, in_order, post_json
 
 logger = logging.getLogger(__name__)
+
+EMBED_BATCH_SIZE = 64
+EMBED_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -102,24 +105,14 @@ class RemoteProvider:
     all of one dimension.
     """
 
-    def __init__(
-        self,
-        url: str,
-        model: str,
-        batch_size: int = 64,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-    ):
+    def __init__(self, url: str, model: str):
         self.url = url
         self.model = model
-        self.batch_size = batch_size
-        self.timeout = timeout
-        self.max_retries = max_retries
         self.provider_id = f"remote:{model}"
 
     def _post_batch(self, texts: list[str]) -> list[list[float]]:
         payload = {"model": self.model, "input": texts}
-        body = post_json(self.url, payload, timeout=self.timeout, retries=self.max_retries)
+        body = post_json(self.url, payload, timeout=EMBED_TIMEOUT_S, retries=MAX_ATTEMPTS)
         try:
             vectors = [item["embedding"] for item in body["data"]]
         except (KeyError, TypeError) as exc:
@@ -132,7 +125,7 @@ class RemoteProvider:
         return vectors
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
-        batches = [texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
+        batches = [texts[i : i + EMBED_BATCH_SIZE] for i in range(0, len(texts), EMBED_BATCH_SIZE)]
         results = list(in_order(self._post_batch, batches))
         try:
             matrix = np.array([vec for batch in results for vec in batch], dtype=np.float32)
@@ -159,16 +152,15 @@ class VectorCache:
         return self.dir / f"{key}.vec"
 
     def get(self, key: str) -> np.ndarray | None:
+        """The cached vector; ``None`` when absent, or corrupt (wrong length or a non-finite value)."""
         path = self._path(key)
         if not path.exists():
             return None
         blob = path.read_bytes()
-        if len(blob) < 4:
-            logger.warning("corrupt cache entry %s, ignoring", path)
-            return None
-        (dim,) = struct.unpack("<I", blob[:4])
-        vec = np.frombuffer(blob[4:], dtype="<f4")
-        if vec.shape[0] != dim:
+        vec = None
+        if len(blob) >= 4 and len(blob) == 4 + 4 * struct.unpack_from("<I", blob)[0]:
+            vec = np.frombuffer(blob, dtype="<f4", offset=4)
+        if vec is None or not np.isfinite(vec).all():
             logger.warning("corrupt cache entry %s, ignoring", path)
             return None
         return vec.copy()
@@ -195,31 +187,21 @@ class EmbeddingService:
     def embed_texts(self, texts: list[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, getattr(self.provider, "dim", 0)), dtype=np.float32)
-        unique: list[str] = []
-        index: dict[str, int] = {}
-        for t in texts:
-            if t not in index:
-                index[t] = len(unique)
-                unique.append(t)
-        vectors: list[np.ndarray | None] = [None] * len(unique)
-        missing: list[int] = []
+        # each distinct text, in first-occurrence order, to its vector once known
+        vectors: dict[str, np.ndarray | None] = dict.fromkeys(texts)
         if self.cache is not None:
-            for i, t in enumerate(unique):
-                vectors[i] = self.cache.get(cache_key(self.provider.provider_id, t))
-                if vectors[i] is None:
-                    missing.append(i)
-        else:
-            missing = list(range(len(unique)))
+            for t in vectors:
+                vectors[t] = self.cache.get(cache_key(self.provider.provider_id, t))
+        missing = [t for t, vec in vectors.items() if vec is None]
         if missing:
-            fresh = self.provider.embed_texts([unique[i] for i in missing])
-            for slot, vec in zip(missing, fresh):
-                vectors[slot] = vec
+            for t, vec in zip(missing, self.provider.embed_texts(missing)):
+                vectors[t] = vec
                 if self.cache is not None:
-                    self.cache.put(cache_key(self.provider.provider_id, unique[slot]), vec)
-        dims = {v.shape[0] for v in vectors}
+                    self.cache.put(cache_key(self.provider.provider_id, t), vec)
+        dims = {v.shape[0] for v in vectors.values()}
         if len(dims) > 1:
             raise DimensionMismatchError(f"mixed dims across texts: {sorted(dims)}")
-        return np.stack([vectors[index[t]] for t in texts])
+        return np.stack([vectors[t] for t in texts])
 
     def embed_columns(self, corpus: Corpus, refs: list[ColumnRef]) -> np.ndarray:
         """One row per ref, in ``refs`` order."""

@@ -64,8 +64,13 @@ def load_prompt(name: str) -> str:
 
 @dataclass
 class TypeCandidateList:
-    names: list[str]
+    """Each candidate name, in first-seen order, to the ids of the tables that generated it."""
+
     origin: dict[str, set[str]]
+
+    @property
+    def names(self) -> list[str]:
+        return list(self.origin)
 
 
 @dataclass(frozen=True)
@@ -82,13 +87,10 @@ class EdgeFilter:
 
 
 class ConstantScorer:
-    """Scores every sentence with a fixed value; useful for tests and ablations."""
-
-    def __init__(self, value: float = 1.0):
-        self.value = value
+    """Scores every edge 1.0, so every guarded edge passes; an ablation of the filter."""
 
     def scores(self, edges: list[tuple[str, str]]) -> list[float]:
-        return [self.value] * len(edges)
+        return [1.0] * len(edges)
 
 
 class EmbeddingCosineScorer:
@@ -212,7 +214,6 @@ def flatten(per_table: dict[str, list[str]]) -> TypeCandidateList:
     """Merge per-table names case-insensitively, keeping first casing and origins."""
     if not per_table:
         raise ValueError("no generated types to flatten")
-    names: list[str] = []
     canonical: dict[str, str] = {}
     origin: dict[str, set[str]] = {}
     for table_id in sorted(per_table):
@@ -223,10 +224,9 @@ def flatten(per_table: dict[str, list[str]]) -> TypeCandidateList:
             key = _fold(name)
             if key not in canonical:
                 canonical[key] = name
-                names.append(name)
                 origin[name] = set()
             origin[canonical[key]].add(table_id)
-    return TypeCandidateList(names=names, origin=origin)
+    return TypeCandidateList(origin=origin)
 
 
 def render_outline(tax: Taxonomy) -> str:
@@ -283,12 +283,12 @@ def chain_of_layer(
     several parents in one iteration (the taxonomy is a DAG); candidates
     never placed by the loop are attached directly under the root.
     """
-    if not candidates.names:
+    if not candidates.origin:
         raise ValueError("candidate list is empty")
     # folded name -> name: the root and every type placed so far, and the rest
     placed = {_fold(root_name): root_name}
     unplaced: dict[str, str] = {}
-    for name in candidates.names:
+    for name in candidates.origin:
         key = _fold(name)
         if key in placed:
             raise ValueError(f"root name {root_name!r} collides with a candidate type")
@@ -301,7 +301,7 @@ def chain_of_layer(
     tax.add_type(EntityType(id=root_name, name=root_name, synthetic=True))
 
     def place(name: str) -> None:
-        tax.add_type(EntityType(id=name, name=name, tables=set(candidates.origin.get(name, ()))))
+        tax.add_type(EntityType(id=name, name=name, tables=set(candidates.origin[name])))
         placed[_fold(name)] = unplaced.pop(_fold(name))
 
     demonstration = complete(

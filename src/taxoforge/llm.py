@@ -15,28 +15,30 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import BackendError, EmptyParseError
-from .remote import post_json
+from .remote import MAX_ATTEMPTS, post_json
 
 logger = logging.getLogger(__name__)
 
 CHAT_PATH = "/v1/chat/completions"
+CHAT_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)
 class ChatRequest:
+    """One user prompt; every other request setting is fixed and written to the transcript as is."""
+
     user: str
-    system: str = ""
-    temperature: float = 0.0
-    max_tokens: int = 1024
-    model: str = "default"
+    system: ClassVar[str] = ""
+    temperature: ClassVar[float] = 0.0
+    max_tokens: ClassVar[int] = 1024
+    model: ClassVar[str] = "default"
 
     def __post_init__(self):
         if not self.user:
             raise ValueError("user prompt must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,30 +82,19 @@ class ScriptedChatBackend:
 class RemoteChatBackend:
     """OpenAI-compatible chat client; retries and errors come from ``remote.post_json``."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str = "gpt-4",
-        timeout: float = 120.0,
-        max_retries: int = 3,
-    ):
+    def __init__(self, base_url: str, model: str = "gpt-4", max_retries: int = MAX_ATTEMPTS):
         self.url = base_url.rstrip("/") + CHAT_PATH
         self.model = model
-        self.timeout = timeout
         self.max_retries = max_retries
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        messages = []
-        if req.system:
-            messages.append({"role": "system", "content": req.system})
-        messages.append({"role": "user", "content": req.user})
         payload = {
-            "model": req.model if req.model != "default" else self.model,
-            "messages": messages,
+            "model": self.model,
+            "messages": [{"role": "user", "content": req.user}],
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }
-        body = post_json(self.url, payload, timeout=self.timeout, retries=self.max_retries)
+        body = post_json(self.url, payload, timeout=CHAT_TIMEOUT_S, retries=self.max_retries)
         try:
             choice = body["choices"][0]
             text = choice["message"]["content"]

@@ -29,10 +29,10 @@ ANNOTATION_HEADER = ("table_id", "top_level", "path")
 
 @dataclass
 class GroundTruth:
-    """GT taxonomy plus per-table annotations; type names must be unique."""
+    """GT taxonomy plus each table's annotation path, top-level type first; type names are unique."""
 
     taxonomy: Taxonomy
-    per_table: dict[str, tuple[str, list[str]]]
+    per_table: dict[str, list[str]]
     ids_by_name: dict[str, str] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -46,7 +46,7 @@ class GroundTruth:
         return self.per_table[table_id][0]
 
     def most_specific_of(self, table_id: str) -> str:
-        return self.per_table[table_id][1][-1]
+        return self.per_table[table_id][-1]
 
     def ancestor_names(self, name: str) -> set[str]:
         type_id = self.ids_by_name[name]
@@ -57,7 +57,7 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     """Load the GT taxonomy JSON and the ``table_id,top_level,path`` CSV.
 
     Every annotation path must be a root-to-node path in the GT taxonomy,
-    starting at its declared top-level type.
+    starting at its declared top-level type, and each table is annotated once.
     """
     tax = Taxonomy.load(taxonomy_path)
     gt = GroundTruth(taxonomy=tax, per_table={})
@@ -71,6 +71,8 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
             if len(row) != 3:
                 raise ValueError(f"annotation line {row_no}: expected 3 fields, got {len(row)}")
             table_id, top_level, path_text = (c.strip() for c in row)
+            if table_id in gt.per_table:
+                raise ValueError(f"annotation line {row_no}: duplicate table id {table_id!r}")
             path = [p.strip() for p in path_text.split(PATH_SEPARATOR) if p.strip()]
             if not path or path[0] != top_level:
                 raise ValueError(f"annotation line {row_no}: path must start at the top-level type")
@@ -84,7 +86,7 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
                     raise ValueError(
                         f"annotation line {row_no}: {parent!r} -> {child!r} is not a GT edge"
                     )
-            gt.per_table[table_id] = (top_level, path)
+            gt.per_table[table_id] = path
     if not gt.per_table:
         raise ValueError(f"no annotations in {annotations_path}")
     return gt

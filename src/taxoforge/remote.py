@@ -19,6 +19,7 @@ from time import sleep
 from .errors import BackendError
 
 API_KEY_ENV = "TAXOFORGE_API_KEY"
+MAX_ATTEMPTS = 3
 MAX_IN_FLIGHT = 8
 
 

@@ -84,17 +84,20 @@ def detect_subject(table: Table) -> int:
 
 
 def load_overrides(path: str | Path) -> dict[str, int]:
-    """Parse a subject-column override file: lines of ``table_id,col_index``."""
+    """Parse a subject-column override file: lines of ``table_id,col_index``, one per table."""
     overrides: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         table_id, _, col = line.rpartition(",")
+        table_id = table_id.strip()
         if not table_id:
             raise ValueError(f"override line {line_no}: expected 'table_id,col_index'")
+        if table_id in overrides:
+            raise ValueError(f"override line {line_no}: duplicate table id {table_id!r}")
         try:
-            overrides[table_id.strip()] = int(col)
+            overrides[table_id] = int(col)
         except ValueError as exc:
             raise ValueError(f"override line {line_no}: {exc}") from exc
     return overrides

@@ -75,28 +75,25 @@ class Taxonomy:
         self._require(type_id)
         return set(self._children[type_id])
 
-    def ancestors(self, type_id: str) -> set[str]:
-        """All ids with a directed path to ``type_id``, excluding itself."""
+    def _reachable(self, type_id: str, links: dict[str, set[str]]) -> set[str]:
+        """Every id reached from ``type_id`` by following ``links``, excluding itself."""
         self._require(type_id)
         seen: set[str] = set()
-        stack = list(self._parents[type_id])
+        stack = list(links[type_id])
         while stack:
             cur = stack.pop()
             if cur not in seen:
                 seen.add(cur)
-                stack.extend(self._parents[cur])
+                stack.extend(links[cur])
         return seen
 
+    def ancestors(self, type_id: str) -> set[str]:
+        """All ids with a directed path to ``type_id``, excluding itself."""
+        return self._reachable(type_id, self._parents)
+
     def descendants(self, type_id: str) -> set[str]:
-        self._require(type_id)
-        seen: set[str] = set()
-        stack = list(self._children[type_id])
-        while stack:
-            cur = stack.pop()
-            if cur not in seen:
-                seen.add(cur)
-                stack.extend(self._children[cur])
-        return seen
+        """All ids with a directed path from ``type_id``, excluding itself."""
+        return self._reachable(type_id, self._children)
 
     def associated_tables(self, type_id: str) -> set[str]:
         """Union of directly assigned tables over the type and its descendants."""
@@ -129,8 +126,6 @@ class Taxonomy:
     def stats(self) -> tuple[int, int]:
         """(type count, depth), both excluding synthetic nodes."""
         count = sum(1 for et in self.types.values() if not et.synthetic)
-        if not self.types:
-            return 0, 0
         depth = max(self.levels().values(), default=0)
         return count, depth
 

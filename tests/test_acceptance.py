@@ -66,7 +66,7 @@ def gt_from(types, edges, annotations):
     for table, path in annotations.items():
         tables[path[-1]].add(table)
     tax = build_tax(types, edges, tables=tables)
-    per_table = {table: (path[0], list(path)) for table, path in annotations.items()}
+    per_table = {table: list(path) for table, path in annotations.items()}
     return GroundTruth(taxonomy=tax, per_table=per_table)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import taxoforge
@@ -146,6 +148,27 @@ def test_run_emtt_fixture_golden_digests(planted_dir, tmp_path):
         assert digests == EMTT_GOLDEN_DIGESTS, run
 
 
+def test_run_emtt_recomputes_corrupt_cache_entries(planted_dir, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    extra = ["--cache-dir", str(cache)]
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    assert main(emtt_args(planted_dir, cold, extra=extra)) == 0
+    truncated, nan_filled = sorted(cache.glob("*.vec"))[:2]
+    whole = truncated.read_bytes()
+    truncated.write_bytes(whole[:-1])
+    blob = nan_filled.read_bytes()
+    nan_filled.write_bytes(blob[:4] + np.full((len(blob) - 4) // 4, np.nan, dtype="<f4").tobytes())
+    caplog.clear()
+    assert main(emtt_args(planted_dir, warm, extra=extra)) == 0
+    warned = {r.getMessage() for r in caplog.records if r.levelno == logging.WARNING}
+    assert {f"corrupt cache entry {p}, ignoring" for p in (truncated, nan_filled)} <= warned
+    names = sorted(p.name for p in cold.iterdir())
+    assert names == sorted(p.name for p in warm.iterdir())
+    for name in names:
+        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
+    assert truncated.read_bytes() == whole
+
+
 def test_eval_gt_against_itself(planted_dir, tmp_path, capsys):
     gt_dir = planted_dir / "gt"
     code = run_cli("eval", str(gt_dir / "gt_taxonomy.json"), "--gt", str(gt_dir))
@@ -236,6 +259,15 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     if case == "overrides-bad-col":
         (tmp_path / "overrides.csv").write_text("# table_id,col_index\nveh_car_1,x\n", encoding="utf-8")
         return ["--subject-col-map", str(tmp_path / "overrides.csv")]
+    if case == "overrides-duplicate-table":
+        (tmp_path / "overrides.csv").write_text("uni_col_1,0\nuni_col_1,1\n", encoding="utf-8")
+        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
+    if case == "annotations-duplicate-table":
+        gt_dir = tmp_path / "gt"
+        shutil.copytree(planted_dir / "gt", gt_dir)
+        with (gt_dir / "gt_annotations.csv").open("a", encoding="utf-8") as fh:
+            fh.write("uni_col_1,Universities,Universities>Colleges\n")
+        return ["--gt-path", str(gt_dir)]
     if case.startswith("gt-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
@@ -267,6 +299,8 @@ BAD_RUN_INPUTS = {
     "empty-tables": "no parseable .csv files in",
     "missing-overrides": "absent.csv",
     "overrides-bad-col": "override line 2: invalid literal for int()",
+    "overrides-duplicate-table": "override line 2: duplicate table id 'uni_col_1'",
+    "annotations-duplicate-table": "annotation line 26: duplicate table id 'uni_col_1'",
     "gt-type-without-id": "gt_taxonomy.json: types[0] has no string 'id'",
     "gt-type-without-name": "gt_taxonomy.json: types[0] has no string 'name'",
     "gt-type-is-string": "gt_taxonomy.json: types[0] must be an object",

@@ -202,7 +202,8 @@ def embed_server():
 
 def test_remote_provider_roundtrip(embed_server, monkeypatch):
     monkeypatch.setenv("TAXOFORGE_API_KEY", "sekret")
-    provider = RemoteProvider(url=embed_server, model="m", batch_size=2)
+    monkeypatch.setattr("taxoforge.embedding.EMBED_BATCH_SIZE", 2)
+    provider = RemoteProvider(url=embed_server, model="m")
     vecs = provider.embed_texts(["a", "bb", "ccc"])
     assert vecs.shape == (3, 4)
     assert vecs[1][0] == 2.0
@@ -211,7 +212,7 @@ def test_remote_provider_roundtrip(embed_server, monkeypatch):
 
 def test_remote_provider_retries_then_succeeds(embed_server, sleeps):
     EmbedHandler.fail_first = 2
-    provider = RemoteProvider(url=embed_server, model="m", max_retries=3)
+    provider = RemoteProvider(url=embed_server, model="m")
     vecs = provider.embed_texts(["abc"])
     assert vecs.shape == (1, 4)
     assert sleeps == [1, 2]
@@ -219,7 +220,7 @@ def test_remote_provider_retries_then_succeeds(embed_server, sleeps):
 
 def test_remote_provider_error_after_retries(embed_server, sleeps):
     EmbedHandler.fail_first = 99
-    provider = RemoteProvider(url=embed_server, model="m", max_retries=3)
+    provider = RemoteProvider(url=embed_server, model="m")
     with pytest.raises(BackendError) as err:
         provider.embed_texts(["abc"])
     assert err.value.status == 500
@@ -230,7 +231,7 @@ def test_remote_provider_error_after_retries(embed_server, sleeps):
 
 def test_remote_provider_401_is_sent_once(embed_server, sleeps):
     EmbedHandler.fail_first, EmbedHandler.fail_status = 99, 401
-    provider = RemoteProvider(url=embed_server, model="m", max_retries=3)
+    provider = RemoteProvider(url=embed_server, model="m")
     with pytest.raises(BackendError) as err:
         provider.embed_texts(["abc"])
     assert err.value.status == 401
@@ -261,7 +262,7 @@ def test_remote_provider_401_is_sent_once(embed_server, sleeps):
 )
 def test_remote_provider_malformed_200(embed_server, sleeps, reply, texts):
     EmbedHandler.reply = reply
-    provider = RemoteProvider(url=embed_server, model="m", max_retries=3)
+    provider = RemoteProvider(url=embed_server, model="m")
     with pytest.raises(BackendError):
         provider.embed_texts(texts)
     assert len(EmbedHandler.seen_auth) == 1

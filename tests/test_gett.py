@@ -136,9 +136,9 @@ def test_parse_edge_lines_none_marker():
 
 def test_filter_edges_constant_keep_and_drop():
     edges = [("A", "B"), ("A", "C")]
-    kept = [e for e in filter_edges(edges, ConstantScorer(1.0)) if e.score >= 0.5]
+    kept = [e for e in filter_edges(edges, ConstantScorer()) if e.score >= 0.5]
     assert len(kept) == 2
-    dropped = [e for e in filter_edges(edges, ConstantScorer(0.0)) if e.score >= 0.5]
+    dropped = [e for e in filter_edges(edges, ConstantScorer()) if e.score >= 1.5]
     assert dropped == []
 
 
@@ -168,9 +168,7 @@ def test_llm_yes_no_scorer_two_thirds():
 def cands(names, origin=None):
     from taxoforge.gett import TypeCandidateList
 
-    return TypeCandidateList(
-        names=list(names), origin=origin or {n: {f"tab_{n}"} for n in names}
-    )
+    return TypeCandidateList(origin=origin or {n: {f"tab_{n}"} for n in names})
 
 
 def demo_entry():
@@ -199,7 +197,7 @@ def test_chain_filter_zero_sends_all_to_stragglers():
         [demo_entry(), ('child types of "Thing"', "Thing -> X\nThing -> Y")]
     )
     tax = chain_of_layer(
-        cands(["X", "Y"]), "Thing", backend, EdgeFilter(ConstantScorer(0.0), threshold=0.5)
+        cands(["X", "Y"]), "Thing", backend, EdgeFilter(ConstantScorer(), threshold=1.5)
     )
     # all edges dropped by the filter, so both types attach under the root
     assert tax.edges == [("Thing", "X"), ("Thing", "Y")]

@@ -73,8 +73,6 @@ def test_transcript_counts_calls(tmp_path):
 def test_chat_request_validation():
     with pytest.raises(ValueError):
         ChatRequest(user="")
-    with pytest.raises(ValueError):
-        ChatRequest(user="x", temperature=-1)
 
 
 # --- remote backend -----------------------------------------------------------------
@@ -130,13 +128,14 @@ def chat_server():
 
 def test_remote_backend_roundtrip(chat_server):
     backend = RemoteChatBackend(base_url=chat_server, model="test-model")
-    resp = backend.complete(ChatRequest(user="hello", system="sys", temperature=0.0))
+    resp = backend.complete(ChatRequest(user="hello"))
     assert resp.text == "Hospital\nClinic"
-    payload = ChatHandler.last_payload
-    assert payload["model"] == "test-model"
-    assert payload["messages"][0] == {"role": "system", "content": "sys"}
-    assert payload["messages"][1] == {"role": "user", "content": "hello"}
-    assert payload["temperature"] == 0.0
+    assert ChatHandler.last_payload == {
+        "model": "test-model",
+        "messages": [{"role": "user", "content": "hello"}],
+        "temperature": 0.0,
+        "max_tokens": 1024,
+    }
 
 
 def test_remote_backend_retries(chat_server, sleeps):
@@ -200,8 +199,9 @@ def silent_url():
         yield f"http://127.0.0.1:{sock.getsockname()[1]}"
 
 
-def test_remote_backend_timeout_is_backend_error(silent_url, sleeps):
-    backend = RemoteChatBackend(base_url=silent_url, timeout=0.05, max_retries=2)
+def test_remote_backend_timeout_is_backend_error(silent_url, sleeps, monkeypatch):
+    monkeypatch.setattr("taxoforge.llm.CHAT_TIMEOUT_S", 0.05)
+    backend = RemoteChatBackend(base_url=silent_url, max_retries=2)
     with pytest.raises(BackendError) as err:
         backend.complete(ChatRequest(user="x"))
     assert isinstance(err.value.__cause__, requests.Timeout)

@@ -37,7 +37,7 @@ def gt_from(types, edges, annotations):
     for table, path in annotations.items():
         tables[path[-1]].add(table)
     tax = build_tax(types, edges, tables=tables)
-    per_table = {table: (path[0], list(path)) for table, path in annotations.items()}
+    per_table = {table: list(path) for table, path in annotations.items()}
     return GroundTruth(taxonomy=tax, per_table=per_table)
 
 
@@ -257,7 +257,7 @@ BASE_TAX = {
 def test_load_ground_truth_ok(tmp_path):
     tax_path, ann_path = write_gt(tmp_path, BASE_TAX, ["table_id,top_level,path", "t1,A,A>B"])
     gt = load_ground_truth(tax_path, ann_path)
-    assert gt.per_table == {"t1": ("A", ["A", "B"])}
+    assert gt.per_table == {"t1": ["A", "B"]}
     assert gt.ancestor_names("B") == {"A"}
 
 

@@ -95,7 +95,7 @@ class ChaoticBackend:
 @pytest.mark.parametrize("seed", range(12))
 def test_chain_of_layer_chaotic_backend(seed):
     names = [f"Type{i}" for i in range(8)]
-    candidates = TypeCandidateList(names=list(names), origin={n: {f"tab{n}"} for n in names})
+    candidates = TypeCandidateList(origin={n: {f"tab{n}"} for n in names})
     backend = ChaoticBackend(seed, names)
     try:
         tax = chain_of_layer(candidates, "Thing", backend, EdgeFilter(ConstantScorer()))
