@@ -170,7 +170,7 @@ def cmd_run(cfg: RunConfig) -> int:
     gt = _load_gt(cfg.gt_path) if cfg.gt_path else None
     corpus = ingest(cfg.tables_dir)
     emtt = cfg.method == "emtt"
-    overrides = load_overrides(cfg.subject_col_map) if emtt and cfg.subject_col_map else None
+    overrides = load_overrides(cfg.subject_col_map, corpus) if emtt and cfg.subject_col_map else None
     backend = None if emtt else _make_chat_backend(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -62,11 +62,11 @@ class Merge:
 @dataclass(frozen=True)
 class Dendrogram:
     merges: tuple[Merge, ...]
-    leaf_count: int
 
-    def __post_init__(self):
-        if len(self.merges) != self.leaf_count - 1:
-            raise ValueError("a dendrogram over n leaves has exactly n-1 merges")
+    @property
+    def leaf_count(self) -> int:
+        """A dendrogram over n leaves has exactly n-1 merges."""
+        return len(self.merges) + 1
 
     @property
     def heights(self) -> list[float]:
@@ -175,7 +175,7 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
     for prev, cur in zip(heights, heights[1:]):
         if cur < prev - 1e-9 * max(1.0, abs(prev)):
             logger.warning("non-monotone merge heights: %.17g after %.17g", cur, prev)
-    return Dendrogram(tuple(merges), n)
+    return Dendrogram(tuple(merges))
 
 
 def _leaves(den: Dendrogram, node: int) -> list[int]:

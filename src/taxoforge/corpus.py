@@ -21,16 +21,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class Table:
-    """One ingested entity table.
-
-    ``subject_col`` starts as None and is filled by subject-column
-    detection (or an override file) before the embedding pipeline runs.
-    """
+    """One ingested entity table."""
 
     id: str
     headers: list[str]
     rows: list[list[str]]
-    subject_col: int | None = None
 
     @property
     def n_cols(self) -> int:

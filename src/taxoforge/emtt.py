@@ -87,15 +87,13 @@ def _cluster_refs(
 def identify_top_level(
     corpus: Corpus,
     service: EmbeddingService,
+    subjects: dict[str, int],
     linkage: str = "average",
     k_max: int = DEFAULT_K_MAX,
 ) -> list[TopLevelType]:
-    """Cluster tables by subject-column embeddings; one type per cluster."""
+    """Cluster tables by the embeddings of their ``subjects`` columns; one type per cluster."""
     tables = corpus.tables
-    for t in tables:
-        if t.subject_col is None:
-            raise ValueError(f"table {t.id!r} has no subject column assigned")
-    refs = [ColumnRef(t.id, t.subject_col) for t in tables]
+    refs = [ColumnRef(t.id, subjects[t.id]) for t in tables]
     groups = _cluster_refs(corpus, service, refs, linkage, k_max)
     logger.info("top-level clustering selected k=%d", len(groups))
     return [
@@ -233,7 +231,7 @@ class EmttResult:
         out: dict[str, dict[str, str]] = {}
         for attrs in self.attributes.values():
             for attr in attrs:
-                for ref in sorted(attr.member_columns, key=lambda r: (r.table_id, r.col)):
+                for ref in attr.member_columns:
                     out.setdefault(ref.table_id, {})[str(ref.col)] = attr.id
         return {tid: dict(sorted(cols.items(), key=lambda kv: int(kv[0]))) for tid, cols in sorted(out.items())}
 
@@ -254,9 +252,8 @@ def run_emtt(
     """
     if not 0 <= delta <= 2:
         raise ValueError("delta must be in [0, 2]")
-    if any(t.subject_col is None for t in corpus.tables) or subject_overrides:
-        assign_subjects(corpus, subject_overrides)
-    top_level = identify_top_level(corpus, service, linkage, k_max)
+    subjects = assign_subjects(corpus, subject_overrides)
+    top_level = identify_top_level(corpus, service, subjects, linkage, k_max)
     tax = Taxonomy()
     attributes: dict[str, list[ConceptualAttribute]] = {}
     for tlt in top_level:

@@ -62,6 +62,7 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     tax = Taxonomy.load(taxonomy_path)
     gt = GroundTruth(taxonomy=tax, per_table={})
     names = gt.ids_by_name
+    roots = set(tax.roots)
     with Path(annotations_path).open(newline="", encoding="utf-8") as fh:
         for row_no, row in enumerate(csv.reader(fh), 1):
             if not row or not any(c.strip() for c in row):
@@ -79,7 +80,7 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
             for name in path:
                 if name not in names:
                     raise ValueError(f"annotation line {row_no}: unknown type {name!r}")
-            if names[path[0]] not in tax.roots:
+            if names[path[0]] not in roots:
                 raise ValueError(f"annotation line {row_no}: {path[0]!r} is not a GT root")
             for parent, child in zip(path, path[1:]):
                 if names[child] not in tax.children(names[parent]):
@@ -174,35 +175,27 @@ def match_types(out: Taxonomy, gt: GroundTruth) -> dict[str, str]:
     return mapping
 
 
-def type_consistency(
-    out: Taxonomy, gt: GroundTruth, matching: dict[str, str], type_id: str
-) -> float:
-    """Fraction of non-synthetic output ancestors whose match is a GT ancestor of m(t).
-
-    Roots (no non-synthetic ancestors) score 1; unmatched ancestors count
-    in the denominator but never the numerator.
-    """
-    ancestors = [a for a in out.ancestors(type_id) if not out.types[a].synthetic]
-    if not ancestors:
-        return 1.0
-    gt_ancestors = gt.ancestor_names(matching[type_id])
-    hits = 0
-    for a in ancestors:
-        matched = matching.get(a)
-        if matched is not None and matched in gt_ancestors:
-            hits += 1
-    return hits / len(ancestors)
-
-
 def per_type_consistency(
     out: Taxonomy, gt: GroundTruth, matching: dict[str, str]
 ) -> dict[str, float]:
-    """Type consistency of every matched, non-synthetic output type, in id order."""
-    return {
-        t: type_consistency(out, gt, matching, t)
-        for t in sorted(out.types)
-        if not out.types[t].synthetic and t in matching
-    }
+    """Type consistency of every matched, non-synthetic output type t, in id order.
+
+    It is the fraction of t's non-synthetic output ancestors whose match is
+    a GT ancestor of m(t). Roots (no non-synthetic ancestors) score 1;
+    unmatched ancestors count in the denominator but never the numerator.
+    """
+    scores: dict[str, float] = {}
+    for t in sorted(out.types):
+        if out.types[t].synthetic or t not in matching:
+            continue
+        ancestors = [a for a in out.ancestors(t) if not out.types[a].synthetic]
+        if not ancestors:
+            scores[t] = 1.0
+            continue
+        gt_ancestors = gt.ancestor_names(matching[t])
+        hits = sum(1 for a in ancestors if matching.get(a) in gt_ancestors)
+        scores[t] = hits / len(ancestors)
+    return scores
 
 
 def tcs(out: Taxonomy, gt: GroundTruth, matching: dict[str, str] | None = None) -> float | None:

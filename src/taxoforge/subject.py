@@ -21,17 +21,16 @@ logger = logging.getLogger(__name__)
 
 POSITION_WEIGHT = 0.1
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
 
 
 def is_numeric_or_date(value: str) -> bool:
     """True for integers, decimals, and ISO-8601 dates; everything else is text."""
     v = value.strip()
-    # both patterns and every ISO-8601 date start with a sign, a point or a digit
+    # every number and every ISO-8601 date starts with a sign, a point or a digit
     if not v or not (v[0] in "+-." or v[0].isdecimal()):
         return False
-    if _INT_RE.match(v) or _DECIMAL_RE.match(v):
+    if _DECIMAL_RE.match(v):
         return True
     try:
         date.fromisoformat(v)
@@ -69,22 +68,19 @@ def score_columns(table: Table) -> list[SubjectScore]:
 
 
 def detect_subject(table: Table) -> int:
-    """Pick the subject column and store it on the table.
-
-    Argmax of total score; ties go to the smallest column index.
-    """
-    if table.n_cols < 1 or table.n_rows < 1:
-        raise NoCandidateError(f"table {table.id!r} has no scoreable cells")
-    if all(all(v == "" for v in table.column(c)) for c in range(table.n_cols)):
-        raise NoCandidateError(f"table {table.id!r} is entirely empty")
+    """Pick the subject column: argmax of total score, ties to the smallest column index."""
     scores = score_columns(table)
-    best = max(scores, key=lambda s: (s.total, -s.col))
-    table.subject_col = best.col
-    return best.col
+    # a column's uniqueness is 0 exactly when it has no non-empty cell
+    if all(s.uniqueness == 0 for s in scores):
+        raise NoCandidateError(f"table {table.id!r} has no non-empty cell")
+    return max(scores, key=lambda s: (s.total, -s.col)).col
 
 
-def load_overrides(path: str | Path) -> dict[str, int]:
-    """Parse a subject-column override file: lines of ``table_id,col_index``, one per table."""
+def load_overrides(path: str | Path, corpus: Corpus) -> dict[str, int]:
+    """Parse a subject-column override file: lines of ``table_id,col_index``, one per table.
+
+    Each line must name a table of ``corpus`` and one of its columns.
+    """
     overrides: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -97,22 +93,31 @@ def load_overrides(path: str | Path) -> dict[str, int]:
         if table_id in overrides:
             raise ValueError(f"override line {line_no}: duplicate table id {table_id!r}")
         try:
-            overrides[table_id] = int(col)
+            col_index = int(col)
         except ValueError as exc:
             raise ValueError(f"override line {line_no}: {exc}") from exc
+        try:
+            n_cols = corpus.get(table_id).n_cols
+        except KeyError:
+            raise ValueError(f"override line {line_no}: unknown table id {table_id!r}") from None
+        if not 0 <= col_index < n_cols:
+            raise ValueError(
+                f"override line {line_no}: column {col_index} out of range"
+                f" for {table_id!r} ({n_cols} columns)"
+            )
+        overrides[table_id] = col_index
     return overrides
 
 
-def assign_subjects(corpus: Corpus, overrides: dict[str, int] | None = None) -> None:
-    """Detect (or override) the subject column of every table in the corpus."""
+def assign_subjects(corpus: Corpus, overrides: dict[str, int] | None = None) -> dict[str, int]:
+    """Table id -> subject column, from ``overrides`` where given, else detected."""
     overrides = overrides or {}
+    subjects: dict[str, int] = {}
     for table in corpus.tables:
-        if table.id in overrides:
-            col = overrides[table.id]
-            if not 0 <= col < table.n_cols:
-                raise ValueError(
-                    f"override for {table.id!r} out of range: {col} (ncols={table.n_cols})"
-                )
-            table.subject_col = col
-        else:
-            detect_subject(table)
+        col = overrides.get(table.id)
+        if col is None:
+            col = detect_subject(table)
+        elif not 0 <= col < table.n_cols:
+            raise ValueError(f"override for {table.id!r} out of range: {col} (ncols={table.n_cols})")
+        subjects[table.id] = col
+    return subjects

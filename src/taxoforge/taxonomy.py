@@ -104,14 +104,10 @@ class Taxonomy:
         return out
 
     def top_level_ids(self) -> list[str]:
-        """Non-synthetic types whose proper ancestors are all synthetic."""
-        out = []
-        for tid, et in self.types.items():
-            if et.synthetic:
-                continue
-            if all(self.types[a].synthetic for a in self.ancestors(tid)):
-                out.append(tid)
-        return sorted(out)
+        """Non-synthetic types whose proper ancestors are all synthetic: those at level 1."""
+        return sorted(
+            tid for tid, lvl in self.levels().items() if lvl == 1 and not self.types[tid].synthetic
+        )
 
     def levels(self) -> dict[str, int]:
         """Longest root-to-node path length counted in non-synthetic nodes."""
@@ -184,19 +180,20 @@ class Taxonomy:
             tables = entry.get("tables", [])
             if not isinstance(tables, list) or not all(isinstance(t, str) for t in tables):
                 raise ValueError(f"types[{i}] 'tables' must be a list of strings")
+            synthetic = entry.get("synthetic", False)
+            if not isinstance(synthetic, bool):
+                raise ValueError(f"types[{i}] 'synthetic' must be a boolean")
             tax.add_type(
-                EntityType(
-                    id=entry["id"],
-                    name=entry["name"],
-                    tables=set(tables),
-                    synthetic=bool(entry.get("synthetic", False)),
-                )
+                EntityType(id=entry["id"], name=entry["name"], tables=set(tables), synthetic=synthetic)
             )
         for i, edge in enumerate(edges):
             pair = isinstance(edge, (list, tuple)) and len(edge) == 2
             if not (pair and all(isinstance(e, str) for e in edge)):
                 raise ValueError(f"edges[{i}] must be a [parent, child] pair of type ids")
-            tax.add_edge(*edge)
+            try:
+                tax.add_edge(*edge)
+            except (UnknownTypeError, CycleError) as exc:
+                raise ValueError(f"edges[{i}]: {exc}") from exc
         return tax
 
     @classmethod

@@ -138,7 +138,7 @@ def reference_agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendr
         improved = fresh & (dist[:, i] < row_min)
         row_min[improved] = dist[improved, i]
         row_arg[improved] = i
-    return Dendrogram(tuple(merges), n)
+    return Dendrogram(tuple(merges))
 
 
 def naive_silhouette(dist: list[list[float]], labels: list[int]) -> float:
@@ -277,6 +277,22 @@ def reference_is_numeric_or_date(value: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+# --- taxonomy ---------------------------------------------------------------------
+
+def reference_top_level_ids(tax) -> list[str]:
+    """The per-type ancestor walk that ``Taxonomy.top_level_ids`` replaced, kept verbatim.
+
+    Non-synthetic types whose proper ancestors are all synthetic.
+    """
+    out = []
+    for tid, et in tax.types.items():
+        if et.synthetic:
+            continue
+        if all(tax.types[a].synthetic for a in tax.ancestors(tid)):
+            out.append(tid)
+    return sorted(out)
 
 
 # --- pair-counting metrics ----------------------------------------------------

@@ -243,6 +243,12 @@ def break_gt_taxonomy(tax: dict, case: str):
         first["tables"] = 5
     elif case == "gt-edge-not-pair":
         tax["edges"][0] = 5
+    elif case == "gt-synthetic-not-bool":
+        first["synthetic"] = "false"
+    elif case == "gt-edge-unknown-type":
+        tax["edges"].append(["Vehicles", "Nope"])
+    elif case == "gt-edge-cycle":
+        tax["edges"].append(["Cars", "Vehicles"])
     else:
         assert case == "gt-is-list"
         return []
@@ -261,6 +267,15 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         return ["--subject-col-map", str(tmp_path / "overrides.csv")]
     if case == "overrides-duplicate-table":
         (tmp_path / "overrides.csv").write_text("uni_col_1,0\nuni_col_1,1\n", encoding="utf-8")
+        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
+    if case == "overrides-col-out-of-range":
+        (tmp_path / "overrides.csv").write_text("veh_car_1,0\nuni_col_1,99\n", encoding="utf-8")
+        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
+    if case == "overrides-col-negative":
+        (tmp_path / "overrides.csv").write_text("veh_car_1,0\nuni_col_1,-1\n", encoding="utf-8")
+        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
+    if case == "overrides-unknown-table":
+        (tmp_path / "overrides.csv").write_text("veh_car_1,0\nno_such_table,0\n", encoding="utf-8")
         return ["--subject-col-map", str(tmp_path / "overrides.csv")]
     if case == "annotations-duplicate-table":
         gt_dir = tmp_path / "gt"
@@ -300,12 +315,18 @@ BAD_RUN_INPUTS = {
     "missing-overrides": "absent.csv",
     "overrides-bad-col": "override line 2: invalid literal for int()",
     "overrides-duplicate-table": "override line 2: duplicate table id 'uni_col_1'",
+    "overrides-col-out-of-range": "override line 2: column 99 out of range for 'uni_col_1' (4 columns)",
+    "overrides-col-negative": "override line 2: column -1 out of range for 'uni_col_1' (4 columns)",
+    "overrides-unknown-table": "override line 2: unknown table id 'no_such_table'",
     "annotations-duplicate-table": "annotation line 26: duplicate table id 'uni_col_1'",
     "gt-type-without-id": "gt_taxonomy.json: types[0] has no string 'id'",
     "gt-type-without-name": "gt_taxonomy.json: types[0] has no string 'name'",
     "gt-type-is-string": "gt_taxonomy.json: types[0] must be an object",
     "gt-tables-not-list": "gt_taxonomy.json: types[0] 'tables' must be a list of strings",
     "gt-edge-not-pair": "gt_taxonomy.json: edges[0] must be a [parent, child] pair of type ids",
+    "gt-synthetic-not-bool": "gt_taxonomy.json: types[0] 'synthetic' must be a boolean",
+    "gt-edge-unknown-type": "gt_taxonomy.json: edges[6]: unknown type 'Nope'",
+    "gt-edge-cycle": "gt_taxonomy.json: edges[6]: edge 'Cars' -> 'Vehicles' would create a cycle",
     "gt-is-list": "gt_taxonomy.json: taxonomy must be a JSON object",
     "script-entry-without-response": "script.json: entry 0 has no string 'response'",
     "script-is-object": "script.json: script must be a JSON list",

@@ -45,14 +45,12 @@ def two_domain_corpus() -> tuple[Corpus, dict[str, int]]:
                                [movies, [str(500 + i * 3 + j) for j in range(6)]]))
         plant[f"mov_{i}"] = 1
     tables.sort(key=lambda t: t.id)
-    corpus = Corpus(tables=tables)
-    assign_subjects(corpus)
-    return corpus, plant
+    return Corpus(tables=tables), plant
 
 
 def test_identify_top_level_planted_split():
     corpus, plant = two_domain_corpus()
-    tlts = identify_top_level(corpus, service())
+    tlts = identify_top_level(corpus, service(), assign_subjects(corpus))
     assert len(tlts) == 2
     partitions = {frozenset(t.member_tables) for t in tlts}
     expected = {
@@ -65,8 +63,7 @@ def test_identify_top_level_planted_split():
 def test_identify_top_level_single_table():
     t = table_of("solo", ["name"], [["Ada", "Bo"]])
     corpus = Corpus(tables=[t])
-    assign_subjects(corpus)
-    tlts = identify_top_level(corpus, service())
+    tlts = identify_top_level(corpus, service(), assign_subjects(corpus))
     assert len(tlts) == 1
     assert tlts[0].member_tables == {"solo"}
 
@@ -294,6 +291,14 @@ def test_run_emtt_deterministic(planted_dir):
     out1 = run_emtt(corpus1, service()).taxonomy.to_json()
     out2 = run_emtt(corpus2, service()).taxonomy.to_json()
     assert out1 == out2
+
+
+def test_run_emtt_overrides_do_not_outlive_their_run(planted_dir):
+    corpus = ingest(planted_dir / "tables")
+    overridden = run_emtt(corpus, service(), subject_overrides={"uni_col_1": 1})
+    fresh = run_emtt(ingest(planted_dir / "tables"), service()).taxonomy.to_json()
+    assert overridden.taxonomy.to_json() != fresh
+    assert run_emtt(corpus, service()).taxonomy.to_json() == fresh
 
 
 def test_run_emtt_table_order_invariance(planted_dir):

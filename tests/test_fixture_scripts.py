@@ -1,8 +1,10 @@
-"""The fixture generators under ``scripts/`` reproduce the checked-in fixtures byte for byte."""
+"""The scripts under ``scripts/``: the fixture generators reproduce the checked-in
+fixtures byte for byte, and the demo runs both pipelines on them."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,18 @@ def test_generator_reproduces_checked_in_fixture(tmp_path, monkeypatch, script, 
     monkeypatch.setattr(module, "FIXTURE_DIR", tmp_path)
     module.main()
     assert tree_bytes(tmp_path) == tree_bytes(TESTS / "fixtures" / fixture)
+
+
+def test_fixture_demo_prints_both_summaries(tmp_path, monkeypatch, capsys):
+    module = load_script("run_fixture_demo")
+    monkeypatch.setattr(module, "REPO", tmp_path)
+    module.main_demo()
+    summaries = {}
+    for block in capsys.readouterr().out.split("=== ")[1:]:
+        label, _, body = block.partition(" ===\n")
+        summaries[label] = json.loads(body)
+    emtt = summaries["embedding pipeline on the planted corpus"]
+    gett = summaries["generative pipeline on the scripted corpus"]
+    assert (emtt["type_count"], emtt["depth"], emtt["tcs"]) == (9, 2, 1.0)
+    assert (gett["type_count"], gett["depth"], gett["tcs"]) == (8, 3, 1.0)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["demo-emtt", "demo-gett"]

@@ -25,7 +25,6 @@ def table_of(headers, columns, table_id="t"):
 def test_detect_prefers_distinct_text():
     t = table_of(["name", "revenue"], [["Acme", "Binko", "Corp"], ["5", "5", "7"]])
     assert detect_subject(t) == 0
-    assert t.subject_col == 0
     scores = score_columns(t)
     assert scores[0].uniqueness == 1.0 and scores[0].text_ratio == 1.0
     assert scores[1].text_ratio == 0.0
@@ -45,6 +44,9 @@ def test_no_candidate():
     t = table_of(["a", "b"], [["", ""], ["", ""]])
     with pytest.raises(NoCandidateError):
         detect_subject(t)
+    header_only = Table(id="h", headers=["a", "b"], rows=[])
+    with pytest.raises(NoCandidateError):
+        detect_subject(header_only)
 
 
 def test_row_permutation_invariance():
@@ -111,17 +113,15 @@ def test_numeric_or_date_prefilter_changes_nothing(value):
 
 
 def test_overrides(tmp_path):
-    path = tmp_path / "map.txt"
-    path.write_text("# comment\nt1,1\n", encoding="utf-8")
-    assert load_overrides(path) == {"t1": 1}
     from taxoforge.corpus import Corpus
 
     t1 = table_of(["name", "city"], [["Acme", "Binko"], ["Paris", "Lyon"]], table_id="t1")
     t2 = table_of(["name"], [["Solo", "Duo"]], table_id="t2")
     corpus = Corpus(tables=[t1, t2])
-    assign_subjects(corpus, {"t1": 1})
-    assert t1.subject_col == 1
-    assert t2.subject_col == 0
+    path = tmp_path / "map.txt"
+    path.write_text("# comment\nt1,1\n", encoding="utf-8")
+    assert load_overrides(path, corpus) == {"t1": 1}
+    assert assign_subjects(corpus, {"t1": 1}) == {"t1": 1, "t2": 0}
 
 
 def test_override_out_of_range():

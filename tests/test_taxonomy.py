@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_top_level_ids
 from taxoforge.errors import CycleError, UnknownTypeError
 from taxoforge.taxonomy import EntityType, Taxonomy
 
@@ -150,3 +151,12 @@ def test_parent_tables_superset(dag):
     tax = build(names, edges, tables=tables)
     for p, c in edges:
         assert tax.associated_tables(p) >= tax.associated_tables(c)
+
+
+@given(random_dag(), st.data())
+@settings(max_examples=200)
+def test_top_level_ids_matches_reference(dag, data):
+    names, edges = dag
+    synthetic = data.draw(st.sets(st.sampled_from(names)))
+    tax = build(names, edges, synthetic=synthetic)
+    assert tax.top_level_ids() == reference_top_level_ids(tax)
