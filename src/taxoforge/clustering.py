@@ -20,14 +20,11 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoValidKError
+from .errors import DimensionMismatchError
 
 logger = logging.getLogger(__name__)
 
 LINKAGES = ("average", "complete", "single")
-
-# sentinel for cuts where the silhouette is undefined (k < 2 or k > n-1)
-UNDEFINED_SILHOUETTE = -1.0
 
 
 @dataclass(frozen=True)
@@ -219,11 +216,11 @@ def cut(den: Dendrogram, height: float) -> FlatClustering:
     return next(_cuts(den, [height]))[1]
 
 
-def _mean_silhouette(columns: list[np.ndarray], labels: np.ndarray) -> float:
+def _mean_silhouette(columns: list[np.ndarray], labels: np.ndarray) -> float | None:
     """Mean silhouette from each cluster's column of distance sums to every item."""
     n, k = len(labels), len(columns)
     if k < 2 or k > n - 1:
-        return UNDEFINED_SILHOUETTE
+        return None
     sums = np.stack(columns, axis=1)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     own = counts[labels]
@@ -238,8 +235,8 @@ def _mean_silhouette(columns: list[np.ndarray], labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def silhouette(dm: DistanceMatrix, fc: FlatClustering) -> float:
-    """Mean silhouette coefficient; -1 sentinel outside 2 <= k <= n-1.
+def silhouette(dm: DistanceMatrix, fc: FlatClustering) -> float | None:
+    """Mean silhouette coefficient; ``None`` (undefined) outside 2 <= k <= n-1.
 
     Items in singleton clusters contribute 0, and so do items whose intra
     and nearest-other mean distances are both 0.
@@ -248,7 +245,9 @@ def silhouette(dm: DistanceMatrix, fc: FlatClustering) -> float:
     return _mean_silhouette([dm.d[:, labels == c].sum(axis=1) for c in range(fc.k)], labels)
 
 
-def sweep(dm: DistanceMatrix, den: Dendrogram) -> Iterator[tuple[float, FlatClustering, float]]:
+def sweep(
+    dm: DistanceMatrix, den: Dendrogram
+) -> Iterator[tuple[float, FlatClustering, float | None]]:
     """``(h, cut(den, h), its silhouette)`` at each distinct merge height h, highest first.
 
     Level h applies the first #(merge heights <= h) merges, so k rises
@@ -265,21 +264,11 @@ def sweep(dm: DistanceMatrix, den: Dendrogram) -> Iterator[tuple[float, FlatClus
         yield height, fc, _mean_silhouette(list(sums.values()), np.asarray(fc.labels))
 
 
-def select_k(
-    dm: DistanceMatrix, den: Dendrogram, k_range: tuple[int, int]
-) -> tuple[int, FlatClustering]:
-    """Silhouette-maximizing cluster count over the levels of ``sweep``.
+def select_k(dm: DistanceMatrix, den: Dendrogram, k_max: int) -> FlatClustering | None:
+    """The best-scored level of ``sweep`` with k <= ``k_max``, ties to the smallest k.
 
-    Level h applies the first #(merge heights <= h) merges; counts in the
-    range that no level produces are skipped, and ties go to the smallest k.
+    ``None`` when no such level has a silhouette.
     """
-    lo, hi = k_range
-    n = den.leaf_count
-    if not (2 <= lo <= hi <= n - 1):
-        raise ValueError(f"invalid k range ({lo}, {hi}) for n={n}")
-    levels = takewhile(lambda level: level[1].k <= hi, sweep(dm, den))
-    candidates = [(score, fc) for _, fc, score in levels if fc.k >= lo]
-    if not candidates:
-        raise NoValidKError(f"no k in [{lo}, {hi}] is realizable by a cut")
-    _, fc = max(candidates, key=lambda candidate: candidate[0])
-    return fc.k, fc
+    levels = takewhile(lambda level: level[1].k <= k_max, sweep(dm, den))
+    scored = [(score, fc) for _, fc, score in levels if score is not None]
+    return max(scored, key=lambda level: level[0])[1] if scored else None

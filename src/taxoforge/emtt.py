@@ -26,7 +26,6 @@ from .clustering import (
 )
 from .corpus import Corpus
 from .embedding import ColumnRef, EmbeddingService
-from .errors import NoValidKError
 from .subject import assign_subjects
 from .taxonomy import EntityType, Taxonomy
 
@@ -69,19 +68,15 @@ def _cluster_refs(
     """Group refs by the embeddings of their serialized columns.
 
     Returns the groups of the silhouette-selected cut, or one group of all
-    refs when there are fewer than three or no cut is realizable: the
-    silhouette criterion needs 2 <= k <= n-1 to separate anything.
+    refs when no cut with 2 <= k <= n-1 has a silhouette, as with fewer
+    than three refs (which skip the embed call).
     """
     whole = [list(range(len(refs)))]
     if len(refs) <= 2:
         return whole
     dm = euclidean_matrix(service.embed_columns(corpus, refs))
-    den = agglomerate(dm, linkage)
-    try:
-        _, fc = select_k(dm, den, (2, min(k_max, len(refs) - 1)))
-    except NoValidKError:
-        return whole
-    return fc.groups()
+    fc = select_k(dm, agglomerate(dm, linkage), k_max)
+    return fc.groups() if fc else whole
 
 
 def identify_top_level(
@@ -171,18 +166,16 @@ def prune_dendrogram(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[
 
     The cuts are the levels of ``sweep``: at each distinct merge height h,
     highest first, the first #(merge heights <= h) merges. A cut qualifies
-    when its silhouette exceeds the best score over cuts with 2 <= k <= n-1
-    minus delta; the others carry the -1 sentinel and only qualify under
-    extreme deltas. Each qualifying non-singleton cluster is emitted once, at
-    its highest qualifying height; its parent is the smallest previously
-    emitted strict superset, and its direct members are those in no emitted
-    strict subset.
+    when it has a silhouette (2 <= k <= n-1) and that exceeds the best
+    silhouette minus delta. Each qualifying non-singleton cluster is emitted
+    once, at its highest qualifying height; its parent is the smallest
+    previously emitted strict superset, and its direct members are those in
+    no emitted strict subset.
     """
-    levels = list(sweep(dm, den))
-    valid = [score for _, fc, score in levels if 2 <= fc.k <= den.leaf_count - 1]
-    if not valid:
+    levels = [level for level in sweep(dm, den) if level[2] is not None]
+    if not levels:
         return []
-    max_sil = max(valid)
+    max_sil = max(score for _, _, score in levels)
     emitted: list[tuple[frozenset[int], frozenset[int] | None, float, float]] = []
     # leaf -> smallest cluster emitted so far that holds it. Each level refines
     # the one before, so any one leaf's entry holds its whole group: it is the

@@ -37,12 +37,6 @@ class DimensionMismatchError(TaxoforgeError):
     """Vectors of different dimensions where one dimension was expected."""
 
 
-# --- clustering -----------------------------------------------------------
-
-class NoValidKError(TaxoforgeError):
-    """No cluster count in the requested range is realizable by any dendrogram cut."""
-
-
 # --- taxonomy -------------------------------------------------------------
 
 class CycleError(TaxoforgeError):
@@ -67,12 +61,6 @@ class BackendError(TaxoforgeError):
         self.status = status
         self.body = body
         super().__init__(f"{message}: {body[:200]}" if body else message)
-
-
-# --- llm ------------------------------------------------------------------
-
-class EmptyParseError(TaxoforgeError):
-    """No names survived response parsing."""
 
 
 # --- gett -----------------------------------------------------------------

@@ -28,7 +28,6 @@ import numpy as np
 from .corpus import Corpus, Table, sample_rows, truncate_cell
 from .errors import (
     BackendError,
-    EmptyParseError,
     GenerationFailedError,
     LayerParseError,
     PipelineAbortedError,
@@ -97,22 +96,20 @@ class EmbeddingCosineScorer:
     """Cosine plausibility of child/parent names, rescaled to [0, 1].
 
     No sentence is built; the signal comes entirely from the name
-    embeddings, which keeps the offline path free of a second model.
+    embeddings, which keeps the offline path free of a second model. Each
+    ``scores`` call embeds its names in one ``embed_texts`` call; the
+    service dedupes and caches them.
     """
 
     def __init__(self, service):
         self.service = service
-        self._cache: dict[str, np.ndarray] = {}
-
-    def _vector(self, name: str) -> np.ndarray:
-        if name not in self._cache:
-            self._cache[name] = self.service.embed_texts([name])[0].astype(np.float64)
-        return self._cache[name]
 
     def scores(self, edges: list[tuple[str, str]]) -> list[float]:
+        names = [name for edge in edges for name in edge]
+        vectors = dict(zip(names, self.service.embed_texts(names).astype(np.float64)))
         out = []
         for parent, child in edges:
-            a, b = self._vector(child), self._vector(parent)
+            a, b = vectors[child], vectors[parent]
             denom = float(np.linalg.norm(a) * np.linalg.norm(b))
             cos = float(a @ b) / denom if denom > 0 else 0.0
             out.append(min(1.0, max(0.0, (cos + 1.0) / 2.0)))
@@ -188,17 +185,15 @@ def generate_types(
     if table.n_rows == 0 and table.n_cols == 0:
         raise GenerationFailedError(table.id)
     prompt = build_generation_prompt(table, seed)
-    resp = complete(ChatRequest(user=prompt), backend, transcript)
-    try:
-        return parse_name_list(resp.text)
-    except EmptyParseError:
-        logger.info("repair prompt for table %s", table.id)
+    names = parse_name_list(complete(ChatRequest(user=prompt), backend, transcript).text)
+    if names:
+        return names
+    logger.info("repair prompt for table %s", table.id)
     repair = load_prompt("generation_repair").format(table=serialize_table_block(table, seed))
-    resp = complete(ChatRequest(user=repair), backend, transcript)
-    try:
-        return parse_name_list(resp.text)
-    except EmptyParseError as exc:
-        raise GenerationFailedError(table.id) from exc
+    names = parse_name_list(complete(ChatRequest(user=repair), backend, transcript).text)
+    if not names:
+        raise GenerationFailedError(table.id)
+    return names
 
 
 def normalize_name(name: str) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .errors import BackendError, EmptyParseError
+from .errors import BackendError
 from .remote import MAX_ATTEMPTS, post_json
 
 logger = logging.getLogger(__name__)
@@ -164,7 +164,7 @@ def parse_name_list(text: str) -> list[str]:
     """Extract type names: split on newlines/commas, strip bullets and quotes.
 
     Order is preserved; duplicates are dropped case-insensitively, keeping
-    the first casing seen. Raises EmptyParseError when nothing survives.
+    the first casing seen; ``[]`` when nothing survives.
     """
     names: list[str] = []
     seen: set[str] = set()
@@ -176,6 +176,4 @@ def parse_name_list(text: str) -> list[str]:
         if key not in seen:
             seen.add(key)
             names.append(cleaned)
-    if not names:
-        raise EmptyParseError("no names found in response")
     return names

@@ -183,9 +183,12 @@ class Taxonomy:
             synthetic = entry.get("synthetic", False)
             if not isinstance(synthetic, bool):
                 raise ValueError(f"types[{i}] 'synthetic' must be a boolean")
-            tax.add_type(
-                EntityType(id=entry["id"], name=entry["name"], tables=set(tables), synthetic=synthetic)
-            )
+            try:
+                tax.add_type(
+                    EntityType(entry["id"], entry["name"], tables=set(tables), synthetic=synthetic)
+                )
+            except ValueError as exc:
+                raise ValueError(f"types[{i}]: {exc}") from exc
         for i, edge in enumerate(edges):
             pair = isinstance(edge, (list, tuple)) and len(edge) == 2
             if not (pair and all(isinstance(e, str) for e in edge)):

@@ -141,11 +141,11 @@ def reference_agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendr
     return Dendrogram(tuple(merges))
 
 
-def naive_silhouette(dist: list[list[float]], labels: list[int]) -> float:
+def naive_silhouette(dist: list[list[float]], labels: list[int]) -> float | None:
     n = len(labels)
     k = len(set(labels))
     if k < 2 or k > n - 1:
-        return -1.0
+        return None
     scores = []
     for i in range(n):
         same = [j for j in range(n) if labels[j] == labels[i] and j != i]
@@ -194,13 +194,13 @@ def oracle_prune(merges, leaf_count: int, dist: list[list[float]], delta: float)
             for i in cluster:
                 labels[i] = idx
         cuts.append((h, clusters, naive_silhouette(dist, labels)))
-    valid = [s for _, clusters, s in cuts if 2 <= len(clusters) <= leaf_count - 1]
+    valid = [s for _, _, s in cuts if s is not None]
     if not valid:
         return {}
     max_sil = max(valid)
     emitted: dict[frozenset, frozenset | None] = {}
     for _, clusters, score in cuts:
-        if score <= max_sil - delta:
+        if score is None or score <= max_sil - delta:
             continue
         for cluster in sorted(clusters, key=lambda fs: sorted(fs)):
             if len(cluster) < 2 or cluster in emitted:
@@ -211,26 +211,27 @@ def oracle_prune(merges, leaf_count: int, dist: list[list[float]], delta: float)
 
 
 def reference_prune(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[FragmentNode]:
-    """The pruning loop that ``emtt.prune_dendrogram`` replaced, kept verbatim.
+    """The pruning loop that ``emtt.prune_dendrogram`` replaced, kept verbatim
+    apart from skipping the levels without a silhouette.
 
     Emit subtype clusters from cuts whose silhouette clears the window.
 
     The cuts are the levels of ``sweep``: at each distinct merge height h,
     highest first, the first #(merge heights <= h) merges. A cut qualifies
-    when its silhouette exceeds the best score over cuts with 2 <= k <= n-1
-    minus delta; the others carry the -1 sentinel and only qualify under
-    extreme deltas. Each qualifying non-singleton cluster is emitted once, at
-    its highest qualifying height; its parent is the smallest previously
-    emitted strict superset (unique, because dendrogram clusters are laminar).
+    when it has a silhouette (2 <= k <= n-1) and that exceeds the best
+    silhouette minus delta. Each qualifying non-singleton cluster is emitted
+    once, at its highest qualifying height; its parent is the smallest
+    previously emitted strict superset (unique, because dendrogram clusters
+    are laminar).
     """
     levels = list(sweep(dm, den))
-    valid = [score for _, fc, score in levels if 2 <= fc.k <= den.leaf_count - 1]
+    valid = [score for _, _, score in levels if score is not None]
     if not valid:
         return []
     max_sil = max(valid)
     emitted: dict[frozenset[int], tuple[frozenset[int] | None, float, float]] = {}
     for height, fc, score in levels:
-        if score <= max_sil - delta:
+        if score is None or score <= max_sil - delta:
             continue
         for group in fc.groups():
             cluster = frozenset(group)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (
+from .oracles import (
     brute_purity,
     brute_rand_index,
     brute_tcs,

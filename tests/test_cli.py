@@ -245,6 +245,10 @@ def break_gt_taxonomy(tax: dict, case: str):
         tax["edges"][0] = 5
     elif case == "gt-synthetic-not-bool":
         first["synthetic"] = "false"
+    elif case == "gt-duplicate-type-id":
+        tax["types"].append(dict(first, tables=[]))
+    elif case == "gt-empty-name":
+        first["name"] = ""
     elif case == "gt-edge-unknown-type":
         tax["edges"].append(["Vehicles", "Nope"])
     elif case == "gt-edge-cycle":
@@ -325,6 +329,8 @@ BAD_RUN_INPUTS = {
     "gt-tables-not-list": "gt_taxonomy.json: types[0] 'tables' must be a list of strings",
     "gt-edge-not-pair": "gt_taxonomy.json: edges[0] must be a [parent, child] pair of type ids",
     "gt-synthetic-not-bool": "gt_taxonomy.json: types[0] 'synthetic' must be a boolean",
+    "gt-duplicate-type-id": "gt_taxonomy.json: types[9]: duplicate type id 'Birds'",
+    "gt-empty-name": "gt_taxonomy.json: types[0]: entity type name must be non-empty",
     "gt-edge-unknown-type": "gt_taxonomy.json: edges[6]: unknown type 'Nope'",
     "gt-edge-cycle": "gt_taxonomy.json: edges[6]: edge 'Cars' -> 'Vehicles' would create a cycle",
     "gt-is-list": "gt_taxonomy.json: taxonomy must be a JSON object",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_agglomerate, naive_euclidean, naive_silhouette, reference_agglomerate
+from .oracles import naive_agglomerate, naive_euclidean, naive_silhouette, reference_agglomerate
 from taxoforge.clustering import (
     DistanceMatrix,
     FlatClustering,
@@ -16,7 +16,6 @@ from taxoforge.clustering import (
     sweep,
 )
 from taxoforge.emtt import jaccard_matrix
-from taxoforge.errors import NoValidKError
 
 
 def dm_from(array) -> DistanceMatrix:
@@ -208,7 +207,7 @@ def test_silhouette_two_blobs():
 
 def test_silhouette_sentinel_for_single_cluster():
     fc = FlatClustering((0, 0, 0, 0, 0, 0), 1)
-    assert silhouette(two_blob_matrix(), fc) == -1.0
+    assert silhouette(two_blob_matrix(), fc) is None
 
 
 def test_silhouette_matches_naive_oracle():
@@ -251,15 +250,15 @@ def test_select_k_planted_three_blobs():
     points = planted_blobs(rng, [(0, 0), (50, 0), (0, 50)], per=6)
     dm = euclidean_matrix(points)
     den = agglomerate(dm)
-    k, fc = select_k(dm, den, (2, 10))
-    assert k == 3
+    fc = select_k(dm, den, 10)
+    assert fc.k == 3
 
 
 def test_select_k_single_candidate():
     dm = euclidean_matrix(np.array([[0.0], [1.0], [5.0]]))
     den = agglomerate(dm)
-    k, fc = select_k(dm, den, (2, 2))
-    assert k == 2
+    fc = select_k(dm, den, 2)
+    assert fc.k == 2
 
 
 def test_select_k_ties_resolve_to_smallest_exhaustively():
@@ -268,7 +267,7 @@ def test_select_k_ties_resolve_to_smallest_exhaustively():
         n = int(rng.integers(4, 14))
         dm = random_distance_matrix(rng, n)
         den = agglomerate(dm)
-        k, _ = select_k(dm, den, (2, n - 1))
+        picked = select_k(dm, den, n - 1)
         # exhaustive scan over realizable counts
         heights = den.heights
         candidates = []
@@ -281,24 +280,23 @@ def test_select_k_ties_resolve_to_smallest_exhaustively():
             candidates.append((kk, silhouette(dm, fc)))
         best_score = max(s for _, s in candidates)
         smallest_best = min(kk for kk, s in candidates if s == best_score)
-        assert k == smallest_best
+        assert picked.k == smallest_best
 
 
 def test_select_k_no_valid_k():
     # identical points: every merge at height 0, only k=1 realizable
     dm = euclidean_matrix(np.zeros((4, 2)))
     den = agglomerate(dm)
-    with pytest.raises(NoValidKError):
-        select_k(dm, den, (2, 3))
+    assert select_k(dm, den, 3) is None
 
 
 def test_select_k_scale_invariance():
     rng = np.random.default_rng(2)
     dm = random_distance_matrix(rng, 12)
     scaled = DistanceMatrix(dm.d * 37.5)
-    k1, fc1 = select_k(dm, agglomerate(dm), (2, 11))
-    k2, fc2 = select_k(scaled, agglomerate(scaled), (2, 11))
-    assert k1 == k2
+    fc1 = select_k(dm, agglomerate(dm), 11)
+    fc2 = select_k(scaled, agglomerate(scaled), 11)
+    assert fc1.k == fc2.k
     assert fc1.labels == fc2.labels
 
 
@@ -320,11 +318,10 @@ def test_select_k_non_monotone_heights_picks_only_cuts():
     assert den.heights[2:5] == [0.4714045207910317, 0.4714045207910317, 0.4714045207910316]
     cuts = [cut(den, h) for h in den.heights]
     assert sorted({fc.k for fc in cuts}) == [1, 2, 3, 4, 5, 7, 8, 9]
-    with pytest.raises(NoValidKError):
-        select_k(dm, den, (6, 6))
-    assert select_k(dm, den, (7, 7)) == (7, cut(den, 0.4714045207910316))
-    _, fc = select_k(dm, den, (2, 9))
-    assert fc.labels in {c.labels for c in cuts}
+    for k_max in range(2, 10):
+        assert select_k(dm, den, k_max) in cuts
+    # no level has k = 6, so allowing it adds no candidate
+    assert select_k(dm, den, 6) == select_k(dm, den, 5)
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import requests
 from hypothesis import given, strategies as st
 
 from taxoforge.cli import main
-from taxoforge.errors import BackendError, EmptyParseError
+from taxoforge.errors import BackendError
 from taxoforge.llm import (
     ChatRequest,
     RemoteChatBackend,
@@ -267,9 +267,8 @@ def test_parse_semicolons_not_split():
     assert parse_name_list("Types: School; University") == ["Types: School; University"]
 
 
-def test_parse_empty_raises():
-    with pytest.raises(EmptyParseError):
-        parse_name_list("  \n , , \n ")
+def test_parse_empty_returns_no_names():
+    assert parse_name_list("  \n , , \n ") == []
 
 
 @given(st.lists(st.sampled_from(["Hospital", "School", "Park Lane", "Museum"]), min_size=1, max_size=6))

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from oracles import brute_confusion, brute_purity, brute_rand_index, brute_tcs
+from .oracles import brute_confusion, brute_purity, brute_rand_index, brute_tcs
 from taxoforge.metrics import (
     GroundTruth,
     confusion_counts,

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_is_numeric_or_date
+from .oracles import reference_is_numeric_or_date
 from taxoforge.corpus import Table
 from taxoforge.errors import NoCandidateError
 from taxoforge.subject import (

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reference_top_level_ids
+from .oracles import reference_top_level_ids
 from taxoforge.errors import CycleError, UnknownTypeError
 from taxoforge.taxonomy import EntityType, Taxonomy
 
