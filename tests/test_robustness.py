@@ -63,7 +63,20 @@ def test_run_emtt_random_corpora_invariants(seed):
             assert table not in direct
             direct[table] = et.id
     assert set(direct) == {t.id for t in corpus.tables}
-    assert set(result.toplevel_dict()["assignments"]) == {t.id for t in corpus.tables}
+    # toplevel.json: the taxonomy's top-level types partition the tables, by the report's rule
+    toplevel = result.toplevel_dict()
+    members = toplevel["top_level_types"]
+    assert members == {t: sorted(tax.associated_tables(t)) for t in tax.top_level_ids()}
+    listed = [tid for tables in members.values() for tid in tables]
+    assert sorted(listed) == sorted(t.id for t in corpus.tables)
+    assert toplevel["assignments"] == {tid: top for top, tables in members.items() for tid in tables}
+    # attributes.json: every column of every table in one attribute of its own top-level type
+    attributes = result.attributes_dict()
+    assert set(attributes) == {t.id for t in corpus.tables}
+    for table in corpus.tables:
+        assert set(attributes[table.id]) == {str(col) for col in range(table.n_cols)}
+        prefix = toplevel["assignments"][table.id] + ".attr"
+        assert all(attr.startswith(prefix) for attr in attributes[table.id].values())
     # a fresh corpus and service must reproduce the taxonomy exactly
     rerun = run_emtt(build_random_corpus(seed), EmbeddingService(LocalHashProvider(dim=32)))
     assert rerun.taxonomy.to_json() == tax.to_json()
