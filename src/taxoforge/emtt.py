@@ -35,18 +35,6 @@ DEFAULT_DELTA = 0.15
 DEFAULT_K_MAX = 50
 
 
-@dataclass
-class TopLevelType:
-    id: str
-    member_tables: set[str]
-
-
-@dataclass
-class ConceptualAttribute:
-    id: str
-    member_columns: set[ColumnRef]
-
-
 @dataclass(frozen=True)
 class FragmentNode:
     """One pruned cluster: all members, direct members, and its parent cluster."""
@@ -85,39 +73,34 @@ def identify_top_level(
     subjects: dict[str, int],
     linkage: str = "average",
     k_max: int = DEFAULT_K_MAX,
-) -> list[TopLevelType]:
-    """Cluster tables by the embeddings of their ``subjects`` columns; one type per cluster."""
+) -> list[list[str]]:
+    """Cluster tables by the embeddings of their ``subjects`` columns.
+
+    Returns each cluster's table ids, ascending: groups list indices in
+    order, and the corpus is sorted by id.
+    """
     tables = corpus.tables
     refs = [ColumnRef(t.id, subjects[t.id]) for t in tables]
     groups = _cluster_refs(corpus, service, refs, linkage, k_max)
     logger.info("top-level clustering selected k=%d", len(groups))
-    return [
-        TopLevelType(id=f"tlt{label}", member_tables={tables[i].id for i in group})
-        for label, group in enumerate(groups)
-    ]
+    return [[tables[i].id for i in group] for group in groups]
 
 
 def identify_attributes(
-    tlt: TopLevelType,
+    table_ids: list[str],
     corpus: Corpus,
     service: EmbeddingService,
     linkage: str = "average",
     k_max: int = DEFAULT_K_MAX,
-) -> list[ConceptualAttribute]:
-    """Cluster every column of the type's tables into conceptual attributes.
+) -> list[list[ColumnRef]]:
+    """Cluster every column of the tables into conceptual attributes.
 
-    Each column lands in exactly one attribute.
+    Returns each attribute's columns; each column lands in exactly one.
     """
-    refs = [
-        ColumnRef(tid, col)
-        for tid in sorted(tlt.member_tables)
-        for col in range(corpus.get(tid).n_cols)
-    ]
-    if not refs:
-        return []
+    refs = [ColumnRef(tid, col) for tid in table_ids for col in range(corpus.get(tid).n_cols)]
     return [
-        ConceptualAttribute(id=f"{tlt.id}.attr{label}", member_columns={refs[i] for i in group})
-        for label, group in enumerate(_cluster_refs(corpus, service, refs, linkage, k_max))
+        [refs[i] for i in group]
+        for group in _cluster_refs(corpus, service, refs, linkage, k_max)
     ]
 
 
@@ -127,17 +110,6 @@ def table_attribute_distance(attrs1: set[str], attrs2: set[str]) -> float:
         return 0.0
     union = attrs1 | attrs2
     return 1.0 - len(attrs1 & attrs2) / len(union)
-
-
-def attribute_sets(
-    attributes: list[ConceptualAttribute],
-) -> dict[str, set[str]]:
-    """Per-table set of conceptual attribute ids."""
-    out: dict[str, set[str]] = {}
-    for attr in attributes:
-        for ref in attr.member_columns:
-            out.setdefault(ref.table_id, set()).add(attr.id)
-    return out
 
 
 def jaccard_matrix(table_ids: list[str], attr_sets: dict[str, set[str]]) -> DistanceMatrix:
@@ -207,26 +179,22 @@ def prune_dendrogram(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[
 @dataclass
 class EmttResult:
     taxonomy: Taxonomy
-    top_level: list[TopLevelType]
-    attributes: dict[str, list[ConceptualAttribute]]
+    attributes: dict[ColumnRef, str]
 
     def toplevel_dict(self) -> dict:
+        """Each top-level type of the taxonomy with every table under it, and the inverse."""
+        tax = self.taxonomy
+        members = {top: sorted(tax.associated_tables(top)) for top in tax.top_level_ids()}
         return {
-            "assignments": dict(
-                sorted((tid, tlt.id) for tlt in self.top_level for tid in tlt.member_tables)
-            ),
-            "top_level_types": {
-                tlt.id: sorted(tlt.member_tables) for tlt in self.top_level
-            },
+            "assignments": dict(sorted((tid, top) for top, tids in members.items() for tid in tids)),
+            "top_level_types": members,
         }
 
     def attributes_dict(self) -> dict:
         out: dict[str, dict[str, str]] = {}
-        for attrs in self.attributes.values():
-            for attr in attrs:
-                for ref in attr.member_columns:
-                    out.setdefault(ref.table_id, {})[str(ref.col)] = attr.id
-        return {tid: dict(sorted(cols.items(), key=lambda kv: int(kv[0]))) for tid, cols in sorted(out.items())}
+        for ref, attr in sorted(self.attributes.items(), key=lambda kv: (kv[0].table_id, kv[0].col)):
+            out.setdefault(ref.table_id, {})[str(ref.col)] = attr
+        return out
 
 
 def run_emtt(
@@ -246,24 +214,27 @@ def run_emtt(
     if not 0 <= delta <= 2:
         raise ValueError("delta must be in [0, 2]")
     subjects = assign_subjects(corpus, subject_overrides)
-    top_level = identify_top_level(corpus, service, subjects, linkage, k_max)
     tax = Taxonomy()
-    attributes: dict[str, list[ConceptualAttribute]] = {}
-    for tlt in top_level:
-        attrs = identify_attributes(tlt, corpus, service, linkage, k_max)
-        attributes[tlt.id] = attrs
-        member_ids = sorted(tlt.member_tables)
+    attributes: dict[ColumnRef, str] = {}
+    for k, member_ids in enumerate(identify_top_level(corpus, service, subjects, linkage, k_max)):
+        tlt_id = f"tlt{k}"
+        attr_sets: dict[str, set[str]] = {tid: set() for tid in member_ids}
+        for j, refs in enumerate(identify_attributes(member_ids, corpus, service, linkage, k_max)):
+            attr_id = f"{tlt_id}.attr{j}"
+            for ref in refs:
+                attributes[ref] = attr_id
+                attr_sets[ref.table_id].add(attr_id)
         fragment: list[FragmentNode] = []
         if len(member_ids) >= 2:
-            dm = jaccard_matrix(member_ids, attribute_sets(attrs))
+            dm = jaccard_matrix(member_ids, attr_sets)
             fragment = prune_dendrogram(agglomerate(dm, linkage), dm, delta)
         claimed = {member_ids[i] for node in fragment for i in node.members}
-        tax.add_type(EntityType(id=tlt.id, name=tlt.id, tables=tlt.member_tables - claimed))
-        node_ids: dict[frozenset[int] | None, str] = {None: tlt.id}
+        tax.add_type(EntityType(id=tlt_id, name=tlt_id, tables=set(member_ids) - claimed))
+        node_ids: dict[frozenset[int] | None, str] = {None: tlt_id}
         for idx, node in enumerate(fragment):
-            node_id = node_ids[node.members] = f"{tlt.id}.sub{idx}"
+            node_id = node_ids[node.members] = f"{tlt_id}.sub{idx}"
             tax.add_type(
                 EntityType(id=node_id, name=node_id, tables={member_ids[i] for i in node.direct})
             )
             tax.add_edge(node_ids[node.parent], node_id)
-    return EmttResult(taxonomy=tax, top_level=top_level, attributes=attributes)
+    return EmttResult(taxonomy=tax, attributes=attributes)

@@ -194,16 +194,16 @@ def test_criterion_3_planted_recovery(planted_dir):
         assert rep["type_count"] == 9
         # plant contract: intra-subtype Jaccard distance 0, inter >= 0.6,
         # and the emitted fragments agree with the exhaustive-cut oracle
-        from taxoforge.emtt import attribute_sets
-
-        for tlt in result.top_level:
-            sets = attribute_sets(result.attributes[tlt.id])
-            ids = sorted(tlt.member_tables)
+        sets: dict[str, set[str]] = {}
+        for ref, attr in result.attributes.items():
+            sets.setdefault(ref.table_id, set()).add(attr)
+        for tlt in result.taxonomy.top_level_ids():
+            ids = sorted(result.taxonomy.associated_tables(tlt))
             dm = jaccard_matrix(ids, sets)
             subtypes = [
                 et.tables
                 for et in result.taxonomy.types.values()
-                if et.id.startswith(f"{tlt.id}.")
+                if et.id.startswith(f"{tlt}.")
             ]
             for block in subtypes:
                 idx = [ids.index(t) for t in block]

@@ -52,7 +52,7 @@ def test_identify_top_level_planted_split():
     corpus, plant = two_domain_corpus()
     tlts = identify_top_level(corpus, service(), assign_subjects(corpus))
     assert len(tlts) == 2
-    partitions = {frozenset(t.member_tables) for t in tlts}
+    partitions = {frozenset(t) for t in tlts}
     expected = {
         frozenset(tid for tid, lab in plant.items() if lab == 0),
         frozenset(tid for tid, lab in plant.items() if lab == 1),
@@ -65,7 +65,7 @@ def test_identify_top_level_single_table():
     corpus = Corpus(tables=[t])
     tlts = identify_top_level(corpus, service(), assign_subjects(corpus))
     assert len(tlts) == 1
-    assert tlts[0].member_tables == {"solo"}
+    assert tlts[0] == ["solo"]
 
 
 def test_identify_attributes_shared_vocab_merges():
@@ -73,37 +73,29 @@ def test_identify_attributes_shared_vocab_merges():
     t1 = table_of("t1", ["location", "staff"], [cities, ["5", "8", "5", "9"]])
     t2 = table_of("t2", ["place", "budget"], [cities, ["100", "330", "87", "12"]])
     corpus = Corpus(tables=[t1, t2])
-    from taxoforge.emtt import TopLevelType
-
-    tlt = TopLevelType(id="tlt0", member_tables={"t1", "t2"})
-    attrs = identify_attributes(tlt, corpus, service())
+    attrs = identify_attributes(["t1", "t2"], corpus, service())
     by_col = {}
-    for attr in attrs:
-        for ref in attr.member_columns:
-            by_col[(ref.table_id, ref.col)] = attr.id
+    for label, attr in enumerate(attrs):
+        for ref in attr:
+            by_col[(ref.table_id, ref.col)] = label
     assert by_col[("t1", 0)] == by_col[("t2", 0)]  # location ~ place
     assert by_col[("t1", 1)] != by_col[("t1", 0)]
 
 
 def test_identify_attributes_partition_property():
     corpus, _ = two_domain_corpus()
-    from taxoforge.emtt import TopLevelType
-
-    members = {t.id for t in corpus.tables if t.id.startswith("com_")}
-    tlt = TopLevelType(id="tlt0", member_tables=members)
-    attrs = identify_attributes(tlt, corpus, service())
+    members = [t.id for t in corpus.tables if t.id.startswith("com_")]
+    attrs = identify_attributes(members, corpus, service())
     total_columns = sum(corpus.get(tid).n_cols for tid in members)
-    assert sum(len(a.member_columns) for a in attrs) == total_columns
-    all_refs = [ref for a in attrs for ref in a.member_columns]
+    assert sum(len(a) for a in attrs) == total_columns
+    all_refs = [ref for a in attrs for ref in a]
     assert len(all_refs) == len(set(all_refs))
 
 
 def test_identify_attributes_single_column():
     t = table_of("t1", ["only"], [["x", "y"]])
     corpus = Corpus(tables=[t])
-    from taxoforge.emtt import TopLevelType
-
-    attrs = identify_attributes(TopLevelType(id="a", member_tables={"t1"}), corpus, service())
+    attrs = identify_attributes(["t1"], corpus, service())
     assert len(attrs) == 1
 
 
@@ -326,4 +318,4 @@ def test_run_emtt_identical_attributes_no_subtypes():
     result = run_emtt(corpus, service())
     tax = result.taxonomy
     assert all("." not in tid for tid in tax.types), "no subtypes expected"
-    assert len(tax.types) == len(result.top_level)
+    assert sorted(tax.types) == tax.top_level_ids()
