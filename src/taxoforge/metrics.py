@@ -15,9 +15,10 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from .taxonomy import Taxonomy
 
@@ -53,6 +54,16 @@ class GroundTruth:
         return {self.taxonomy.types[a].name for a in self.taxonomy.ancestors(type_id)}
 
 
+def _annotation_rows(fh: TextIO) -> Iterator[list[str]]:
+    """The CSV rows of ``fh``; a row the csv module rejects, such as one with
+    a field over its size limit, is a ValueError naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"annotation line {reader.line_num}: {exc}") from exc
+
+
 def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -> GroundTruth:
     """Load the GT taxonomy JSON and the ``table_id,top_level,path`` CSV.
 
@@ -64,7 +75,7 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     names = gt.ids_by_name
     roots = set(tax.roots)
     with Path(annotations_path).open(newline="", encoding="utf-8") as fh:
-        for row_no, row in enumerate(csv.reader(fh), 1):
+        for row_no, row in enumerate(_annotation_rows(fh), 1):
             if not row or not any(c.strip() for c in row):
                 continue
             if tuple(c.strip() for c in row) == ANNOTATION_HEADER:

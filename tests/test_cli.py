@@ -281,11 +281,16 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     if case == "overrides-unknown-table":
         (tmp_path / "overrides.csv").write_text("veh_car_1,0\nno_such_table,0\n", encoding="utf-8")
         return ["--subject-col-map", str(tmp_path / "overrides.csv")]
-    if case == "annotations-duplicate-table":
+    if case.startswith("annotations-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
+        line = {
+            "annotations-duplicate-table": "uni_col_1,Universities,Universities>Colleges",
+            # one field past the csv module's default limit of 131072 characters
+            "annotations-field-too-large": "uni_col_1,Universities," + "x" * 131073,
+        }[case]
         with (gt_dir / "gt_annotations.csv").open("a", encoding="utf-8") as fh:
-            fh.write("uni_col_1,Universities,Universities>Colleges\n")
+            fh.write(line + "\n")
         return ["--gt-path", str(gt_dir)]
     if case.startswith("gt-"):
         gt_dir = tmp_path / "gt"
@@ -323,6 +328,7 @@ BAD_RUN_INPUTS = {
     "overrides-col-negative": "override line 2: column -1 out of range for 'uni_col_1' (4 columns)",
     "overrides-unknown-table": "override line 2: unknown table id 'no_such_table'",
     "annotations-duplicate-table": "annotation line 26: duplicate table id 'uni_col_1'",
+    "annotations-field-too-large": "annotation line 26: field larger than field limit (131072)",
     "gt-type-without-id": "gt_taxonomy.json: types[0] has no string 'id'",
     "gt-type-without-name": "gt_taxonomy.json: types[0] has no string 'name'",
     "gt-type-is-string": "gt_taxonomy.json: types[0] must be an object",
