@@ -17,8 +17,6 @@ class MalformedTableError(TaxoforgeError):
     """A data row is longer than the header row."""
 
     def __init__(self, table_id: str, row_index: int, row_len: int, header_len: int):
-        self.table_id = table_id
-        self.row_index = row_index
         super().__init__(
             f"table {table_id!r}: row {row_index} has {row_len} cells, "
             f"header has {header_len}"
@@ -43,8 +41,6 @@ class CycleError(TaxoforgeError):
     """Adding an edge would create a directed cycle."""
 
     def __init__(self, parent: str, child: str):
-        self.parent = parent
-        self.child = child
         super().__init__(f"edge {parent!r} -> {child!r} would create a cycle")
 
 
@@ -69,7 +65,6 @@ class GenerationFailedError(TaxoforgeError):
     """A table's type generation failed even after the repair prompt."""
 
     def __init__(self, table_id: str):
-        self.table_id = table_id
         super().__init__(f"type generation failed for table {table_id!r}")
 
 
@@ -77,7 +72,6 @@ class LayerParseError(TaxoforgeError):
     """A layering iteration produced no parseable edges twice in a row."""
 
     def __init__(self, iteration: int):
-        self.iteration = iteration
         super().__init__(f"no parseable edges in iteration {iteration} (after retry)")
 
 

@@ -182,8 +182,6 @@ def generate_types(
     transcript: TranscriptLogger | None = None,
 ) -> list[str]:
     """One generation round plus one repair round; then the table fails."""
-    if table.n_rows == 0 and table.n_cols == 0:
-        raise GenerationFailedError(table.id)
     prompt = build_generation_prompt(table, seed)
     names = parse_name_list(complete(ChatRequest(user=prompt), backend, transcript).text)
     if names:
