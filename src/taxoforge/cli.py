@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +93,10 @@ class RunConfig:
         for name in ("embed_dim", "k_max"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
+        if math.isnan(self.edge_threshold):
+            raise ValueError("edge_threshold must not be NaN")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         embeds = self.method == "emtt" or self.edge_scorer == "cosine"
         if self.embedder == "remote" and embeds and not self.embed_url:
             raise ValueError("remote embedder requires --embed-url")

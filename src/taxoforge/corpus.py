@@ -1,9 +1,9 @@
 """Table corpus ingestion and shared row/cell utilities.
 
-A corpus is a directory of ``<id>.csv`` files (UTF-8, comma-delimited,
-RFC-4180 quoting). The first row of each file is taken as the header row;
-data rows shorter than the header are padded with empty strings, longer
-rows are rejected.
+A corpus is a directory of ``<id>.csv`` files (UTF-8 with an optional
+byte-order mark, comma-delimited, RFC-4180 quoting). The first row of each
+file is taken as the header row; data rows shorter than the header are
+padded with empty strings, longer rows are rejected.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _dedupe_headers(headers: list[str]) -> list[str]:
 def _read_table(path: Path) -> Table | None:
     table_id = path.stem
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             raw = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

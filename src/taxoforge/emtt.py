@@ -182,12 +182,11 @@ class EmttResult:
     attributes: dict[ColumnRef, str]
 
     def toplevel_dict(self) -> dict:
-        """Each top-level type of the taxonomy with every table under it, and the inverse."""
+        """The taxonomy's top-level tables and assignment, the maps the report scores."""
         tax = self.taxonomy
-        members = {top: sorted(tax.associated_tables(top)) for top in tax.top_level_ids()}
         return {
-            "assignments": dict(sorted((tid, top) for top, tids in members.items() for tid in tids)),
-            "top_level_types": members,
+            "assignments": tax.top_level_assignment(),
+            "top_level_types": {top: sorted(tables) for top, tables in tax.top_level_tables().items()},
         }
 
     def attributes_dict(self) -> dict:

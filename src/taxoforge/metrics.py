@@ -74,7 +74,7 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     gt = GroundTruth(taxonomy=tax, per_table={})
     names = gt.ids_by_name
     roots = set(tax.roots)
-    with Path(annotations_path).open(newline="", encoding="utf-8") as fh:
+    with Path(annotations_path).open(newline="", encoding="utf-8-sig") as fh:
         for row_no, row in enumerate(_annotation_rows(fh), 1):
             if not row or not any(c.strip() for c in row):
                 continue
@@ -104,31 +104,9 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     return gt
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-def confusion_counts(out_labels: list, gt_labels: list) -> ConfusionCounts:
-    """Pair counts via contingency sums (equivalent to all-pairs enumeration)."""
-    n = len(out_labels)
-    pair_counter = Counter(zip(out_labels, gt_labels))
-    out_counter = Counter(out_labels)
-    gt_counter = Counter(gt_labels)
-    tp = sum(c * (c - 1) // 2 for c in pair_counter.values())
-    same_out = sum(c * (c - 1) // 2 for c in out_counter.values())
-    same_gt = sum(c * (c - 1) // 2 for c in gt_counter.values())
-    total = n * (n - 1) // 2
-    fp = same_out - tp
-    fn = same_gt - tp
-    return ConfusionCounts(tp=tp, tn=total - tp - fp - fn, fp=fp, fn=fn)
+def _pairs(counts: Counter) -> int:
+    """Pairs of items that share a key, over every key of ``counts``."""
+    return sum(c * (c - 1) // 2 for c in counts.values())
 
 
 def _mean(values: Collection[float]) -> float | None:
@@ -137,17 +115,24 @@ def _mean(values: Collection[float]) -> float | None:
 
 
 def rand_index(out_assign: dict[str, str], gt: GroundTruth) -> float | None:
-    """(TP + TN) / all pairs, over tables present on both sides; ``None`` below 2 tables."""
+    """Share of table pairs both sides put together or both put apart.
+
+    Counts only tables present on both sides; ``None`` below 2 tables.
+    """
     shared = sorted(set(out_assign) & set(gt.per_table))
     excluded = sorted((set(out_assign) | set(gt.per_table)) - set(shared))
     if excluded:
         logger.info("rand_index excludes %d tables absent from one side", len(excluded))
     if len(shared) < 2:
         return None
-    counts = confusion_counts(
-        [out_assign[t] for t in shared], [gt.top_level_of(t) for t in shared]
-    )
-    return (counts.tp + counts.tn) / counts.total
+    out_labels = [out_assign[t] for t in shared]
+    gt_labels = [gt.top_level_of(t) for t in shared]
+    # agreeing pairs: all pairs minus those that only one side puts together
+    both = _pairs(Counter(zip(out_labels, gt_labels)))
+    only_out = _pairs(Counter(out_labels)) - both
+    only_gt = _pairs(Counter(gt_labels)) - both
+    total = len(shared) * (len(shared) - 1) // 2
+    return (total - only_out - only_gt) / total
 
 
 def _majority(names: list[str]) -> str:
@@ -216,20 +201,6 @@ def tcs(out: Taxonomy, gt: GroundTruth, matching: dict[str, str] | None = None) 
     return _mean(per_type_consistency(out, gt, matching).values())
 
 
-def top_level_assignment(tax: Taxonomy) -> dict[str, str]:
-    """Map each table to a top-level type whose subtree contains it.
-
-    With a DAG a table can fall under several top-level types; the
-    lexicographically smallest id wins so reruns are stable.
-    """
-    assignment: dict[str, str] = {}
-    for top in tax.top_level_ids():
-        for table in tax.associated_tables(top):
-            if table not in assignment or top < assignment[table]:
-                assignment[table] = top
-    return assignment
-
-
 def report(out: Taxonomy, gt: GroundTruth) -> dict:
     """All metrics plus the matching table and exclusions, as a JSON-ready dict.
 
@@ -237,7 +208,7 @@ def report(out: Taxonomy, gt: GroundTruth) -> dict:
     nothing matched) are ``None``, which JSON writes as null.
     """
     matching = match_types(out, gt)
-    assignment = top_level_assignment(out)
+    assignment = out.top_level_assignment()
     shared = set(assignment) & set(gt.per_table)
     excluded = sorted((set(assignment) | set(gt.per_table)) - shared)
     per_type = per_type_consistency(out, gt, matching)
@@ -248,7 +219,7 @@ def report(out: Taxonomy, gt: GroundTruth) -> dict:
     )
     return {
         "rand_index": rand_index(assignment, gt),
-        "purity": purity({t: out.associated_tables(t) for t in out.top_level_ids()}, gt),
+        "purity": purity(out.top_level_tables(), gt),
         "tcs": _mean(per_type.values()),
         "type_count": type_count,
         "depth": depth,

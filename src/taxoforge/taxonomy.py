@@ -109,6 +109,22 @@ class Taxonomy:
             tid for tid, lvl in self.levels().items() if lvl == 1 and not self.types[tid].synthetic
         )
 
+    def top_level_tables(self) -> dict[str, set[str]]:
+        """Each top-level type's associated tables, in id order."""
+        return {top: self.associated_tables(top) for top in self.top_level_ids()}
+
+    def top_level_assignment(self) -> dict[str, str]:
+        """Each table's top-level type, in table-id order.
+
+        In a DAG a table can sit under several top-level types; the smallest
+        id wins, so reruns are stable.
+        """
+        assignment: dict[str, str] = {}
+        for top, tables in self.top_level_tables().items():
+            for table in tables:
+                assignment.setdefault(table, top)
+        return dict(sorted(assignment.items()))
+
     def levels(self) -> dict[str, int]:
         """Longest root-to-node path length counted in non-synthetic nodes."""
         order = self.topological_order()

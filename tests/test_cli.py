@@ -428,8 +428,10 @@ def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch, f):
         (["--delta", "2.5"], "delta must be in [0, 2]"),
         (["--embed-dim", "1"], "embed_dim must be >= 2"),
         (["--k-max", "1"], "k_max must be >= 2"),
+        (["--edge-threshold", "nan"], "edge_threshold must not be NaN"),
+        (["--max-iters", "-1"], "max_iters must be >= 0"),
     ],
-    ids=["delta", "embed-dim", "k-max"],
+    ids=["delta", "embed-dim", "k-max", "edge-threshold-nan", "max-iters"],
 )
 def test_run_delta_out_of_range(planted_dir, tmp_path, capsys, flags, message):
     out_dir = tmp_path / "out"

@@ -32,6 +32,14 @@ def test_ingest_trims_and_pads(tmp_path):
     assert table.rows == [["Acme", "Paris"], ["Solo", ""]]
 
 
+def test_ingest_strips_byte_order_mark(tmp_path):
+    # spreadsheet exports often start with a UTF-8 BOM; it is not part of the first header
+    (tmp_path / "t.csv").write_bytes("\ufeffname,age\nAda,36\n".encode("utf-8"))
+    table = ingest(tmp_path).get("t")
+    assert table.headers == ["name", "age"]
+    assert table.rows == [["Ada", "36"]]
+
+
 def test_ingest_dedupes_headers(tmp_path):
     write_csv(tmp_path / "t.csv", [["name", "name", "name"], ["a", "b", "c"]])
     table = ingest(tmp_path).get("t")

@@ -4,17 +4,16 @@ import json
 import random
 
 import pytest
-from .oracles import brute_confusion, brute_purity, brute_rand_index, brute_tcs
+from .oracles import brute_purity, brute_rand_index, brute_tcs
+from taxoforge.emtt import EmttResult
 from taxoforge.metrics import (
     GroundTruth,
-    confusion_counts,
     load_ground_truth,
     match_types,
     purity,
     rand_index,
     report,
     tcs,
-    top_level_assignment,
 )
 from taxoforge.taxonomy import EntityType, Taxonomy
 
@@ -59,8 +58,6 @@ def test_rand_index_worked_example():
     gt = simple_gt({"a": "X", "b": "X", "c": "X", "d": "Y"})
     out = {"a": "p", "b": "p", "c": "q", "d": "q"}
     assert rand_index(out, gt) == pytest.approx(0.5, abs=0)
-    counts = confusion_counts(["p", "p", "q", "q"], ["X", "X", "X", "Y"])
-    assert (counts.tp, counts.tn, counts.fp, counts.fn) == (1, 2, 1, 2)
 
 
 def test_rand_index_excludes_one_sided_tables():
@@ -84,15 +81,18 @@ def test_rand_index_relabeling_symmetry():
     assert rand_index(out, gt) == rand_index(relabeled, gt)
 
 
-def test_confusion_total_invariant():
+def test_rand_index_matches_brute_force():
     rng = random.Random(0)
     for _ in range(50):
         n = rng.randint(2, 25)
         out = [rng.randint(0, 4) for _ in range(n)]
         gt = [rng.randint(0, 4) for _ in range(n)]
-        counts = confusion_counts(out, gt)
-        assert counts.total == n * (n - 1) // 2
-        assert (counts.tp, counts.tn, counts.fp, counts.fn) == brute_confusion(out, gt)
+        tables = [f"t{i:02d}" for i in range(n)]
+        value = rand_index(
+            {t: str(o) for t, o in zip(tables, out)},
+            simple_gt({t: str(g) for t, g in zip(tables, gt)}),
+        )
+        assert value == brute_rand_index(out, gt)
 
 
 # --- purity ---------------------------------------------------------------------
@@ -224,14 +224,25 @@ def test_report_deterministic_json():
     assert rep1 == rep2
 
 
-def test_top_level_assignment_dag_deterministic():
-    out = build_tax(
+def diamond() -> Taxonomy:
+    """Synthetic ``r`` over ``a`` and ``b``, which share the child ``c`` holding ``t1``."""
+    return build_tax(
         ["r", "a", "b", "c"],
         [("r", "a"), ("r", "b"), ("a", "c"), ("b", "c")],
         tables={"c": {"t1"}},
         synthetic={"r"},
     )
-    assert top_level_assignment(out) == {"t1": "a"}
+
+
+def test_top_level_assignment_dag_deterministic():
+    assert diamond().top_level_assignment() == {"t1": "a"}
+
+
+def test_toplevel_json_and_report_share_one_rule():
+    # toplevel.json and rand_index read the same map, ties to the smallest id
+    tax = diamond()
+    toplevel = EmttResult(tax, {}).toplevel_dict()
+    assert toplevel["assignments"] == tax.top_level_assignment() == {"t1": "a"}
 
 
 # --- ground truth loading ------------------------------------------------------------
@@ -259,6 +270,15 @@ def test_load_ground_truth_ok(tmp_path):
     gt = load_ground_truth(tax_path, ann_path)
     assert gt.per_table == {"t1": ["A", "B"]}
     assert gt.ancestor_names("B") == {"A"}
+
+
+def test_load_ground_truth_accepts_byte_order_mark(planted_dir, tmp_path):
+    # spreadsheet exports often start with a UTF-8 BOM; it is not part of the header
+    gt_dir = planted_dir / "gt"
+    bom_path = tmp_path / "gt_annotations.csv"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + (gt_dir / "gt_annotations.csv").read_bytes())
+    plain = load_ground_truth(gt_dir / "gt_taxonomy.json", gt_dir / "gt_annotations.csv")
+    assert load_ground_truth(gt_dir / "gt_taxonomy.json", bom_path).per_table == plain.per_table
 
 
 def test_load_ground_truth_rejects_bad_path(tmp_path):
