@@ -7,6 +7,10 @@ only environment input is the API key (``remote.API_KEY_ENV``), so secrets
 never live in config files. All randomness flows from --seed. Every
 subcommand exits 0 on success and 1 on any error, with one ``error:`` line
 on stderr; ``run`` exits 2 when some gett tables failed.
+
+``emtt`` and ``embedding`` load numpy, so they are imported only where a run
+clusters or embeds: ``eval``, ``stats``, ``ingest-check`` and gett with the
+``llm`` or ``constant`` edge scorer never load it.
 """
 
 from __future__ import annotations
@@ -20,14 +24,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import emtt as emtt_mod
 from . import gett as gett_mod
 from . import metrics as metrics_mod
-from .clustering import LINKAGES
 from .corpus import ingest
-from .embedding import EmbeddingService, LocalHashProvider, RemoteProvider
 from .errors import TaxoforgeError
 from .llm import RemoteChatBackend, ScriptedChatBackend, TranscriptLogger
+from .options import DEFAULT_DELTA, DEFAULT_K_MAX, LINKAGES
 from .subject import load_overrides
 from .taxonomy import Taxonomy
 
@@ -59,7 +61,7 @@ class RunConfig:
     method: str = "emtt"
     embedder: str = "local-hash"
     llm: str = "scripted"
-    delta: float = emtt_mod.DEFAULT_DELTA
+    delta: float = DEFAULT_DELTA
     linkage: str = "average"
     seed: int = 0
     out_dir: str = "out"
@@ -71,7 +73,7 @@ class RunConfig:
     embed_url: str | None = None
     embed_model: str = "sbert"
     embed_dim: int = 64
-    k_max: int = emtt_mod.DEFAULT_K_MAX
+    k_max: int = DEFAULT_K_MAX
     edge_scorer: str = "cosine"
     edge_threshold: float = 0.5
     root_name: str = gett_mod.DEFAULT_ROOT
@@ -106,7 +108,7 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     """``RunConfig`` field -> converted value; unknown keys and bad values are errors, ``-`` reads as ``_``."""
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -136,7 +138,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _make_embedding_service(cfg: RunConfig) -> EmbeddingService:
+def _make_embedding_service(cfg: RunConfig):
+    from .embedding import EmbeddingService, LocalHashProvider, RemoteProvider
+
     if cfg.embedder == "remote":
         provider = RemoteProvider(url=cfg.embed_url, model=cfg.embed_model)
     else:
@@ -181,6 +185,8 @@ def cmd_run(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     partial = False
     if emtt:
+        from . import emtt as emtt_mod
+
         result = emtt_mod.run_emtt(
             corpus,
             _make_embedding_service(cfg),

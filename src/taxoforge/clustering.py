@@ -21,10 +21,9 @@ from itertools import takewhile
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .options import LINKAGES
 
 logger = logging.getLogger(__name__)
-
-LINKAGES = ("average", "complete", "single")
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,11 @@ from .clustering import (
 )
 from .corpus import Corpus
 from .embedding import ColumnRef, EmbeddingService
+from .options import DEFAULT_DELTA, DEFAULT_K_MAX
 from .subject import assign_subjects
 from .taxonomy import EntityType, Taxonomy
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_DELTA = 0.15
-DEFAULT_K_MAX = 50
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from importlib import resources
 
-import numpy as np
-
 from .corpus import Corpus, Table, sample_rows, truncate_cell
 from .errors import (
     BackendError,
@@ -105,6 +103,9 @@ class EmbeddingCosineScorer:
         self.service = service
 
     def scores(self, edges: list[tuple[str, str]]) -> list[float]:
+        # imported here: gett with another scorer never loads numpy
+        import numpy as np
+
         names = [name for edge in edges for name in edge]
         vectors = dict(zip(names, self.service.embed_texts(names).astype(np.float64)))
         out = []

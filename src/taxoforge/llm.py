@@ -62,7 +62,7 @@ class ScriptedChatBackend:
         """Load ``[{"match", "response"}, ...]``; an empty ``match`` acts as a fallback."""
         try:
             entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
         if not isinstance(entries, list):
             raise ValueError(f"{path}: script must be a JSON list")

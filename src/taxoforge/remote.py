@@ -1,8 +1,12 @@
 """The one JSON-over-HTTP client behind the remote embedding and chat backends.
 
-Connection errors, timeouts, 429 and 5xx are retried after 1 s, 2 s, 4 s, ...;
-any other status, and a 2xx whose body is not a JSON object, fail at once.
-Every failure raises ``BackendError``.
+Connection errors (a reply that breaks off or has no valid status line among
+them), timeouts, 429 and 5xx are retried after 1 s, 2 s, 4 s, ...; any other
+status, a URL that cannot be sent to, and a 2xx whose body is not a JSON
+object, fail at once. Every failure raises ``BackendError``. Requests
+go through the standard library's ``urllib.request``, which honours
+``HTTP(S)_PROXY``/``NO_PROXY`` and ``SSL_CERT_FILE``; one connection is
+opened per request.
 
 ``in_order`` runs independent requests side by side, at most
 ``MAX_IN_FLIGHT`` at once, and hands their results back in input order.
@@ -10,6 +14,7 @@ Every failure raises ``BackendError``.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -41,33 +46,55 @@ def in_order(fn, items):
 
 def post_json(url: str, payload: dict, *, timeout: float, retries: int) -> dict:
     """POST ``payload`` in at most ``retries`` attempts; return the response's JSON object."""
-    # imported here: runs that make no HTTP call should not pay for importing requests
-    import requests
+    # imported here: runs that make no HTTP call should not pay for importing urllib.request
+    from http.client import HTTPException, InvalidURL
+    from urllib.error import HTTPError, URLError
+    from urllib.parse import urlsplit
+    from urllib.request import Request, urlopen
 
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises on a port that is not a number from 0 to 65535
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise BackendError(f"POST {url}: {exc}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise BackendError(f"POST {url}: not an http or https URL")
     headers = {"Content-Type": "application/json"}
     if os.environ.get(API_KEY_ENV):
         headers["Authorization"] = f"Bearer {os.environ[API_KEY_ENV]}"
+    request = Request(url, data, headers, method="POST")
     for attempt in range(1, retries + 1):
         if attempt > 1:
             sleep(2 ** (attempt - 2))
         last = attempt == retries
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
-            if not last and isinstance(exc, (requests.ConnectionError, requests.Timeout)):
+            try:
+                with urlopen(request, timeout=timeout) as resp:
+                    status, raw = resp.status, resp.read()
+            except HTTPError as exc:
+                with exc:
+                    status, raw = exc.code, exc.read()
+        except (OSError, HTTPException, ValueError) as exc:
+            # connection errors, timeouts and broken replies are retried;
+            # a URL or a header that cannot be sent is not
+            cause = exc.reason if isinstance(exc, URLError) else exc
+            broken = isinstance(cause, (OSError, HTTPException)) and not isinstance(cause, InvalidURL)
+            if not last and broken:
                 continue
             raise BackendError(f"POST {url} failed on attempt {attempt}: {exc}") from exc
-        status = resp.status_code
-        if not resp.ok:
+        if not 200 <= status < 300:
             if not last and (status == 429 or status >= 500):
                 continue
             message = f"POST {url} failed on attempt {attempt}: HTTP {status}"
-            raise BackendError(message, status, resp.text)
+            raise BackendError(message, status, raw.decode("utf-8", "replace"))
         try:
-            body = resp.json()
-        except ValueError as exc:
-            raise BackendError(f"POST {url}: response is not JSON", status, resp.text) from exc
+            body = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            text = raw.decode("utf-8", "replace")
+            raise BackendError(f"POST {url}: response is not JSON", status, text) from exc
         if not isinstance(body, dict):
-            raise BackendError(f"POST {url}: response is not a JSON object", status, resp.text)
+            text = raw.decode("utf-8", "replace")
+            raise BackendError(f"POST {url}: response is not a JSON object", status, text)
         return body
     raise BackendError(f"POST {url}: retries must be at least 1")

@@ -82,7 +82,7 @@ def load_overrides(path: str | Path, corpus: Corpus) -> dict[str, int]:
     Each line must name a table of ``corpus`` and one of its columns.
     """
     overrides: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

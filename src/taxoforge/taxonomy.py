@@ -219,5 +219,5 @@ class Taxonomy:
     def load(cls, path: str | Path) -> "Taxonomy":
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from exc

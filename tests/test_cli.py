@@ -190,6 +190,19 @@ def test_eval_malformed_json(tmp_path, planted_dir, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["stats", "eval"])
+def test_deeply_nested_taxonomy_is_one_error_line(planted_dir, tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    out = tmp_path / "report.json"
+    extra = ["--gt", str(planted_dir / "gt"), "--out", str(out)] if command == "eval" else []
+    assert run_cli(command, str(deep), *extra) == 1
+    err = capsys.readouterr().err
+    assert f"error: {deep}: maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_stats(planted_dir, capsys):
     code = run_cli("stats", str(planted_dir / "gt" / "gt_taxonomy.json"))
     assert code == 0
@@ -259,6 +272,10 @@ def break_gt_taxonomy(tax: dict, case: str):
     return tax
 
 
+# nested past the JSON decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     """Flags that put one bad input, named by ``case``, into an otherwise good emtt run."""
     if case == "empty-tables":
@@ -295,9 +312,11 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     if case.startswith("gt-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
-        tax = json.loads((gt_dir / "gt_taxonomy.json").read_text())
-        tax = break_gt_taxonomy(tax, case)
-        (gt_dir / "gt_taxonomy.json").write_text(json.dumps(tax), encoding="utf-8")
+        if case == "gt-deeply-nested":
+            text = DEEP_JSON
+        else:
+            text = json.dumps(break_gt_taxonomy(json.loads((gt_dir / "gt_taxonomy.json").read_text()), case))
+        (gt_dir / "gt_taxonomy.json").write_text(text, encoding="utf-8")
         return ["--gt-path", str(gt_dir)]
     script = json.loads((gett_dir / "script.json").read_text())
     if case == "script-entry-without-response":
@@ -307,6 +326,8 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     script_path = tmp_path / "script.json"
     if case == "script-not-json":
         script_path.write_text("not json", encoding="utf-8")
+    elif case == "script-deeply-nested":
+        script_path.write_text(DEEP_JSON, encoding="utf-8")
     else:
         script_path.write_text(json.dumps(script), encoding="utf-8")
     return [
@@ -340,9 +361,11 @@ BAD_RUN_INPUTS = {
     "gt-edge-unknown-type": "gt_taxonomy.json: edges[6]: unknown type 'Nope'",
     "gt-edge-cycle": "gt_taxonomy.json: edges[6]: edge 'Cars' -> 'Vehicles' would create a cycle",
     "gt-is-list": "gt_taxonomy.json: taxonomy must be a JSON object",
+    "gt-deeply-nested": "gt_taxonomy.json: maximum recursion depth exceeded",
     "script-entry-without-response": "script.json: entry 0 has no string 'response'",
     "script-is-object": "script.json: script must be a JSON list",
     "script-not-json": "script.json: Expecting value: line 1 column 1",
+    "script-deeply-nested": "script.json: maximum recursion depth exceeded",
 }
 
 
@@ -394,6 +417,12 @@ def test_config_file_rejected_before_out_dir(planted_dir, tmp_path, capsys, line
     assert run_cli("run", "--config", str(cfg), "--out-dir", str(out_dir)) == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_config_file_may_start_with_bom(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufeffk_max=8\nmethod=gett\n", encoding="utf-8")
+    assert cli.load_config_file(cfg) == {"k_max": 8, "method": "gett"}
 
 
 def non_default_value(f: dataclasses.Field) -> str:
@@ -458,13 +487,36 @@ def test_run_gett_cosine_remote_embedder_requires_embed_url(gett_dir, tmp_path, 
     assert not out_dir.exists()
 
 
-def test_cli_import_leaves_requests_unloaded():
-    # requests is imported on the first HTTP call, so local runs never pay for it
-    code = "import sys, taxoforge.cli; print('requests' in sys.modules)"
+def test_local_commands_leave_numpy_and_requests_unloaded(planted_dir, gett_dir, tmp_path):
+    # numpy is imported only where a run embeds or clusters, and no subcommand imports requests
+    gt_taxonomy = str(planted_dir / "gt" / "gt_taxonomy.json")
+    commands = {
+        "stats": ["stats", gt_taxonomy],
+        "eval": ["eval", gt_taxonomy, "--gt", str(planted_dir / "gt")],
+        "gett-constant": [
+            "run",
+            "--method", "gett",
+            "--llm", "scripted",
+            "--script-path", str(gett_dir / "script.json"),
+            "--tables-dir", str(gett_dir / "tables"),
+            "--out-dir", str(tmp_path / "out"),
+            "--edge-scorer", "constant",
+        ],
+    }
+    code = (
+        "import json, sys\n"
+        "from taxoforge.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted({'numpy', 'requests'} & set(sys.modules))))\n"
+    )
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for name, argv in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [], name
+    assert (tmp_path / "out" / "taxonomy.json").exists()
 
 
 def test_run_duplicate_gt_names_fails_before_artifacts(planted_dir, tmp_path, capsys):

@@ -6,7 +6,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
 from taxoforge.cli import main
@@ -19,6 +18,7 @@ from taxoforge.llm import (
     complete,
     parse_name_list,
 )
+from taxoforge.remote import MAX_ATTEMPTS, post_json
 
 
 # --- scripted backend -----------------------------------------------------------
@@ -80,8 +80,8 @@ def test_chat_request_validation():
 
 class ChatHandler(BaseHTTPRequestHandler):
     fail_first = 0
-    fail_status = 503
-    reply = None  # JSON sent instead of the completion when set
+    fail_status = 503  # an HTTP status, or bytes sent in place of the status line
+    reply = None  # sent instead of the completion when set: JSON, or bytes as they are
     posts = 0
     last_payload = None
 
@@ -91,6 +91,9 @@ class ChatHandler(BaseHTTPRequestHandler):
         cls.last_payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         if cls.fail_first > 0:
             cls.fail_first -= 1
+            if isinstance(cls.fail_status, bytes):
+                self.wfile.write(cls.fail_status + b"\r\n\r\n")
+                return
             self.send_response(cls.fail_status)
             self.end_headers()
             return
@@ -102,7 +105,8 @@ class ChatHandler(BaseHTTPRequestHandler):
                 }
             ]
         }
-        data = json.dumps(body if cls.reply is None else cls.reply).encode()
+        reply = body if cls.reply is None else cls.reply
+        data = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -163,6 +167,14 @@ def test_remote_backend_retries_429(chat_server, sleeps):
     assert sleeps == [1]
 
 
+def test_remote_backend_retries_a_bad_status_line(chat_server, sleeps):
+    ChatHandler.fail_first, ChatHandler.fail_status = 2, b"NOT HTTP"
+    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
+    assert backend.complete(ChatRequest(user="x")).text == "Hospital\nClinic"
+    assert ChatHandler.posts == 3
+    assert sleeps == [1, 2]
+
+
 def test_remote_backend_401_is_sent_once(chat_server, sleeps):
     ChatHandler.fail_first, ChatHandler.fail_status = 99, 401
     backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
@@ -204,8 +216,60 @@ def test_remote_backend_timeout_is_backend_error(silent_url, sleeps, monkeypatch
     backend = RemoteChatBackend(base_url=silent_url, max_retries=2)
     with pytest.raises(BackendError) as err:
         backend.complete(ChatRequest(user="x"))
-    assert isinstance(err.value.__cause__, requests.Timeout)
+    assert isinstance(err.value.__cause__, TimeoutError)
     assert sleeps == [1]
+
+
+def test_remote_backend_deeply_nested_reply_is_backend_error(chat_server, sleeps):
+    # nested past the JSON decoder's recursion limit
+    ChatHandler.reply = b'{"a": ' * 100_000 + b"1" + b"}" * 100_000
+    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
+    with pytest.raises(BackendError, match="response is not JSON") as err:
+        backend.complete(ChatRequest(user="x"))
+    assert err.value.status == 200
+    assert ChatHandler.posts == 1
+    assert sleeps == []
+
+
+@pytest.fixture()
+def closed_url():
+    """A port that nothing listens on, so every connection is refused."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+def test_post_json_retries_a_closed_port(closed_url, sleeps):
+    with pytest.raises(BackendError, match=f"failed on attempt {MAX_ATTEMPTS}") as err:
+        post_json(closed_url, {}, timeout=5, retries=MAX_ATTEMPTS)
+    assert isinstance(err.value.__cause__, OSError)
+    assert err.value.status is None
+    assert sleeps == [2**i for i in range(MAX_ATTEMPTS - 1)]
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "file:///dev/null",
+        "127.0.0.1:1/v1",
+        "not a url",
+        "http://",
+        "http://127.0.0.1:port/",
+        "http://127.0.0.1:99999/",
+        "http://[::1/",
+        "http://127.0.0.1:1/a b",
+    ],
+)
+def test_post_json_unusable_url_fails_at_once(url, sleeps):
+    with pytest.raises(BackendError):
+        post_json(url, {}, timeout=5, retries=MAX_ATTEMPTS)
+    assert sleeps == []
+
+
+def test_post_json_payload_with_nan_fails_at_once(closed_url, sleeps):
+    with pytest.raises(BackendError, match="JSON compliant"):
+        post_json(closed_url, {"x": float("nan")}, timeout=5, retries=MAX_ATTEMPTS)
+    assert sleeps == []
 
 
 def gett_remote_args(gett_dir, url, out_dir):
@@ -230,8 +294,7 @@ def test_run_remote_llm_malformed_response_exits_1(chat_server, sleeps, gett_dir
 
 
 def test_run_remote_llm_timeout_exits_1(silent_url, sleeps, gett_dir, tmp_path, capsys, monkeypatch):
-    real_post = requests.post
-    monkeypatch.setattr(requests, "post", lambda *a, **kw: real_post(*a, **{**kw, "timeout": 0.01}))
+    monkeypatch.setattr("taxoforge.llm.CHAT_TIMEOUT_S", 0.01)
     code = main(gett_remote_args(gett_dir, silent_url, tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 1

@@ -124,6 +124,15 @@ def test_overrides(tmp_path):
     assert assign_subjects(corpus, {"t1": 1}) == {"t1": 1, "t2": 0}
 
 
+def test_overrides_file_may_start_with_bom(tmp_path):
+    from taxoforge.corpus import Corpus
+
+    corpus = Corpus(tables=[table_of(["name", "city"], [["Acme"], ["Paris"]], table_id="t1")])
+    path = tmp_path / "map.txt"
+    path.write_text("\ufefft1,1\n", encoding="utf-8")
+    assert load_overrides(path, corpus) == {"t1": 1}
+
+
 def test_override_out_of_range():
     from taxoforge.corpus import Corpus
 
