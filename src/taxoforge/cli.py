@@ -27,13 +27,11 @@ from pathlib import Path
 from . import gett as gett_mod
 from . import metrics as metrics_mod
 from .corpus import ingest
-from .errors import TaxoforgeError
+from .errors import TaxoforgeError, open_input
 from .llm import RemoteChatBackend, ScriptedChatBackend, TranscriptLogger
 from .options import DEFAULT_DELTA, DEFAULT_K_MAX, LINKAGES
 from .subject import load_overrides
 from .taxonomy import Taxonomy
-
-logger = logging.getLogger(__name__)
 
 GT_TAXONOMY_FILE = "gt_taxonomy.json"
 GT_ANNOTATIONS_FILE = "gt_annotations.csv"
@@ -48,6 +46,8 @@ CHOICES = {
 }
 # converts a flag or config value by its field's annotation; the rest stay strings
 CONVERTERS = {"int": int, "float": float}
+# the local-hash embedder allocates embed_dim floats per column text; the default is 64
+MAX_EMBED_DIM = 4096
 
 
 @dataclass
@@ -95,6 +95,8 @@ class RunConfig:
         for name in ("embed_dim", "k_max"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
+        if self.embed_dim > MAX_EMBED_DIM:
+            raise ValueError(f"embed_dim must be <= {MAX_EMBED_DIM}")
         if math.isnan(self.edge_threshold):
             raise ValueError("edge_threshold must not be NaN")
         if self.max_iters < 0:
@@ -108,21 +110,22 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     """``RunConfig`` field -> converted value; unknown keys and bad values are errors, ``-`` reads as ``_``."""
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"config line {line_no}: expected key=value")
-        key = key.strip()
-        name = key.replace("-", "_")
-        if name not in types:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}")
-        try:
-            values[name] = CONVERTERS.get(types[name], str)(value.strip())
-        except ValueError as exc:
-            raise ValueError(f"config line {line_no}: key {key!r}: {exc}") from exc
+    with open_input(path) as fh:
+        for line_no, line in enumerate(fh.read().splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"config line {line_no}: expected key=value")
+            key = key.strip()
+            name = key.replace("-", "_")
+            if name not in types:
+                raise ValueError(f"config line {line_no}: unknown key {key!r}")
+            try:
+                values[name] = CONVERTERS.get(types[name], str)(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"config line {line_no}: key {key!r}: {exc}") from exc
     return values
 
 

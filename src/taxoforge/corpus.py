@@ -1,22 +1,19 @@
 """Table corpus ingestion and shared row/cell utilities.
 
-A corpus is a directory of ``<id>.csv`` files (UTF-8 with an optional
-byte-order mark, comma-delimited, RFC-4180 quoting). The first row of each
-file is taken as the header row; data rows shorter than the header are
-padded with empty strings, longer rows are rejected.
+A corpus is a directory of ``<id>.csv`` files (read by ``open_input``,
+comma-delimited, RFC-4180 quoting). The first row of each file is the header
+row; a file without one is an error. Data rows shorter than the header are
+padded with empty strings, longer rows are rejected. No file is skipped.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyCorpusError, MalformedTableError
-
-logger = logging.getLogger(__name__)
+from .errors import EmptyCorpusError, MalformedTableError, open_input
 
 
 @dataclass
@@ -77,18 +74,12 @@ def _dedupe_headers(headers: list[str]) -> list[str]:
     return out
 
 
-def _read_table(path: Path) -> Table | None:
+def _read_table(path: Path) -> Table:
     table_id = path.stem
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            raw = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        logger.warning("skipping unreadable file %s: %s", path, exc)
-        return None
-    if not raw or not any(cell.strip() for cell in raw[0]):
-        logger.warning("skipping %s: no header row", path)
-        return None
+    with open_input(path) as fh:
+        raw = list(csv.reader(fh))
+        if not raw or not any(cell.strip() for cell in raw[0]):
+            raise ValueError("no header row")
     headers = _dedupe_headers([h.strip() for h in raw[0]])
     width = len(headers)
     rows: list[list[str]] = []
@@ -110,11 +101,7 @@ def ingest(dir_path: str | Path) -> Corpus:
     base = Path(dir_path)
     if not base.is_dir():
         raise EmptyCorpusError(f"not a directory: {base}")
-    tables = []
-    for path in sorted(base.glob("*.csv")):
-        table = _read_table(path)
-        if table is not None:
-            tables.append(table)
+    tables = [_read_table(path) for path in sorted(base.glob("*.csv"))]
     if not tables:
         raise EmptyCorpusError(f"no parseable .csv files in {base}")
     return Corpus(tables=tables, source_dir=str(base))

@@ -102,16 +102,10 @@ def identify_attributes(
     ]
 
 
-def table_attribute_distance(attrs1: set[str], attrs2: set[str]) -> float:
-    """Jaccard distance between two tables' conceptual-attribute sets."""
-    if not attrs1 and not attrs2:
-        return 0.0
-    union = attrs1 | attrs2
-    return 1.0 - len(attrs1 & attrs2) / len(union)
-
-
 def jaccard_matrix(table_ids: list[str], attr_sets: dict[str, set[str]]) -> DistanceMatrix:
-    """``table_attribute_distance`` between every pair of tables, bit for bit.
+    """Jaccard distance between every pair of tables' conceptual-attribute sets.
+
+    Bit for bit the pairwise reference ``tests/oracles.py::table_attribute_distance``.
 
     Intersections come from one product of the 0/1 table x attribute
     incidence matrix. It is an integer product, so the counts are exact (and

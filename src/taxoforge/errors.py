@@ -1,6 +1,12 @@
-"""Exception types shared across the pipeline modules."""
+"""Exception types shared across the pipeline modules, and the one opener of input files."""
 
 from __future__ import annotations
+
+import csv
+from collections.abc import Iterator
+from contextlib import contextmanager
+from pathlib import Path
+from typing import TextIO
 
 
 class TaxoforgeError(Exception):
@@ -77,3 +83,19 @@ class LayerParseError(TaxoforgeError):
 
 class PipelineAbortedError(TaxoforgeError):
     """More than half of the tables failed type generation."""
+
+
+# --- input files ----------------------------------------------------------
+
+@contextmanager
+def open_input(path: str | Path) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text with ``newline=""``, a leading byte-order mark dropped.
+
+    A ``ValueError`` (undecodable bytes included), ``csv.Error`` or ``RecursionError``
+    raised while it is open becomes one ``ValueError`` that starts with the path.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            yield fh
+        except (ValueError, csv.Error, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc

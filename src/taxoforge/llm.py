@@ -11,16 +11,13 @@ attached.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .errors import BackendError
+from .errors import BackendError, open_input
 from .remote import MAX_ATTEMPTS, post_json
-
-logger = logging.getLogger(__name__)
 
 CHAT_PATH = "/v1/chat/completions"
 CHAT_TIMEOUT_S = 120.0
@@ -60,16 +57,14 @@ class ScriptedChatBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatBackend":
         """Load ``[{"match", "response"}, ...]``; an empty ``match`` acts as a fallback."""
-        try:
-            entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        if not isinstance(entries, list):
-            raise ValueError(f"{path}: script must be a JSON list")
-        for i, entry in enumerate(entries):
-            for key in ("match", "response"):
-                if not (isinstance(entry, dict) and isinstance(entry.get(key), str)):
-                    raise ValueError(f"{path}: entry {i} has no string {key!r}")
+        with open_input(path) as fh:
+            entries = json.load(fh)
+            if not isinstance(entries, list):
+                raise ValueError("script must be a JSON list")
+            for i, entry in enumerate(entries):
+                for key in ("match", "response"):
+                    if not (isinstance(entry, dict) and isinstance(entry.get(key), str)):
+                        raise ValueError(f"entry {i} has no string {key!r}")
         return cls([(e["match"], e["response"]) for e in entries])
 
     def complete(self, req: ChatRequest) -> ChatResponse:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
 
+from .errors import open_input
 from .taxonomy import Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -74,7 +75,7 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     gt = GroundTruth(taxonomy=tax, per_table={})
     names = gt.ids_by_name
     roots = set(tax.roots)
-    with Path(annotations_path).open(newline="", encoding="utf-8-sig") as fh:
+    with open_input(annotations_path) as fh:
         for row_no, row in enumerate(_annotation_rows(fh), 1):
             if not row or not any(c.strip() for c in row):
                 continue
@@ -99,8 +100,8 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
                         f"annotation line {row_no}: {parent!r} -> {child!r} is not a GT edge"
                     )
             gt.per_table[table_id] = path
-    if not gt.per_table:
-        raise ValueError(f"no annotations in {annotations_path}")
+        if not gt.per_table:
+            raise ValueError("no annotations")
     return gt
 
 

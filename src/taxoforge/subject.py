@@ -8,16 +8,13 @@ bypassed per table with an override file (``<table_id>,<col_index>`` lines).
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 from .corpus import Corpus, Table
-from .errors import NoCandidateError
-
-logger = logging.getLogger(__name__)
+from .errors import NoCandidateError, open_input
 
 POSITION_WEIGHT = 0.1
 
@@ -82,30 +79,31 @@ def load_overrides(path: str | Path, corpus: Corpus) -> dict[str, int]:
     Each line must name a table of ``corpus`` and one of its columns.
     """
     overrides: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        table_id, _, col = line.rpartition(",")
-        table_id = table_id.strip()
-        if not table_id:
-            raise ValueError(f"override line {line_no}: expected 'table_id,col_index'")
-        if table_id in overrides:
-            raise ValueError(f"override line {line_no}: duplicate table id {table_id!r}")
-        try:
-            col_index = int(col)
-        except ValueError as exc:
-            raise ValueError(f"override line {line_no}: {exc}") from exc
-        try:
-            n_cols = corpus.get(table_id).n_cols
-        except KeyError:
-            raise ValueError(f"override line {line_no}: unknown table id {table_id!r}") from None
-        if not 0 <= col_index < n_cols:
-            raise ValueError(
-                f"override line {line_no}: column {col_index} out of range"
-                f" for {table_id!r} ({n_cols} columns)"
-            )
-        overrides[table_id] = col_index
+    with open_input(path) as fh:
+        for line_no, line in enumerate(fh.read().splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            table_id, _, col = line.rpartition(",")
+            table_id = table_id.strip()
+            if not table_id:
+                raise ValueError(f"override line {line_no}: expected 'table_id,col_index'")
+            if table_id in overrides:
+                raise ValueError(f"override line {line_no}: duplicate table id {table_id!r}")
+            try:
+                col_index = int(col)
+            except ValueError as exc:
+                raise ValueError(f"override line {line_no}: {exc}") from exc
+            try:
+                n_cols = corpus.get(table_id).n_cols
+            except KeyError:
+                raise ValueError(f"override line {line_no}: unknown table id {table_id!r}") from None
+            if not 0 <= col_index < n_cols:
+                raise ValueError(
+                    f"override line {line_no}: column {col_index} out of range"
+                    f" for {table_id!r} ({n_cols} columns)"
+                )
+            overrides[table_id] = col_index
     return overrides
 
 

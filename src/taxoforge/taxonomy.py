@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CycleError, UnknownTypeError
+from .errors import CycleError, UnknownTypeError, open_input
 
 
 @dataclass
@@ -217,7 +217,5 @@ class Taxonomy:
 
     @classmethod
     def load(cls, path: str | Path) -> "Taxonomy":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        with open_input(path) as fh:
+            return cls.from_dict(json.load(fh))

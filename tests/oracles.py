@@ -260,6 +260,16 @@ def reference_prune(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[F
     return nodes
 
 
+# --- emtt -------------------------------------------------------------------------
+
+def table_attribute_distance(attrs1: set[str], attrs2: set[str]) -> float:
+    """Jaccard distance between two tables' conceptual-attribute sets; ``jaccard_matrix``'s reference."""
+    if not attrs1 and not attrs2:
+        return 0.0
+    union = attrs1 | attrs2
+    return 1.0 - len(attrs1 & attrs2) / len(union)
+
+
 # --- subject detection --------------------------------------------------------
 
 _INT_RE = re.compile(r"^[+-]?\d+$")

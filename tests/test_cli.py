@@ -223,6 +223,20 @@ def test_ingest_check_empty(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"name,city\ncaf\xe9,Paris\n", "'utf-8' codec can't decode byte 0xe9"), (b"", "no header row")],
+    ids=["latin-1", "zero-byte"],
+)
+def test_ingest_check_fails_on_a_bad_table(planted_dir, tmp_path, capsys, content, message):
+    tables = tmp_path / "tables"
+    shutil.copytree(planted_dir / "tables", tables)
+    (tables / "uni_col_1.csv").write_bytes(content)
+    assert run_cli("ingest-check", str(tables)) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: {tables / 'uni_col_1.csv'}: {message}")
+
+
 def test_run_missing_script_path(gett_dir, tmp_path, capsys):
     code = run_cli(
         "run",
@@ -298,16 +312,28 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     if case == "overrides-unknown-table":
         (tmp_path / "overrides.csv").write_text("veh_car_1,0\nno_such_table,0\n", encoding="utf-8")
         return ["--subject-col-map", str(tmp_path / "overrides.csv")]
+    if case == "overrides-latin-1":
+        (tmp_path / "overrides.csv").write_bytes(b"# caf\xe9\nveh_car_1,0\n")
+        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
+    if case == "config-latin-1":
+        (tmp_path / "run.cfg").write_bytes(b"# caf\xe9\nk_max=8\n")
+        return ["--config", str(tmp_path / "run.cfg")]
+    if case.startswith("table-"):
+        shutil.copytree(planted_dir / "tables", tmp_path / "tables")
+        content = {"table-latin-1": b"name,city\ncaf\xe9,Paris\n", "table-zero-byte": b""}[case]
+        (tmp_path / "tables" / "uni_col_1.csv").write_bytes(content)
+        return ["--tables-dir", str(tmp_path / "tables")]
     if case.startswith("annotations-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
         line = {
-            "annotations-duplicate-table": "uni_col_1,Universities,Universities>Colleges",
+            "annotations-duplicate-table": b"uni_col_1,Universities,Universities>Colleges",
             # one field past the csv module's default limit of 131072 characters
-            "annotations-field-too-large": "uni_col_1,Universities," + "x" * 131073,
+            "annotations-field-too-large": b"uni_col_1,Universities," + b"x" * 131073,
+            "annotations-latin-1": b"uni_col_1,Universit\xe9s,Universities",
         }[case]
-        with (gt_dir / "gt_annotations.csv").open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        with (gt_dir / "gt_annotations.csv").open("ab") as fh:
+            fh.write(line + b"\n")
         return ["--gt-path", str(gt_dir)]
     if case.startswith("gt-"):
         gt_dir = tmp_path / "gt"
@@ -348,8 +374,13 @@ BAD_RUN_INPUTS = {
     "overrides-col-out-of-range": "override line 2: column 99 out of range for 'uni_col_1' (4 columns)",
     "overrides-col-negative": "override line 2: column -1 out of range for 'uni_col_1' (4 columns)",
     "overrides-unknown-table": "override line 2: unknown table id 'no_such_table'",
+    "overrides-latin-1": "overrides.csv: 'utf-8' codec can't decode byte 0xe9",
+    "config-latin-1": "run.cfg: 'utf-8' codec can't decode byte 0xe9",
+    "table-latin-1": "uni_col_1.csv: 'utf-8' codec can't decode byte 0xe9",
+    "table-zero-byte": "uni_col_1.csv: no header row",
     "annotations-duplicate-table": "annotation line 26: duplicate table id 'uni_col_1'",
     "annotations-field-too-large": "annotation line 26: field larger than field limit (131072)",
+    "annotations-latin-1": "gt_annotations.csv: 'utf-8' codec can't decode byte 0xe9",
     "gt-type-without-id": "gt_taxonomy.json: types[0] has no string 'id'",
     "gt-type-without-name": "gt_taxonomy.json: types[0] has no string 'name'",
     "gt-type-is-string": "gt_taxonomy.json: types[0] must be an object",
@@ -468,6 +499,13 @@ def test_run_delta_out_of_range(planted_dir, tmp_path, capsys, flags, message):
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_validate_bounds_embed_dim_from_above():
+    # rejected before local-hash allocates embed_dim floats per column
+    RunConfig(tables_dir="t", embed_dim=4096).validate()
+    with pytest.raises(ValueError, match="embed_dim must be <= 4096"):
+        RunConfig(tables_dir="t", embed_dim=1_000_000_000_000).validate()
 
 
 def test_run_gett_cosine_remote_embedder_requires_embed_url(gett_dir, tmp_path, capsys):

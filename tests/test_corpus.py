@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import re
 from collections import Counter
 
 import pytest
@@ -49,6 +50,24 @@ def test_ingest_dedupes_headers(tmp_path):
 def test_ingest_rejects_long_rows(tmp_path):
     write_csv(tmp_path / "t.csv", [["a", "b"], ["1", "2", "3"]])
     with pytest.raises(MalformedTableError):
+        ingest(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"name,city\ncaf\xe9,Paris\n", "'utf-8' codec can't decode byte 0xe9"),
+        (b"", "no header row"),
+        (b" , \nAda,36\n", "no header row"),
+        # one field past the csv module's default limit of 131072 characters
+        (b"name\n" + b"x" * 131073 + b"\n", "field larger than field limit (131072)"),
+    ],
+    ids=["latin-1", "zero-byte", "blank-header", "field-too-large"],
+)
+def test_ingest_names_a_bad_table_file_and_skips_none(tmp_path, content, message):
+    write_csv(tmp_path / "a.csv", [["x"], ["1"]])
+    (tmp_path / "t.csv").write_bytes(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 't.csv'))}: {re.escape(message)}"):
         ingest(tmp_path)
 
 

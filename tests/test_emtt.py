@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from .oracles import oracle_prune as shared_oracle_prune, reference_prune
+from .oracles import oracle_prune as shared_oracle_prune, reference_prune, table_attribute_distance
 from taxoforge.clustering import DistanceMatrix, agglomerate, cut, euclidean_matrix, silhouette
 from taxoforge.corpus import Corpus, Table, ingest
 from taxoforge.embedding import EmbeddingService, LocalHashProvider
@@ -16,7 +16,6 @@ from taxoforge.emtt import (
     jaccard_matrix,
     prune_dendrogram,
     run_emtt,
-    table_attribute_distance,
 )
 from taxoforge.metrics import load_ground_truth, report
 from taxoforge.subject import assign_subjects

@@ -1,0 +1,218 @@
+"""Every input file, mutated, through ``cli.main``: an exit code or one ``error:`` line, never a traceback.
+
+Each case copies one fixture input into a fresh directory, applies one
+mutation to it and runs the subcommand that reads it. On exit 1 the last
+stderr line is the error, and when that line names the mutated file the
+run made nothing: ``--out-dir`` (or ``eval --out``) does not exist. Also
+here: the guard that every input file is opened through ``open_input``.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import taxoforge
+from taxoforge.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PLANTED = FIXTURES / "planted"
+GETT = FIXTURES / "gett"
+
+BOM = b"\xef\xbb\xbf"
+# past the JSON decoder's recursion limit, the csv module's 131072-character
+# field limit and the 4300-digit limit of int()
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+HUGE_FIELD = b"x" * 131_073
+HUGE_INT = b"9" * 5_000
+# config keys whose values a mutation can reach without touching any path
+CONFIG = b"method=gett\nllm=scripted\nedge_scorer=constant\nseed=3\nk_max=8\ndelta=0.1\nmax_iters=5\n"
+
+
+def _gett_run(tables: Path, script: Path, out: Path, *extra: str) -> list[str]:
+    return [
+        "run", "--method", "gett", "--llm", "scripted", "--script-path", str(script),
+        "--edge-scorer", "constant", "--tables-dir", str(tables), "--out-dir", str(out), *extra,
+    ]
+
+
+def _emtt_run(tables: Path, out: Path, *extra: str) -> list[str]:
+    return ["run", "--method", "emtt", "--tables-dir", str(tables), "--out-dir", str(out), *extra]
+
+
+def table_case(work: Path) -> tuple[Path, list[list[str]], Path]:
+    shutil.copytree(PLANTED / "tables", work / "tables")
+    out = work / "out"
+    return work / "tables" / "uni_col_1.csv", [_emtt_run(work / "tables", out)], out
+
+
+def gt_case(name: str):
+    def build(work: Path) -> tuple[Path, list[list[str]], Path]:
+        shutil.copytree(GETT / "gt", work / "gt")
+        out = work / "out"
+        argv = _gett_run(GETT / "tables", GETT / "script.json", out, "--gt-path", str(work / "gt"))
+        return work / "gt" / name, [argv], out
+
+    return build
+
+
+def subject_map_case(work: Path) -> tuple[Path, list[list[str]], Path]:
+    path = work / "subjects.csv"
+    path.write_bytes(b"# table_id,col_index\nuni_col_1,0\nveh_car_1,1\n")
+    out = work / "out"
+    return path, [_emtt_run(PLANTED / "tables", out, "--subject-col-map", str(path))], out
+
+
+def config_case(work: Path) -> tuple[Path, list[list[str]], Path]:
+    path = work / "run.cfg"
+    path.write_bytes(CONFIG)
+    out = work / "out"
+    # the paths are flags, so no mutation can point the run at another directory
+    return path, [_gett_run(GETT / "tables", GETT / "script.json", out, "--config", str(path))], out
+
+
+def script_case(work: Path) -> tuple[Path, list[list[str]], Path]:
+    path = work / "script.json"
+    shutil.copy(GETT / "script.json", path)
+    out = work / "out"
+    return path, [_gett_run(GETT / "tables", path, out)], out
+
+
+def taxonomy_case(work: Path) -> tuple[Path, list[list[str]], Path]:
+    path = work / "taxonomy.json"
+    shutil.copy(PLANTED / "gt" / "gt_taxonomy.json", path)
+    out = work / "report.json"
+    return path, [["eval", str(path), "--gt", str(PLANTED / "gt"), "--out", str(out)], ["stats", str(path)]], out
+
+
+CASES = {
+    "table": table_case,
+    "gt-taxonomy": gt_case("gt_taxonomy.json"),
+    "gt-annotations": gt_case("gt_annotations.csv"),
+    "subject-map": subject_map_case,
+    "config": config_case,
+    "script": script_case,
+    "taxonomy": taxonomy_case,
+}
+
+
+def _huge_int(data: bytes, at: int) -> bytes:
+    # over the first number or JSON boolean, where a parser converts it; else inserted
+    match = re.search(rb"\d+|true|false", data)
+    if match:
+        return data[: match.start()] + HUGE_INT + data[match.end() :]
+    return data[:at] + HUGE_INT + data[at:]
+
+
+@st.composite
+def mutations(draw):
+    """A ``(name, bytes -> bytes)`` pair; positions are fractions of the file length."""
+    kind = draw(st.sampled_from(
+        ["insert", "delete", "replace", "truncate", "bom", "invalid-utf8", "nul", "deep-json", "huge-field", "huge-int"]
+    ))
+    frac = draw(st.floats(min_value=0, max_value=1))
+    chunk = draw(st.binary(min_size=1, max_size=4))
+    span = draw(st.integers(min_value=1, max_value=64))
+
+    def apply(data: bytes) -> bytes:
+        at = int(frac * len(data))
+        return {
+            "insert": lambda: data[:at] + chunk + data[at:],
+            "delete": lambda: data[:at] + data[at + span :],
+            "replace": lambda: data[:at] + chunk + data[at + len(chunk) :],
+            "truncate": lambda: data[:at],
+            "bom": lambda: BOM + data,
+            "invalid-utf8": lambda: data[:at] + b"caf\xe9" + data[at:],
+            "nul": lambda: data[:at] + b"\x00" + data[at:],
+            "deep-json": lambda: DEEP_JSON,
+            "huge-field": lambda: data[:at] + HUGE_FIELD + data[at:],
+            "huge-int": lambda: _huge_int(data, at),
+        }[kind]()
+
+    return kind, apply
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(mutation=mutations())
+def test_mutated_input_ends_in_an_exit_code(case, mutation):
+    _, apply = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        path, commands, out = CASES[case](Path(tmp))
+        path.write_bytes(apply(path.read_bytes()))
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            text = err.getvalue()
+            assert "Traceback" not in text
+            if code == 1:
+                last = text.splitlines()[-1]
+                assert last.startswith("error: ")
+                if str(path) in last:
+                    assert not out.exists()
+
+
+# --- one opener ---------------------------------------------------------------
+
+READ_CALLS = {"open", "read_text", "read_bytes"}
+# reads that are not inputs: the vector cache's own files and the packaged prompts
+ALLOWED_READERS = {"open_input", "VectorCache.get", "load_prompt"}
+
+
+def _is_write(call: ast.Call) -> bool:
+    """An ``open`` whose literal mode writes, appends or creates."""
+    mode_at = 1 if isinstance(call.func, ast.Name) else 0  # open(path, mode) or path.open(mode)
+    mode = call.args[mode_at] if len(call.args) > mode_at else None
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), mode)
+    return isinstance(mode, ast.Constant) and bool(set(str(mode.value)) & set("wax"))
+
+
+def file_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(qualified function name, line)`` of every file read in ``tree``."""
+    reads: list[tuple[str, int]] = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in READ_CALLS and not (name == "open" and _is_write(child)):
+                    reads.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(tree, [])
+    return reads
+
+
+def test_file_reads_are_spotted():
+    src = (
+        "def a(p):\n    return open(p).read()\n"
+        "def b(p):\n    with p.open('a') as fh:\n        fh.write('x')\n"
+        "class C:\n    def c(self, p):\n        return p.read_bytes() + p.open(mode='rb').read()\n"
+        "def d(p):\n    return open(p, 'w')\n"
+    )
+    assert file_reads(ast.parse(src)) == [("a", 2), ("C.c", 8), ("C.c", 8)]
+
+
+def test_every_input_file_is_opened_through_open_input():
+    package = Path(taxoforge.__file__).parent
+    stray = [
+        f"{path.name}:{line} {where}"
+        for path in sorted(package.glob("*.py"))
+        for where, line in file_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if where not in ALLOWED_READERS
+    ]
+    assert stray == []

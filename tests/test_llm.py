@@ -54,6 +54,13 @@ def test_scripted_from_file(tmp_path):
     assert backend.complete(ChatRequest(user="mmm")).text == "r"
 
 
+def test_scripted_from_file_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "script.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps([{"match": "m", "response": "r"}]).encode("utf-8"))
+    backend = ScriptedChatBackend.from_file(path)
+    assert backend.complete(ChatRequest(user="mmm")).text == "r"
+
+
 def test_transcript_counts_calls(tmp_path):
     backend = ScriptedChatBackend([("a", "A")])
     transcript = TranscriptLogger(tmp_path / "t.jsonl")

@@ -281,6 +281,16 @@ def test_load_ground_truth_accepts_byte_order_mark(planted_dir, tmp_path):
     assert load_ground_truth(gt_dir / "gt_taxonomy.json", bom_path).per_table == plain.per_table
 
 
+def test_load_ground_truth_accepts_byte_order_mark_in_the_taxonomy(planted_dir, tmp_path):
+    # every input file is UTF-8 with a leading BOM dropped, JSON included
+    gt_dir = planted_dir / "gt"
+    bom_path = tmp_path / "gt_taxonomy.json"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + (gt_dir / "gt_taxonomy.json").read_bytes())
+    plain = load_ground_truth(gt_dir / "gt_taxonomy.json", gt_dir / "gt_annotations.csv")
+    loaded = load_ground_truth(bom_path, gt_dir / "gt_annotations.csv")
+    assert loaded.taxonomy.to_json() == plain.taxonomy.to_json()
+
+
 def test_load_ground_truth_rejects_bad_path(tmp_path):
     tax_path, ann_path = write_gt(tmp_path, BASE_TAX, ["t1,B,B>A"])
     with pytest.raises(ValueError):
