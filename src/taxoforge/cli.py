@@ -185,7 +185,6 @@ def cmd_run(cfg: RunConfig) -> int:
     overrides = load_overrides(cfg.subject_col_map, corpus) if emtt and cfg.subject_col_map else None
     backend = None if emtt else _make_chat_backend(cfg)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     partial = False
     if emtt:
         from . import emtt as emtt_mod
@@ -198,6 +197,7 @@ def cmd_run(cfg: RunConfig) -> int:
             k_max=cfg.k_max,
             subject_overrides=overrides,
         )
+        out_dir.mkdir(parents=True, exist_ok=True)
         taxonomy = result.taxonomy
         _write_json(out_dir / "toplevel.json", result.toplevel_dict())
         _write_json(out_dir / "attributes.json", result.attributes_dict())

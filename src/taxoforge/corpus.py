@@ -1,4 +1,4 @@
-"""Table corpus ingestion and shared row/cell utilities.
+"""Table corpus ingestion.
 
 A corpus is a directory of ``<id>.csv`` files (read by ``open_input``,
 comma-delimited, RFC-4180 quoting). The first row of each file is the header
@@ -9,7 +9,6 @@ padded with empty strings, longer rows are rejected. No file is skipped.
 from __future__ import annotations
 
 import csv
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,42 +105,3 @@ def ingest(dir_path: str | Path) -> Corpus:
         raise EmptyCorpusError(f"no parseable .csv files in {base}")
     return Corpus(tables=tables, source_dir=str(base))
 
-
-def sample_rows(table: Table, n: int, seed: int) -> list[list[str]]:
-    """Sample ``min(n, n_rows)`` distinct rows uniformly without replacement.
-
-    Uses an explicit partial Fisher-Yates shuffle driven only by
-    ``random.Random.random()`` so the sampled order is reproducible across
-    Python versions (only ``random()`` itself carries that guarantee).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = table.n_rows
-    if total == 0:
-        return []
-    take = min(n, total)
-    rng = random.Random(seed)
-    indices = list(range(total))
-    for i in range(take):
-        j = i + int(rng.random() * (total - i))
-        indices[i], indices[j] = indices[j], indices[i]
-    return [table.rows[i] for i in indices[:take]]
-
-
-def tokenize_cell(cell: str) -> list[str]:
-    """Whitespace tokens of a cell (Unicode whitespace, empties dropped)."""
-    return cell.split()
-
-
-def truncate_cell(cell: str, limit: int) -> str:
-    """Cap a cell at ``limit`` whitespace tokens, appending "..." when cut.
-
-    Cells within the limit are returned unchanged (original spacing kept);
-    truncated cells are rejoined with single spaces.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    tokens = tokenize_cell(cell)
-    if len(tokens) <= limit:
-        return cell
-    return " ".join(tokens[:limit]) + "..."

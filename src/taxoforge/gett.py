@@ -1,8 +1,9 @@
 """Generative pipeline: per-table type generation and layered hierarchy construction.
 
-Each table is serialized (header plus up to five sampled rows, cells
-truncated at fifty tokens, comma-separated values) and prompted for its
-entity-type names. The merged candidate list is then organized top-down:
+Each table is serialized as a block (header plus up to five sampled rows,
+cells truncated at fifty tokens, comma-separated values) and prompted for
+its entity-type names, which are read back from the reply by
+``parse_name_list``. The merged candidate list is then organized top-down:
 starting from a synthetic root, every iteration asks the backend for child
 relations of the current layer's types, keeps only candidates that survive
 a template-based edge filter, and repeats until the candidate list is
@@ -19,25 +20,20 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import random
+import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .corpus import Corpus, Table, sample_rows, truncate_cell
+from .corpus import Corpus, Table
 from .errors import (
     BackendError,
     GenerationFailedError,
     LayerParseError,
     PipelineAbortedError,
 )
-from .llm import (
-    _BULLET_RE,
-    ChatRequest,
-    TranscriptBuffer,
-    TranscriptLogger,
-    complete,
-    parse_name_list,
-)
+from .llm import ChatRequest, TranscriptBuffer, TranscriptLogger, complete
 from .remote import in_order
 from .taxonomy import EntityType, Taxonomy
 
@@ -164,11 +160,40 @@ def _logged_in_order(fn, items, transcript: TranscriptLogger | None):
             yield result
 
 
+def sample_rows(table: Table, seed: int) -> list[list[str]]:
+    """``min(ROW_SAMPLE, n_rows)`` distinct rows, drawn uniformly without replacement.
+
+    An explicit partial Fisher-Yates shuffle driven only by
+    ``random.Random.random()`` keeps the sample reproducible across Python
+    versions (only ``random()`` itself carries that guarantee).
+    """
+    total = table.n_rows
+    take = min(ROW_SAMPLE, total)
+    rng = random.Random(seed)
+    indices = list(range(total))
+    for i in range(take):
+        j = i + int(rng.random() * (total - i))
+        indices[i], indices[j] = indices[j], indices[i]
+    return [table.rows[i] for i in indices[:take]]
+
+
+def truncate_cell(cell: str) -> str:
+    """Cap a cell at ``CELL_TOKEN_LIMIT`` whitespace tokens, appending "..." when cut.
+
+    Cells within the limit are returned unchanged (original spacing kept);
+    truncated cells are rejoined with single spaces.
+    """
+    tokens = cell.split()
+    if len(tokens) <= CELL_TOKEN_LIMIT:
+        return cell
+    return " ".join(tokens[:CELL_TOKEN_LIMIT]) + "..."
+
+
 def serialize_table_block(table: Table, seed: int) -> str:
     """Header line plus up to five sampled rows, comma-separated, cells capped."""
     lines = [", ".join(table.headers)]
-    for row in sample_rows(table, ROW_SAMPLE, seed):
-        lines.append(", ".join(truncate_cell(cell, CELL_TOKEN_LIMIT) for cell in row))
+    for row in sample_rows(table, seed):
+        lines.append(", ".join(truncate_cell(cell) for cell in row))
     return "\n".join(lines)
 
 
@@ -202,6 +227,30 @@ def normalize_name(name: str) -> str:
 def _fold(name: str) -> str:
     """The key two names share when they differ only in case and whitespace runs."""
     return normalize_name(name).casefold()
+
+
+# a leading list marker: a run of dashes, stars or bullets, or a number and
+# "." or ")" that no digit follows, so "2.5 inch Drive" keeps its number
+_BULLET_RE = re.compile(r"^\s*(?:[-*•]+\s*|\d+[.)](?!\d)\s*)?")
+
+
+def _clean(piece: str) -> str:
+    """A reply piece without its list marker, surrounding whitespace and quotes."""
+    return _BULLET_RE.sub("", piece, count=1).strip().strip("\"'").strip()
+
+
+def parse_name_list(text: str) -> list[str]:
+    """Type names of a generation reply: split on newlines and commas, each piece cleaned.
+
+    Order is preserved; a name that is the same as an earlier one (``_fold``)
+    is dropped, so the first spelling is kept; ``[]`` when nothing survives.
+    """
+    names: dict[str, str] = {}
+    for piece in re.split(r"[\n,]", text):
+        name = _clean(piece)
+        if name:
+            names.setdefault(_fold(name), name)
+    return list(names.values())
 
 
 def flatten(per_table: dict[str, list[str]]) -> TypeCandidateList:
@@ -249,7 +298,7 @@ def parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], bool]:
         if "->" not in line:
             continue
         parent, _, child = line.partition("->")
-        parent = _BULLET_RE.sub("", parent, count=1).strip().strip("\"'").strip()
+        parent = _clean(parent)
         child = child.strip().strip("\"'").strip()
         if parent and child:
             edges.append((parent, child))

@@ -1,4 +1,4 @@
-"""Chat-completion backends and response parsing.
+"""Chat-completion backends and the request transcript.
 
 The remote backend speaks the common ``/v1/chat/completions`` JSON shape
 (which also covers local model servers); the scripted backend replays
@@ -11,7 +11,6 @@ attached.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -151,24 +150,3 @@ def complete(
         transcript.log(req, resp)
     return resp
 
-
-_BULLET_RE = re.compile(r"^\s*(?:[-*•]+\s*|\d+[.)]\s*)?")
-
-
-def parse_name_list(text: str) -> list[str]:
-    """Extract type names: split on newlines/commas, strip bullets and quotes.
-
-    Order is preserved; duplicates are dropped case-insensitively, keeping
-    the first casing seen; ``[]`` when nothing survives.
-    """
-    names: list[str] = []
-    seen: set[str] = set()
-    for piece in re.split(r"[\n,]", text):
-        cleaned = _BULLET_RE.sub("", piece, count=1).strip().strip("\"'").strip()
-        if not cleaned:
-            continue
-        key = cleaned.casefold()
-        if key not in seen:
-            seen.add(key)
-            names.append(cleaned)
-    return names

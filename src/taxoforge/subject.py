@@ -19,16 +19,20 @@ from .errors import NoCandidateError, open_input
 POSITION_WEIGHT = 0.1
 
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+# the one date form every supported Python's date.fromisoformat accepts
+_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 
 def is_numeric_or_date(value: str) -> bool:
-    """True for integers, decimals, and ISO-8601 dates; everything else is text."""
+    """True for integers, decimals, and ``YYYY-MM-DD`` dates; everything else is text."""
     v = value.strip()
-    # every number and every ISO-8601 date starts with a sign, a point or a digit
+    # every number and every date starts with a sign, a point or a digit
     if not v or not (v[0] in "+-." or v[0].isdecimal()):
         return False
     if _DECIMAL_RE.match(v):
         return True
+    if not _DATE_RE.fullmatch(v):
+        return False
     try:
         date.fromisoformat(v)
         return True

@@ -274,6 +274,7 @@ def table_attribute_distance(attrs1: set[str], attrs2: set[str]) -> float:
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+_DATE_RE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
 
 
 def reference_is_numeric_or_date(value: str) -> bool:
@@ -283,6 +284,8 @@ def reference_is_numeric_or_date(value: str) -> bool:
         return False
     if _INT_RE.match(v) or _DECIMAL_RE.match(v):
         return True
+    if not _DATE_RE.match(v):
+        return False
     try:
         date.fromisoformat(v)
         return True

@@ -23,7 +23,7 @@ from .oracles import (
 )
 from taxoforge.clustering import DistanceMatrix, agglomerate, cut, silhouette
 from taxoforge.cli import main as cli_main
-from taxoforge.corpus import Table, ingest, tokenize_cell
+from taxoforge.corpus import Table, ingest
 from taxoforge.embedding import EmbeddingService, LocalHashProvider
 from taxoforge.emtt import jaccard_matrix, prune_dendrogram, run_emtt
 from taxoforge.gett import build_generation_prompt
@@ -352,9 +352,9 @@ def test_criterion_6_prompt_conformance():
                 assert len(cells) == n_cols, "values must be comma-separated"
                 for cell in cells:
                     if cell.endswith("..."):
-                        assert len(tokenize_cell(cell[:-3])) == 50
+                        assert len(cell[:-3].split()) == 50
                     else:
-                        assert len(tokenize_cell(cell)) <= 50
+                        assert len(cell.split()) <= 50
 
     check("criterion 6 (prompt conformance)", body)
 

@@ -270,6 +270,8 @@ def break_gt_taxonomy(tax: dict, case: str):
         first["tables"] = 5
     elif case == "gt-edge-not-pair":
         tax["edges"][0] = 5
+    elif case == "gt-types-not-list":
+        tax["types"] = {}
     elif case == "gt-synthetic-not-bool":
         first["synthetic"] = "false"
     elif case == "gt-duplicate-type-id":
@@ -295,6 +297,12 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     if case == "empty-tables":
         (tmp_path / "empty").mkdir()
         return ["--tables-dir", str(tmp_path / "empty")]
+    if case == "no-tables-dir":
+        return ["--tables-dir", ""]
+    if case == "scripted-llm-without-script":
+        return ["--method", "gett", "--llm", "scripted"]
+    if case == "remote-llm-without-url":
+        return ["--method", "gett", "--llm", "remote"]
     if case == "missing-overrides":
         return ["--subject-col-map", str(tmp_path / "absent.csv")]
     if case == "overrides-bad-col":
@@ -320,17 +328,27 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         return ["--config", str(tmp_path / "run.cfg")]
     if case.startswith("table-"):
         shutil.copytree(planted_dir / "tables", tmp_path / "tables")
-        content = {"table-latin-1": b"name,city\ncaf\xe9,Paris\n", "table-zero-byte": b""}[case]
+        content = {
+            "table-latin-1": b"name,city\ncaf\xe9,Paris\n",
+            "table-zero-byte": b"",
+            "table-header-only": b"name,city\n",
+        }[case]
         (tmp_path / "tables" / "uni_col_1.csv").write_bytes(content)
         return ["--tables-dir", str(tmp_path / "tables")]
     if case.startswith("annotations-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
+        if case == "annotations-header-only":
+            (gt_dir / "gt_annotations.csv").write_bytes(b"table_id,top_level,path\n\n")
+            return ["--gt-path", str(gt_dir)]
         line = {
             "annotations-duplicate-table": b"uni_col_1,Universities,Universities>Colleges",
             # one field past the csv module's default limit of 131072 characters
             "annotations-field-too-large": b"uni_col_1,Universities," + b"x" * 131073,
             "annotations-latin-1": b"uni_col_1,Universit\xe9s,Universities",
+            # the blank line 26 is skipped but counted
+            "annotations-two-fields": b"\nnew_table,Universities",
+            "annotations-not-a-gt-edge": b"new_table,Universities,Universities>Cars",
         }[case]
         with (gt_dir / "gt_annotations.csv").open("ab") as fh:
             fh.write(line + b"\n")
@@ -368,6 +386,9 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
 # each bad input and a part of the one error line it must give
 BAD_RUN_INPUTS = {
     "empty-tables": "no parseable .csv files in",
+    "no-tables-dir": "tables_dir is required",
+    "scripted-llm-without-script": "scripted llm requires --script-path",
+    "remote-llm-without-url": "remote llm requires --llm-url",
     "missing-overrides": "absent.csv",
     "overrides-bad-col": "override line 2: invalid literal for int()",
     "overrides-duplicate-table": "override line 2: duplicate table id 'uni_col_1'",
@@ -378,14 +399,19 @@ BAD_RUN_INPUTS = {
     "config-latin-1": "run.cfg: 'utf-8' codec can't decode byte 0xe9",
     "table-latin-1": "uni_col_1.csv: 'utf-8' codec can't decode byte 0xe9",
     "table-zero-byte": "uni_col_1.csv: no header row",
+    "table-header-only": "table 'uni_col_1' has no non-empty cell",
     "annotations-duplicate-table": "annotation line 26: duplicate table id 'uni_col_1'",
     "annotations-field-too-large": "annotation line 26: field larger than field limit (131072)",
     "annotations-latin-1": "gt_annotations.csv: 'utf-8' codec can't decode byte 0xe9",
+    "annotations-two-fields": "annotation line 27: expected 3 fields, got 2",
+    "annotations-not-a-gt-edge": "annotation line 26: 'Universities' -> 'Cars' is not a GT edge",
+    "annotations-header-only": "gt_annotations.csv: no annotations",
     "gt-type-without-id": "gt_taxonomy.json: types[0] has no string 'id'",
     "gt-type-without-name": "gt_taxonomy.json: types[0] has no string 'name'",
     "gt-type-is-string": "gt_taxonomy.json: types[0] must be an object",
     "gt-tables-not-list": "gt_taxonomy.json: types[0] 'tables' must be a list of strings",
     "gt-edge-not-pair": "gt_taxonomy.json: edges[0] must be a [parent, child] pair of type ids",
+    "gt-types-not-list": "gt_taxonomy.json: taxonomy 'types' and 'edges' must be lists",
     "gt-synthetic-not-bool": "gt_taxonomy.json: types[0] 'synthetic' must be a boolean",
     "gt-duplicate-type-id": "gt_taxonomy.json: types[9]: duplicate type id 'Birds'",
     "gt-empty-name": "gt_taxonomy.json: types[0]: entity type name must be non-empty",

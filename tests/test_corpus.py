@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as scipy_stats
 
-from taxoforge.corpus import Table, ingest, sample_rows, tokenize_cell, truncate_cell
+from taxoforge.corpus import Table, ingest
 from taxoforge.errors import EmptyCorpusError, MalformedTableError
+from taxoforge.gett import CELL_TOKEN_LIMIT, ROW_SAMPLE, sample_rows, truncate_cell
 
 
 def write_csv(path, rows):
@@ -91,31 +92,35 @@ def test_row_width_invariant(tmp_path):
     assert all(len(row) == table.n_cols for row in table.rows)
 
 
+# --- gett's table block: the row sampler and the cell cap --------------------------
+
+
 def make_rows(n):
     return [[str(i)] for i in range(n)]
 
 
 def test_sample_rows_fewer_than_n():
     table = Table(id="t", headers=["a"], rows=make_rows(3))
-    sampled = sample_rows(table, 5, seed=1)
+    sampled = sample_rows(table, seed=1)
     assert sorted(sampled) == make_rows(3)
 
 
 def test_sample_rows_deterministic():
     table = Table(id="t", headers=["a"], rows=make_rows(50))
-    assert sample_rows(table, 5, seed=9) == sample_rows(table, 5, seed=9)
-    assert sample_rows(table, 5, seed=9) != sample_rows(table, 5, seed=10)
+    assert sample_rows(table, seed=9) == sample_rows(table, seed=9)
+    assert sample_rows(table, seed=9) != sample_rows(table, seed=10)
 
 
 def test_sample_rows_empty_table():
     table = Table(id="t", headers=["a"], rows=[])
-    assert sample_rows(table, 5, seed=1) == []
+    assert sample_rows(table, seed=1) == []
 
 
 def test_sample_rows_distinct():
+    assert ROW_SAMPLE == 5
     table = Table(id="t", headers=["a"], rows=make_rows(10))
-    sampled = sample_rows(table, 10, seed=3)
-    assert len({tuple(r) for r in sampled}) == 10
+    sampled = sample_rows(table, seed=3)
+    assert len({tuple(r) for r in sampled}) == 5
 
 
 def test_sample_rows_uniform_chi_square():
@@ -123,7 +128,7 @@ def test_sample_rows_uniform_chi_square():
     table = Table(id="t", headers=["a"], rows=make_rows(100))
     counts = Counter()
     for seed in range(10_000):
-        for row in sample_rows(table, 5, seed=seed):
+        for row in sample_rows(table, seed=seed):
             counts[row[0]] += 1
     observed = [counts[str(i)] for i in range(100)]
     _, p_value = scipy_stats.chisquare(observed)
@@ -131,23 +136,40 @@ def test_sample_rows_uniform_chi_square():
 
 
 def test_truncate_cell_short_unchanged():
-    cell = " ".join(["tok"] * 10)
-    assert truncate_cell(cell, 50) == cell
+    cell = " ".join(["tok"] * 50)
+    assert truncate_cell(cell) == cell
 
 
 def test_truncate_cell_long():
+    assert CELL_TOKEN_LIMIT == 50
     cell = " ".join(f"w{i}" for i in range(120))
-    out = truncate_cell(cell, 50)
+    out = truncate_cell(cell)
     assert out.endswith("...")
-    assert tokenize_cell(out[:-3]) == [f"w{i}" for i in range(50)]
+    assert out[:-3].split() == [f"w{i}" for i in range(50)]
 
 
 def test_truncate_cell_rejoins_whitespace():
-    assert truncate_cell("a  b\tc", 2) == "a b..."
+    cell = "  ".join(["a\tb"] * 26)  # 52 tokens, two kinds of gap
+    assert truncate_cell(cell) == " ".join(["a", "b"] * 25) + "..."
 
 
-@given(st.text(max_size=200), st.integers(min_value=1, max_value=60))
-def test_truncate_cell_token_bound(cell, limit):
-    out = truncate_cell(cell, limit)
-    body = out[:-3] if out.endswith("...") and len(tokenize_cell(cell)) > limit else out
-    assert len(tokenize_cell(body)) <= limit
+# 30 to 80 whitespace-free words, so that cells over the 50-token cap are drawn
+LONG_CELLS = st.builds(
+    str.join,
+    st.sampled_from([" ", "  ", "\t"]),
+    st.lists(
+        st.text(st.characters(blacklist_categories=("Z", "Cc")), min_size=1, max_size=3),
+        min_size=30,
+        max_size=80,
+    ),
+)
+
+
+@given(st.one_of(st.text(max_size=200), LONG_CELLS))
+def test_truncate_cell_token_bound(cell):
+    out = truncate_cell(cell)
+    tokens = cell.split()
+    if len(tokens) > 50:
+        assert out == " ".join(tokens[:50]) + "..."
+    else:
+        assert out == cell

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from taxoforge import remote
-from taxoforge.corpus import Corpus, Table, ingest, tokenize_cell
+from taxoforge.corpus import Corpus, Table, ingest
 from taxoforge.errors import (
     BackendError,
     GenerationFailedError,
@@ -26,6 +26,7 @@ from taxoforge.gett import (
     flatten,
     generate_types,
     parse_edge_lines,
+    parse_name_list,
     run_gett,
     serialize_table_block,
 )
@@ -125,6 +126,23 @@ def test_parse_edge_lines_numbered_bullets():
     edges, ok = parse_edge_lines("1. Thing -> Animal\n2) Thing -> Plant")
     assert edges == [("Thing", "Animal"), ("Thing", "Plant")]
     assert ok
+
+
+@pytest.mark.parametrize(
+    "piece, name",
+    [
+        ("1. Hospital", "Hospital"),
+        ("1.Hospital", "Hospital"),
+        ("2) Park", "Park"),
+        ("2.5 inch Drive", "2.5 inch Drive"),
+        ("- 3.5 inch Drive", "3.5 inch Drive"),
+        ("10.5 Series", "10.5 Series"),
+    ],
+)
+def test_list_marker_stripped_and_decimal_name_kept(piece, name):
+    # one rule for a generation reply's names and an edge line's parent
+    assert parse_name_list(piece) == [name]
+    assert parse_edge_lines(f"{piece} -> Child") == ([(name, "Child")], True)
 
 
 def test_parse_edge_lines_none_marker():
@@ -512,4 +530,4 @@ def test_prompt_conformance_random_tables():
             assert len(cells) == table.n_cols
             for cell in cells:
                 body = cell[:-3] if cell.endswith("...") else cell
-                assert len(tokenize_cell(body)) <= 50
+                assert len(body.split()) <= 50

@@ -4,7 +4,8 @@ Each case copies one fixture input into a fresh directory, applies one
 mutation to it and runs the subcommand that reads it. On exit 1 the last
 stderr line is the error, and when that line names the mutated file the
 run made nothing: ``--out-dir`` (or ``eval --out``) does not exist. Also
-here: the guard that every input file is opened through ``open_input``.
+here: the guard that every input file is opened through ``open_input``, and
+the guard that no module imports another's private names.
 """
 
 from __future__ import annotations
@@ -216,3 +217,17 @@ def test_every_input_file_is_opened_through_open_input():
         if where not in ALLOWED_READERS
     ]
     assert stray == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    package = Path(taxoforge.__file__).parent
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "taxoforge")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -10,13 +10,13 @@ from hypothesis import given, strategies as st
 
 from taxoforge.cli import main
 from taxoforge.errors import BackendError
+from taxoforge.gett import parse_name_list
 from taxoforge.llm import (
     ChatRequest,
     RemoteChatBackend,
     ScriptedChatBackend,
     TranscriptLogger,
     complete,
-    parse_name_list,
 )
 from taxoforge.remote import MAX_ATTEMPTS, post_json
 
@@ -326,6 +326,8 @@ def test_parse_dash_and_star_bullets():
 
 def test_parse_case_insensitive_dedup():
     assert parse_name_list("Hospital, hospital, HOSPITAL") == ["Hospital"]
+    # the same name ignoring case and whitespace runs, as gett merges names
+    assert parse_name_list("Medical  Clinic\nmedical clinic") == ["Medical  Clinic"]
 
 
 def test_parse_commas_and_quotes():

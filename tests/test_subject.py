@@ -83,6 +83,11 @@ def test_appending_constant_column_is_noop(names):
         (".5", True),
         ("1e5", True),
         ("2021-03-04", True),
+        ("2024-01-01", True),
+        # what date.fromisoformat reads as a date depends on the Python version
+        ("2024-W01-1", False),
+        ("2024W011", False),
+        ("2024-02-30", False),
         ("Acme", False),
         ("1,000", False),
         ("2021-13-40", False),
