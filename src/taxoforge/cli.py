@@ -30,6 +30,7 @@ from .corpus import ingest
 from .errors import TaxoforgeError, open_input
 from .llm import RemoteChatBackend, ScriptedChatBackend, TranscriptLogger
 from .options import DEFAULT_DELTA, DEFAULT_K_MAX, LINKAGES
+from .remote import check_url
 from .subject import load_overrides
 from .taxonomy import Taxonomy
 
@@ -88,7 +89,8 @@ class RunConfig:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(choices)}")
         if self.method == "gett" and self.llm == "scripted" and not self.script_path:
             raise ValueError("scripted llm requires --script-path")
-        if self.method == "gett" and self.llm == "remote" and not self.llm_url:
+        remote_llm = self.method == "gett" and self.llm == "remote"
+        if remote_llm and not self.llm_url:
             raise ValueError("remote llm requires --llm-url")
         if not 0 <= self.delta <= 2:
             raise ValueError("delta must be in [0, 2]")
@@ -101,9 +103,19 @@ class RunConfig:
             raise ValueError("edge_threshold must not be NaN")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if not self.root_name.strip():
+            raise ValueError("root_name must not be blank")
         embeds = self.method == "emtt" or self.edge_scorer == "cosine"
-        if self.embedder == "remote" and embeds and not self.embed_url:
+        remote_embedder = self.embedder == "remote" and embeds
+        if remote_embedder and not self.embed_url:
             raise ValueError("remote embedder requires --embed-url")
+        for name, used in (("llm_url", remote_llm), ("embed_url", remote_embedder)):
+            url = getattr(self, name)
+            if used:
+                try:
+                    check_url(url)
+                except ValueError as exc:
+                    raise ValueError(f"{name} {url!r}: {exc}") from None
 
 
 def load_config_file(path: str | Path) -> dict[str, object]:

@@ -69,19 +69,6 @@ class Dendrogram:
         return [m.height for m in self.merges]
 
 
-@dataclass(frozen=True)
-class FlatClustering:
-    labels: tuple[int, ...]
-    k: int
-
-    def groups(self) -> list[list[int]]:
-        """Item indices per cluster, in label order."""
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for i, lab in enumerate(self.labels):
-            out[lab].append(i)
-        return out
-
-
 def euclidean_matrix(vectors: list[np.ndarray] | np.ndarray) -> DistanceMatrix:
     """Pairwise Euclidean distances, computed from explicit differences.
 
@@ -184,13 +171,11 @@ def _leaves(den: Dendrogram, node: int) -> list[int]:
     return sorted(x for x in nodes if x < n)
 
 
-def _cuts(
-    den: Dendrogram, heights: list[float]
-) -> Iterator[tuple[dict[int, list[int]], FlatClustering]]:
+def _cuts(den: Dendrogram, heights: list[float]) -> Iterator[dict[int, list[int]]]:
     """The cut at each of the descending ``heights``, undoing merges last first.
 
     The cut at h applies the first #(merge heights <= h) merges. Its clusters
-    map node ids to ascending leaves and are labelled by smallest leaf.
+    map node ids to ascending leaves and are ordered by smallest leaf.
     """
     n = den.leaf_count
     ascending = sorted(den.heights)
@@ -200,27 +185,27 @@ def _cuts(
             del roots[n + j]
             for child in (den.merges[j].left, den.merges[j].right):
                 roots[child] = _leaves(den, child)
-        clusters = dict(sorted(roots.items(), key=lambda item: item[1][0]))
-        labels = [0] * n
-        for label, leaves in enumerate(clusters.values()):
-            for i in leaves:
-                labels[i] = label
-        yield clusters, FlatClustering(tuple(labels), len(clusters))
+        yield dict(sorted(roots.items(), key=lambda item: item[1][0]))
 
 
-def cut(den: Dendrogram, height: float) -> FlatClustering:
-    """Apply the first #(merge heights <= ``height``) merges; labels follow smallest members."""
+def cut(den: Dendrogram, height: float) -> list[list[int]]:
+    """The clusters after the first #(merge heights <= ``height``) merges, ordered as in ``_cuts``."""
     if height < 0:
         raise ValueError("cut height must be >= 0")
-    return next(_cuts(den, [height]))[1]
+    return list(next(_cuts(den, [height])).values())
 
 
-def _mean_silhouette(columns: list[np.ndarray], labels: np.ndarray) -> float | None:
-    """Mean silhouette from each cluster's column of distance sums to every item."""
-    n, k = len(labels), len(columns)
+def _mean_silhouette(columns: list[np.ndarray], groups: list[list[int]]) -> float | None:
+    """Mean silhouette from each group's column of distance sums to every item."""
+    sums = np.stack(columns, axis=1)
+    n, k = sums.shape
     if k < 2 or k > n - 1:
         return None
-    sums = np.stack(columns, axis=1)
+    labels = [0] * n
+    for label, group in enumerate(groups):
+        for i in group:
+            labels[i] = label
+    labels = np.asarray(labels)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     own = counts[labels]
     a = sums[np.arange(n), labels] / np.maximum(own - 1, 1)
@@ -234,19 +219,21 @@ def _mean_silhouette(columns: list[np.ndarray], labels: np.ndarray) -> float | N
     return float(scores.mean())
 
 
-def silhouette(dm: DistanceMatrix, fc: FlatClustering) -> float | None:
+def silhouette(dm: DistanceMatrix, groups: list[list[int]]) -> float | None:
     """Mean silhouette coefficient; ``None`` (undefined) outside 2 <= k <= n-1.
 
-    Items in singleton clusters contribute 0, and so do items whose intra
-    and nearest-other mean distances are both 0.
+    ``groups`` must partition ``range(dm.n)``. Items in singleton clusters
+    contribute 0, and so do items whose intra and nearest-other mean
+    distances are both 0.
     """
-    labels = np.asarray(fc.labels)
-    return _mean_silhouette([dm.d[:, labels == c].sum(axis=1) for c in range(fc.k)], labels)
+    if not all(groups) or sorted(i for group in groups for i in group) != list(range(dm.n)):
+        raise ValueError("groups must partition the items 0..n-1")
+    return _mean_silhouette([dm.d[:, group].sum(axis=1) for group in groups], groups)
 
 
 def sweep(
     dm: DistanceMatrix, den: Dendrogram
-) -> Iterator[tuple[float, FlatClustering, float | None]]:
+) -> Iterator[tuple[float, list[list[int]], float | None]]:
     """``(h, cut(den, h), its silhouette)`` at each distinct merge height h, highest first.
 
     Level h applies the first #(merge heights <= h) merges, so k rises
@@ -255,19 +242,20 @@ def sweep(
     """
     levels = sorted(set(den.heights), reverse=True)
     sums: dict[int, np.ndarray] = {}
-    for height, (clusters, fc) in zip(levels, _cuts(den, levels)):
+    for height, clusters in zip(levels, _cuts(den, levels)):
         sums = {
             node: sums[node] if node in sums else dm.d[:, leaves].sum(axis=1)
             for node, leaves in clusters.items()
         }
-        yield height, fc, _mean_silhouette(list(sums.values()), np.asarray(fc.labels))
+        groups = list(clusters.values())
+        yield height, groups, _mean_silhouette(list(sums.values()), groups)
 
 
-def select_k(dm: DistanceMatrix, den: Dendrogram, k_max: int) -> FlatClustering | None:
-    """The best-scored level of ``sweep`` with k <= ``k_max``, ties to the smallest k.
+def select_k(dm: DistanceMatrix, den: Dendrogram, k_max: int) -> list[list[int]] | None:
+    """The groups of the best-scored level of ``sweep`` with k <= ``k_max``, ties to the smallest k.
 
     ``None`` when no such level has a silhouette.
     """
-    levels = takewhile(lambda level: level[1].k <= k_max, sweep(dm, den))
-    scored = [(score, fc) for _, fc, score in levels if score is not None]
+    levels = takewhile(lambda level: len(level[1]) <= k_max, sweep(dm, den))
+    scored = [(score, groups) for _, groups, score in levels if score is not None]
     return max(scored, key=lambda level: level[0])[1] if scored else None

@@ -40,8 +40,6 @@ class FragmentNode:
     members: frozenset[int]
     direct: frozenset[int]
     parent: frozenset[int] | None
-    emitted_at: float
-    silhouette_at_emission: float
 
 
 def _cluster_refs(
@@ -61,8 +59,7 @@ def _cluster_refs(
     if len(refs) <= 2:
         return whole
     dm = euclidean_matrix(service.embed_columns(corpus, refs))
-    fc = select_k(dm, agglomerate(dm, linkage), k_max)
-    return fc.groups() if fc else whole
+    return select_k(dm, agglomerate(dm, linkage), k_max) or whole
 
 
 def identify_top_level(
@@ -140,31 +137,25 @@ def prune_dendrogram(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[
     if not levels:
         return []
     max_sil = max(score for _, _, score in levels)
-    emitted: list[tuple[frozenset[int], frozenset[int] | None, float, float]] = []
+    emitted: list[tuple[frozenset[int], frozenset[int] | None]] = []
     # leaf -> smallest cluster emitted so far that holds it. Each level refines
     # the one before, so any one leaf's entry holds its whole group: it is the
     # group's parent, or the group itself when that was emitted higher up.
     smallest: dict[int, frozenset[int]] = {}
-    for height, fc, score in levels:
+    for _, groups, score in levels:
         if score <= max_sil - delta:
             continue
-        for group in fc.groups():
+        for group in groups:
             parent = smallest.get(group[0])
             if len(group) < 2 or (parent is not None and len(parent) == len(group)):
                 continue
             cluster = frozenset(group)
-            emitted.append((cluster, parent, height, score))
+            emitted.append((cluster, parent))
             for i in group:
                 smallest[i] = cluster
     return [
-        FragmentNode(
-            members=cluster,
-            direct=frozenset(i for i in cluster if smallest[i] is cluster),
-            parent=parent,
-            emitted_at=height,
-            silhouette_at_emission=score,
-        )
-        for cluster, parent, height, score in emitted
+        FragmentNode(cluster, frozenset(i for i in cluster if smallest[i] is cluster), parent)
+        for cluster, parent in emitted
     ]
 
 

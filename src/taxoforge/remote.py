@@ -20,6 +20,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from time import sleep
+from urllib.parse import urlsplit
 
 from .errors import BackendError
 
@@ -44,22 +45,26 @@ def in_order(fn, items):
             running.extend(pool.submit(fn, item) for item in islice(items, 1))
 
 
+def check_url(url: str) -> None:
+    """Raise ``ValueError`` unless ``url`` is an http or https URL with a host and a valid port."""
+    parts = urlsplit(url)
+    parts.port  # raises on a port that is not a number from 0 to 65535
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError("not an http or https URL")
+
+
 def post_json(url: str, payload: dict, *, timeout: float, retries: int) -> dict:
     """POST ``payload`` in at most ``retries`` attempts; return the response's JSON object."""
     # imported here: runs that make no HTTP call should not pay for importing urllib.request
     from http.client import HTTPException, InvalidURL
     from urllib.error import HTTPError, URLError
-    from urllib.parse import urlsplit
     from urllib.request import Request, urlopen
 
     try:
-        parts = urlsplit(url)
-        parts.port  # raises on a port that is not a number from 0 to 65535
+        check_url(url)
         data = json.dumps(payload, allow_nan=False).encode("utf-8")
     except ValueError as exc:
         raise BackendError(f"POST {url}: {exc}") from exc
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise BackendError(f"POST {url}: not an http or https URL")
     headers = {"Content-Type": "application/json"}
     if os.environ.get(API_KEY_ENV):
         headers["Authorization"] = f"Bearer {os.environ[API_KEY_ENV]}"

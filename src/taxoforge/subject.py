@@ -73,7 +73,7 @@ def detect_subject(table: Table) -> int:
     scores = score_columns(table)
     # a column's uniqueness is 0 exactly when it has no non-empty cell
     if all(s.uniqueness == 0 for s in scores):
-        raise NoCandidateError(f"table {table.id!r} has no non-empty cell")
+        raise NoCandidateError("no non-empty cell")
     return max(scores, key=lambda s: (s.total, -s.col)).col
 
 
@@ -118,7 +118,10 @@ def assign_subjects(corpus: Corpus, overrides: dict[str, int] | None = None) -> 
     for table in corpus.tables:
         col = overrides.get(table.id)
         if col is None:
-            col = detect_subject(table)
+            try:
+                col = detect_subject(table)
+            except NoCandidateError as exc:
+                raise NoCandidateError(f"{Path(corpus.source_dir) / table.id}.csv: {exc}") from None
         elif not 0 <= col < table.n_cols:
             raise ValueError(f"override for {table.id!r} out of range: {col} (ncols={table.n_cols})")
         subjects[table.id] = col

@@ -16,7 +16,7 @@ from datetime import date
 
 import numpy as np
 
-from taxoforge.clustering import LINKAGES, Dendrogram, DistanceMatrix, Merge, sweep
+from taxoforge.clustering import LINKAGES, Dendrogram, DistanceMatrix, Merge, cut, silhouette, sweep
 from taxoforge.emtt import FragmentNode
 
 
@@ -141,6 +141,20 @@ def reference_agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendr
     return Dendrogram(tuple(merges))
 
 
+def labels_of(groups: list[list[int]]) -> list[int]:
+    """Each item's cluster index in ``groups``, item by item."""
+    label = {i: c for c, group in enumerate(groups) for i in group}
+    return [label[i] for i in range(len(label))]
+
+
+def groups_of(labels: list[int]) -> list[list[int]]:
+    """The items with label 0, 1, ..., max label, each list ascending."""
+    groups: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for i, label in enumerate(labels):
+        groups[label].append(i)
+    return groups
+
+
 def naive_silhouette(dist: list[list[float]], labels: list[int]) -> float | None:
     n = len(labels)
     k = len(set(labels))
@@ -229,11 +243,11 @@ def reference_prune(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[F
     if not valid:
         return []
     max_sil = max(valid)
-    emitted: dict[frozenset[int], tuple[frozenset[int] | None, float, float]] = {}
-    for height, fc, score in levels:
+    emitted: dict[frozenset[int], frozenset[int] | None] = {}
+    for _, groups, score in levels:
         if score is None or score <= max_sil - delta:
             continue
-        for group in fc.groups():
+        for group in groups:
             cluster = frozenset(group)
             if len(cluster) < 2 or cluster in emitted:
                 continue
@@ -241,9 +255,9 @@ def reference_prune(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[F
             for candidate in emitted:
                 if cluster < candidate and (parent is None or len(candidate) < len(parent)):
                     parent = candidate
-            emitted[cluster] = (parent, height, score)
+            emitted[cluster] = parent
     nodes = []
-    for cluster, (parent, height, score) in emitted.items():
+    for cluster, parent in emitted.items():
         claimed: set[int] = set()
         for other in emitted:
             if other < cluster:
@@ -253,11 +267,25 @@ def reference_prune(den: Dendrogram, dm: DistanceMatrix, delta: float) -> list[F
                 members=cluster,
                 direct=frozenset(cluster - claimed),
                 parent=parent,
-                emitted_at=height,
-                silhouette_at_emission=score,
             )
         )
     return nodes
+
+
+def emission_height(dm: DistanceMatrix, den: Dendrogram, members, delta: float) -> float:
+    """The highest merge height whose ``cut`` holds ``members`` as one cluster and
+    whose ``silhouette`` exceeds the best silhouette minus ``delta``.
+
+    Raises ``StopIteration`` when no such cut exists.
+    """
+    levels = [(h, cut(den, h)) for h in sorted(set(den.heights), reverse=True)]
+    scored = [(h, groups, silhouette(dm, groups)) for h, groups in levels]
+    valid = [score for _, _, score in scored if score is not None]
+    return next(
+        h
+        for h, groups, score in scored
+        if score is not None and score > max(valid) - delta and sorted(members) in groups
+    )
 
 
 # --- emtt -------------------------------------------------------------------------

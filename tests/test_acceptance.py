@@ -18,6 +18,7 @@ from .oracles import (
     brute_purity,
     brute_rand_index,
     brute_tcs,
+    emission_height,
     naive_agglomerate,
     oracle_prune,
 )
@@ -251,15 +252,15 @@ def test_criterion_4_pruning_window():
             levels = sorted(set(den.heights), reverse=True)
             valid = []
             for h in levels:
-                fc = cut(den, h)
-                if 2 <= fc.k <= den.leaf_count - 1:
-                    valid.append(silhouette(dm, fc))
+                groups = cut(den, h)
+                if 2 <= len(groups) <= den.leaf_count - 1:
+                    valid.append(silhouette(dm, groups))
             if not valid:
                 assert nodes == []
                 continue
             max_sil = max(valid)
             for node in nodes:
-                recomputed = silhouette(dm, cut(den, node.emitted_at))
+                recomputed = silhouette(dm, cut(den, emission_height(dm, den, node.members, delta)))
                 assert recomputed > max_sil - delta
                 if node.parent is not None:
                     assert node.members < node.parent

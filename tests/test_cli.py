@@ -374,12 +374,21 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         script_path.write_text(DEEP_JSON, encoding="utf-8")
     else:
         script_path.write_text(json.dumps(script), encoding="utf-8")
+    # the remote backends' URLs are read only when the run sends to them
+    extra = {
+        "gett-blank-root-name": ["--root-name", " "],
+        "gett-llm-url-not-http": ["--llm", "remote", "--llm-url", "ftp://x"],
+        "gett-embed-url-bad-port": [
+            "--edge-scorer", "cosine", "--embedder", "remote", "--embed-url", "http://127.0.0.1:99999/",
+        ],
+    }.get(case, [])
     return [
         "--method", "gett",
         "--llm", "scripted",
         "--script-path", str(script_path),
         "--tables-dir", str(gett_dir / "tables"),
         "--edge-scorer", "constant",
+        *extra,
     ]
 
 
@@ -399,7 +408,7 @@ BAD_RUN_INPUTS = {
     "config-latin-1": "run.cfg: 'utf-8' codec can't decode byte 0xe9",
     "table-latin-1": "uni_col_1.csv: 'utf-8' codec can't decode byte 0xe9",
     "table-zero-byte": "uni_col_1.csv: no header row",
-    "table-header-only": "table 'uni_col_1' has no non-empty cell",
+    "table-header-only": "tables/uni_col_1.csv: no non-empty cell",
     "annotations-duplicate-table": "annotation line 26: duplicate table id 'uni_col_1'",
     "annotations-field-too-large": "annotation line 26: field larger than field limit (131072)",
     "annotations-latin-1": "gt_annotations.csv: 'utf-8' codec can't decode byte 0xe9",
@@ -423,6 +432,9 @@ BAD_RUN_INPUTS = {
     "script-is-object": "script.json: script must be a JSON list",
     "script-not-json": "script.json: Expecting value: line 1 column 1",
     "script-deeply-nested": "script.json: maximum recursion depth exceeded",
+    "gett-blank-root-name": "root_name must not be blank",
+    "gett-llm-url-not-http": "llm_url 'ftp://x': not an http or https URL",
+    "gett-embed-url-bad-port": "embed_url 'http://127.0.0.1:99999/': Port out of range 0-65535",
 }
 
 

