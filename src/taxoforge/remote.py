@@ -26,7 +26,7 @@ from .errors import BackendError
 
 API_KEY_ENV = "TAXOFORGE_API_KEY"
 MAX_ATTEMPTS = 3
-MAX_IN_FLIGHT = 8
+MAX_IN_FLIGHT = 6  # socketserver's backlog of 5 queues 6 unaccepted connects; a 7th can wait 1 s
 
 
 def in_order(fn, items):

@@ -472,7 +472,7 @@ def test_run_gett_concurrent_calls_match_one_at_a_time(gett_dir, tmp_path, monke
     assert many_tax.to_json() == one_tax.to_json()
     assert ("Animal", "Bird") in one_tax.edges and ("Thing", "Duck") in one_tax.edges
     assert one_peak == 1
-    assert 2 <= many_peak <= 8
+    assert 2 <= many_peak <= remote.MAX_IN_FLIGHT
 
 
 def test_run_gett_single_table():

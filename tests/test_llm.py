@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -18,7 +19,7 @@ from taxoforge.llm import (
     TranscriptLogger,
     complete,
 )
-from taxoforge.remote import MAX_ATTEMPTS, post_json
+from taxoforge.remote import MAX_ATTEMPTS, MAX_IN_FLIGHT, post_json
 
 
 # --- scripted backend -----------------------------------------------------------
@@ -277,6 +278,19 @@ def test_post_json_payload_with_nan_fails_at_once(closed_url, sleeps):
     with pytest.raises(BackendError, match="JSON compliant"):
         post_json(closed_url, {"x": float("nan")}, timeout=5, retries=MAX_ATTEMPTS)
     assert sleeps == []
+
+
+def test_max_in_flight_connects_fit_a_default_listen_queue():
+    # a server that has accepted none of the connections yet: each one must
+    # still be queued at once, not have its SYN dropped and wait 1 s for a resend
+    with socket.create_server(("127.0.0.1", 0), backlog=socketserver.TCPServer.request_queue_size) as srv:
+        clients = []
+        try:
+            for _ in range(MAX_IN_FLIGHT):
+                clients.append(socket.create_connection(srv.getsockname(), timeout=0.5))
+        finally:
+            for client in clients:
+                client.close()
 
 
 def gett_remote_args(gett_dir, url, out_dir):
