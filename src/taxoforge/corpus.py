@@ -9,7 +9,10 @@ padded with empty strings, longer rows are rejected. No file is skipped.
 from __future__ import annotations
 
 import csv
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import count, zip_longest
 from pathlib import Path
 
 from .errors import EmptyCorpusError, MalformedTableError, open_input
@@ -17,23 +20,62 @@ from .errors import EmptyCorpusError, MalformedTableError, open_input
 
 @dataclass
 class Table:
-    """One ingested entity table."""
+    """One ingested entity table, held as dictionary-encoded columns.
+
+    Each column keeps its distinct cells once, ``""`` included, in
+    first-occurrence order, and one code per row that indexes them; the codes
+    of all columns share one array, column after column. Build a table with
+    ``from_rows``; read it through ``value_counts`` and ``row``.
+    """
 
     id: str
     headers: list[str]
-    rows: list[list[str]]
+    n_rows: int
+    _values: list[list[str]] = field(repr=False)
+    _codes: array = field(repr=False)
+
+    @classmethod
+    def from_rows(cls, id: str, headers: list[str], rows: Sequence[Sequence[str]]) -> Table:
+        """Encode ``rows`` under ``headers``: cells are stripped and short rows padded with ``""``.
+
+        A row longer than the header row raises ``MalformedTableError``
+        naming its 1-based data row.
+        """
+        width = len(headers)
+        # zip_longest pads short rows; an extra column means some row is too long
+        columns = list(zip_longest(*rows, fillvalue=""))
+        if len(columns) > width:
+            i, row = next((i, row) for i, row in enumerate(rows, 1) if len(row) > width)
+            raise MalformedTableError(id, i, len(row), width)
+        columns += [("",) * len(rows)] * (width - len(columns))
+        values, codes = [], array("I")
+        for column in columns:
+            cells = list(map(str.strip, column))
+            index = dict(zip(dict.fromkeys(cells), count()))
+            values.append(list(index))
+            codes.extend(map(index.__getitem__, cells))
+        return cls(id, headers, len(rows), values, codes)
 
     @property
     def n_cols(self) -> int:
         return len(self.headers)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    def value_counts(self, col: int) -> dict[str, int]:
+        """Non-empty cell -> number of rows holding it, in first-occurrence order."""
+        if not 0 <= col < self.n_cols:
+            raise IndexError(f"column {col} out of range for table {self.id!r}")
+        values = self._values[col]
+        counts = [0] * len(values)
+        for code in self._codes[col * self.n_rows:(col + 1) * self.n_rows]:
+            counts[code] += 1
+        return {value: n for value, n in zip(values, counts) if value}
 
-    def column(self, col: int) -> list[str]:
-        """Cell values of one column, top to bottom."""
-        return [row[col] for row in self.rows]
+    def row(self, r: int) -> list[str]:
+        """The cells of data row ``r`` (0-based), one per column."""
+        if not 0 <= r < self.n_rows:
+            raise IndexError(f"row {r} out of range for table {self.id!r}")
+        # row r's codes sit n_rows apart, one per column
+        return [values[code] for values, code in zip(self._values, self._codes[r::self.n_rows])]
 
 
 @dataclass
@@ -74,21 +116,12 @@ def _dedupe_headers(headers: list[str]) -> list[str]:
 
 
 def _read_table(path: Path) -> Table:
-    table_id = path.stem
     with open_input(path) as fh:
         raw = list(csv.reader(fh))
         if not raw or not any(cell.strip() for cell in raw[0]):
             raise ValueError("no header row")
     headers = _dedupe_headers([h.strip() for h in raw[0]])
-    width = len(headers)
-    rows: list[list[str]] = []
-    for i, raw_row in enumerate(raw[1:], start=1):
-        if len(raw_row) > width:
-            raise MalformedTableError(table_id, i, len(raw_row), width)
-        cells = [c.strip() for c in raw_row]
-        cells += [""] * (width - len(cells))
-        rows.append(cells)
-    return Table(id=table_id, headers=headers, rows=rows)
+    return Table.from_rows(path.stem, headers, raw[1:])
 
 
 def ingest(dir_path: str | Path) -> Corpus:

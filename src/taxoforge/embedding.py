@@ -16,6 +16,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,17 +46,8 @@ def serialize_column(table: Table, col: int) -> str:
     Values are the first ``MAX_DISTINCT_CELLS`` unique non-empty cells in
     first-occurrence order.
     """
-    if col >= table.n_cols:
-        raise IndexError(f"column {col} out of range for table {table.id!r}")
-    parts = ["<s>", f"<header>{table.headers[col]}</header>"]
-    seen: set[str] = set()
-    for value in table.column(col):
-        if value and value not in seen:
-            seen.add(value)
-            parts.append(value)
-            if len(seen) >= MAX_DISTINCT_CELLS:
-                break
-    return " ".join(parts)
+    values = islice(table.value_counts(col), MAX_DISTINCT_CELLS)
+    return " ".join(["<s>", f"<header>{table.headers[col]}</header>", *values])
 
 
 class LocalHashProvider:

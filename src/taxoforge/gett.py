@@ -174,7 +174,7 @@ def sample_rows(table: Table, seed: int) -> list[list[str]]:
     for i in range(take):
         j = i + int(rng.random() * (total - i))
         indices[i], indices[j] = indices[j], indices[i]
-    return [table.rows[i] for i in indices[:take]]
+    return [table.row(i) for i in indices[:take]]
 
 
 def truncate_cell(cell: str) -> str:

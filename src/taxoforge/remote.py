@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
@@ -27,6 +28,8 @@ from .errors import BackendError
 API_KEY_ENV = "TAXOFORGE_API_KEY"
 MAX_ATTEMPTS = 3
 MAX_IN_FLIGHT = 6  # socketserver's backlog of 5 queues 6 unaccepted connects; a 7th can wait 1 s
+# the characters http.client refuses in a URL
+_UNSENDABLE = re.compile("[\x00-\x20\x7f]")
 
 
 def in_order(fn, items):
@@ -46,7 +49,14 @@ def in_order(fn, items):
 
 
 def check_url(url: str) -> None:
-    """Raise ``ValueError`` unless ``url`` is an http or https URL with a host and a valid port."""
+    """Raise ``ValueError`` unless ``url`` is an http or https URL with a host and a valid port.
+
+    A space or a control character anywhere in it is refused too, as
+    ``http.client`` refuses it at send time; ``urlsplit`` drops some of them.
+    """
+    bad = _UNSENDABLE.search(url)
+    if bad:
+        raise ValueError(f"URL can't contain a space or control character (found {bad.group()!r})")
     parts = urlsplit(url)
     parts.port  # raises on a port that is not a number from 0 to 65535
     if parts.scheme not in ("http", "https") or not parts.hostname:

@@ -56,10 +56,12 @@ def score_columns(table: Table) -> list[SubjectScore]:
     n_cols = table.n_cols
     scores = []
     for col in range(n_cols):
-        values = [v for v in table.column(col) if v != ""]
-        if values:
-            uniqueness = len(set(values)) / len(values)
-            text_ratio = sum(1 for v in values if not is_numeric_or_date(v)) / len(values)
+        counts = table.value_counts(col)
+        total = sum(counts.values())
+        if total:
+            # each distinct value is classified once and weighted by its count
+            uniqueness = len(counts) / total
+            text_ratio = sum(n for v, n in counts.items() if not is_numeric_or_date(v)) / total
         else:
             uniqueness = 0.0
             text_ratio = 0.0

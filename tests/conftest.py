@@ -26,7 +26,7 @@ def make_table():
     from taxoforge.corpus import Table
 
     def build(table_id="t", headers=None, rows=None):
-        return Table(id=table_id, headers=headers or ["a"], rows=rows or [])
+        return Table.from_rows(id=table_id, headers=headers or ["a"], rows=rows or [])
 
     return build
 

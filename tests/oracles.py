@@ -10,14 +10,20 @@ be required to give identical results, ties and rounding included.
 
 from __future__ import annotations
 
+import csv
+import random
 import re
 from collections import Counter
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
 from taxoforge.clustering import LINKAGES, Dendrogram, DistanceMatrix, Merge, cut, silhouette, sweep
+from taxoforge.embedding import MAX_DISTINCT_CELLS
 from taxoforge.emtt import FragmentNode
+from taxoforge.gett import ROW_SAMPLE
+from taxoforge.subject import POSITION_WEIGHT, SubjectScore, is_numeric_or_date
 
 
 # --- clustering -------------------------------------------------------------
@@ -442,3 +448,58 @@ def brute_tcs(
     if not scores:
         return None
     return sum(scores) / len(scores)
+
+
+# --- a table's cells, held as rows ---------------------------------------------------
+# Tables were once held as lists of stripped, padded rows. These are the readers of
+# that form, kept verbatim but for taking rows in place of a table.
+
+def read_rows(path: Path, width: int) -> list[list[str]]:
+    """The data rows of a table file: cells stripped, short rows padded to ``width``."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        raw = list(csv.reader(fh))
+    rows = []
+    for raw_row in raw[1:]:
+        assert len(raw_row) <= width
+        cells = [c.strip() for c in raw_row]
+        cells += [""] * (width - len(cells))
+        rows.append(cells)
+    return rows
+
+
+def rows_score_columns(rows: list[list[str]], n_cols: int) -> list[SubjectScore]:
+    scores = []
+    for col in range(n_cols):
+        values = [row[col] for row in rows if row[col] != ""]
+        if values:
+            uniqueness = len(set(values)) / len(values)
+            text_ratio = sum(1 for v in values if not is_numeric_or_date(v)) / len(values)
+        else:
+            uniqueness = 0.0
+            text_ratio = 0.0
+        bonus = POSITION_WEIGHT * (1.0 - col / n_cols)
+        scores.append(SubjectScore(col, uniqueness, text_ratio, bonus))
+    return scores
+
+
+def rows_serialize_column(header: str, column: list[str]) -> str:
+    parts = ["<s>", f"<header>{header}</header>"]
+    seen: set[str] = set()
+    for value in column:
+        if value and value not in seen:
+            seen.add(value)
+            parts.append(value)
+            if len(seen) >= MAX_DISTINCT_CELLS:
+                break
+    return " ".join(parts)
+
+
+def rows_sample_rows(rows: list[list[str]], seed: int) -> list[list[str]]:
+    total = len(rows)
+    take = min(ROW_SAMPLE, total)
+    rng = random.Random(seed)
+    indices = list(range(total))
+    for i in range(take):
+        j = i + int(rng.random() * (total - i))
+        indices[i], indices[j] = indices[j], indices[i]
+    return [rows[i] for i in indices[:take]]

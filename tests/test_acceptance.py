@@ -338,7 +338,7 @@ def test_criterion_6_prompt_conformance():
                         for _ in range(n_cols)
                     ]
                 )
-            table = Table(id=f"t{i}", headers=[f"h{c}" for c in range(n_cols)], rows=rows)
+            table = Table.from_rows(id=f"t{i}", headers=[f"h{c}" for c in range(n_cols)], rows=rows)
             prompt = build_generation_prompt(table, seed=i)
             lines = prompt.splitlines()
             start = lines.index("Table:") + 1

@@ -225,8 +225,13 @@ def test_ingest_check_empty(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content, message",
-    [(b"name,city\ncaf\xe9,Paris\n", "'utf-8' codec can't decode byte 0xe9"), (b"", "no header row")],
-    ids=["latin-1", "zero-byte"],
+    [
+        (b"name,city\ncaf\xe9,Paris\n", "'utf-8' codec can't decode byte 0xe9"),
+        (b"", "no header row"),
+        # Python 3.10's csv module refuses a NUL, 3.11's keeps it as text; taxoforge refuses it on both
+        (b"name,city\nAda\x00,Paris\n", "line contains NUL"),
+    ],
+    ids=["latin-1", "zero-byte", "nul"],
 )
 def test_ingest_check_fails_on_a_bad_table(planted_dir, tmp_path, capsys, content, message):
     tables = tmp_path / "tables"
@@ -326,12 +331,16 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
     if case == "config-latin-1":
         (tmp_path / "run.cfg").write_bytes(b"# caf\xe9\nk_max=8\n")
         return ["--config", str(tmp_path / "run.cfg")]
+    if case == "config-nul":
+        (tmp_path / "run.cfg").write_bytes(b"k_max=8\x00\n")
+        return ["--config", str(tmp_path / "run.cfg")]
     if case.startswith("table-"):
         shutil.copytree(planted_dir / "tables", tmp_path / "tables")
         content = {
             "table-latin-1": b"name,city\ncaf\xe9,Paris\n",
             "table-zero-byte": b"",
             "table-header-only": b"name,city\n",
+            "table-nul": b"name,city\nAda\x00,Paris\n",
         }[case]
         (tmp_path / "tables" / "uni_col_1.csv").write_bytes(content)
         return ["--tables-dir", str(tmp_path / "tables")]
@@ -381,6 +390,11 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         "gett-embed-url-bad-port": [
             "--edge-scorer", "cosine", "--embedder", "remote", "--embed-url", "http://127.0.0.1:99999/",
         ],
+        # http.client refuses these only when sending; urlsplit drops the newline
+        "gett-llm-url-space": ["--llm", "remote", "--llm-url", "http://127.0.0.1:1/a b"],
+        "gett-embed-url-newline": [
+            "--edge-scorer", "cosine", "--embedder", "remote", "--embed-url", "http://127.0.0.1:1/a\nb",
+        ],
     }.get(case, [])
     return [
         "--method", "gett",
@@ -406,9 +420,11 @@ BAD_RUN_INPUTS = {
     "overrides-unknown-table": "override line 2: unknown table id 'no_such_table'",
     "overrides-latin-1": "overrides.csv: 'utf-8' codec can't decode byte 0xe9",
     "config-latin-1": "run.cfg: 'utf-8' codec can't decode byte 0xe9",
+    "config-nul": "run.cfg: line contains NUL",
     "table-latin-1": "uni_col_1.csv: 'utf-8' codec can't decode byte 0xe9",
     "table-zero-byte": "uni_col_1.csv: no header row",
     "table-header-only": "tables/uni_col_1.csv: no non-empty cell",
+    "table-nul": "uni_col_1.csv: line contains NUL",
     "annotations-duplicate-table": "annotation line 26: duplicate table id 'uni_col_1'",
     "annotations-field-too-large": "annotation line 26: field larger than field limit (131072)",
     "annotations-latin-1": "gt_annotations.csv: 'utf-8' codec can't decode byte 0xe9",
@@ -435,6 +451,10 @@ BAD_RUN_INPUTS = {
     "gett-blank-root-name": "root_name must not be blank",
     "gett-llm-url-not-http": "llm_url 'ftp://x': not an http or https URL",
     "gett-embed-url-bad-port": "embed_url 'http://127.0.0.1:99999/': Port out of range 0-65535",
+    "gett-llm-url-space": "llm_url 'http://127.0.0.1:1/a b': URL can't contain a space or control character (found ' ')",
+    "gett-embed-url-newline": (
+        "embed_url 'http://127.0.0.1:1/a\\nb': URL can't contain a space or control character (found '\\n')"
+    ),
 }
 
 

@@ -31,7 +31,8 @@ def test_ingest_trims_and_pads(tmp_path):
     write_csv(tmp_path / "t.csv", [[" name ", "city"], [" Acme ", "Paris"], ["Solo"]])
     table = ingest(tmp_path).get("t")
     assert table.headers == ["name", "city"]
-    assert table.rows == [["Acme", "Paris"], ["Solo", ""]]
+    assert table.n_rows == 2
+    assert [table.row(r) for r in range(2)] == [["Acme", "Paris"], ["Solo", ""]]
 
 
 def test_ingest_strips_byte_order_mark(tmp_path):
@@ -39,7 +40,8 @@ def test_ingest_strips_byte_order_mark(tmp_path):
     (tmp_path / "t.csv").write_bytes("\ufeffname,age\nAda,36\n".encode("utf-8"))
     table = ingest(tmp_path).get("t")
     assert table.headers == ["name", "age"]
-    assert table.rows == [["Ada", "36"]]
+    assert table.n_rows == 1
+    assert table.row(0) == ["Ada", "36"]
 
 
 def test_ingest_dedupes_headers(tmp_path):
@@ -89,7 +91,8 @@ def test_ingest_idempotent(tmp_path):
 def test_row_width_invariant(tmp_path):
     write_csv(tmp_path / "t.csv", [["a", "b", "c"], ["1"], ["1", "2"], ["1", "2", "3"]])
     table = ingest(tmp_path).get("t")
-    assert all(len(row) == table.n_cols for row in table.rows)
+    assert table.n_rows == 3
+    assert all(len(table.row(r)) == table.n_cols for r in range(table.n_rows))
 
 
 # --- gett's table block: the row sampler and the cell cap --------------------------
@@ -100,32 +103,32 @@ def make_rows(n):
 
 
 def test_sample_rows_fewer_than_n():
-    table = Table(id="t", headers=["a"], rows=make_rows(3))
+    table = Table.from_rows(id="t", headers=["a"], rows=make_rows(3))
     sampled = sample_rows(table, seed=1)
     assert sorted(sampled) == make_rows(3)
 
 
 def test_sample_rows_deterministic():
-    table = Table(id="t", headers=["a"], rows=make_rows(50))
+    table = Table.from_rows(id="t", headers=["a"], rows=make_rows(50))
     assert sample_rows(table, seed=9) == sample_rows(table, seed=9)
     assert sample_rows(table, seed=9) != sample_rows(table, seed=10)
 
 
 def test_sample_rows_empty_table():
-    table = Table(id="t", headers=["a"], rows=[])
+    table = Table.from_rows(id="t", headers=["a"], rows=[])
     assert sample_rows(table, seed=1) == []
 
 
 def test_sample_rows_distinct():
     assert ROW_SAMPLE == 5
-    table = Table(id="t", headers=["a"], rows=make_rows(10))
+    table = Table.from_rows(id="t", headers=["a"], rows=make_rows(10))
     sampled = sample_rows(table, seed=3)
     assert len({tuple(r) for r in sampled}) == 5
 
 
 def test_sample_rows_uniform_chi_square():
     # 10k seeded draws of 5 from 100 rows: each row expected 500 times
-    table = Table(id="t", headers=["a"], rows=make_rows(100))
+    table = Table.from_rows(id="t", headers=["a"], rows=make_rows(100))
     counts = Counter()
     for seed in range(10_000):
         for row in sample_rows(table, seed=seed):

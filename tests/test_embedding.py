@@ -23,7 +23,7 @@ from taxoforge.errors import BackendError, DimensionMismatchError
 
 def table_of(headers, columns, table_id="t"):
     rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return Table(id=table_id, headers=headers, rows=rows)
+    return Table.from_rows(id=table_id, headers=headers, rows=rows)
 
 
 # --- serialization ---------------------------------------------------------
@@ -35,7 +35,7 @@ def test_serialize_dedupes_values():
 
 
 def test_serialize_empty_column():
-    t = Table(id="t", headers=["x"], rows=[[""], [""]])
+    t = Table.from_rows(id="t", headers=["x"], rows=[[""], [""]])
     assert serialize_column(t, 0) == "<s> <header>x</header>"
 
 

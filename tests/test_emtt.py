@@ -32,7 +32,7 @@ def service():
 
 def table_of(table_id, headers, columns):
     rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return Table(id=table_id, headers=headers, rows=rows)
+    return Table.from_rows(id=table_id, headers=headers, rows=rows)
 
 
 def two_domain_corpus() -> tuple[Corpus, dict[str, int]]:

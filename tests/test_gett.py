@@ -37,7 +37,7 @@ GOLDEN = Path(__file__).parent / "golden" / "generation_prompt.txt"
 
 
 def table_of(table_id, headers, rows):
-    return Table(id=table_id, headers=headers, rows=rows)
+    return Table.from_rows(id=table_id, headers=headers, rows=rows)
 
 
 # --- generation ---------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_generation_prompt_row_count():
 
 
 def test_generation_prompt_golden():
-    table = Table(
+    table = Table.from_rows(
         id="golden",
         headers=["name", "city", "notes"],
         rows=[
@@ -503,7 +503,7 @@ def random_table(rng: random.Random, table_id: str) -> Table:
             n_tokens = rng.choice([1, 2, 5, 40, 80, 120])
             row.append(" ".join("".join(rng.choices(alphabet, k=4)) for _ in range(n_tokens)))
         rows.append(row)
-    return Table(id=table_id, headers=headers, rows=rows)
+    return Table.from_rows(id=table_id, headers=headers, rows=rows)
 
 
 def extract_table_block(prompt: str) -> list[str]:

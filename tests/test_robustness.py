@@ -41,7 +41,7 @@ def random_corpus(rng: random.Random, n_tables: int) -> Corpus:
             rows.append(row)
         # subject detection needs at least one non-empty cell
         rows[0][0] = rows[0][0] or "anchor"
-        tables.append(Table(id=f"t{i:03d}", headers=headers, rows=rows))
+        tables.append(Table.from_rows(id=f"t{i:03d}", headers=headers, rows=rows))
     return Corpus(tables=tables)
 
 

@@ -19,7 +19,7 @@ from taxoforge.subject import (
 
 def table_of(headers, columns, table_id="t"):
     rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return Table(id=table_id, headers=headers, rows=rows)
+    return Table.from_rows(id=table_id, headers=headers, rows=rows)
 
 
 def test_detect_prefers_distinct_text():
@@ -44,7 +44,7 @@ def test_no_candidate():
     t = table_of(["a", "b"], [["", ""], ["", ""]])
     with pytest.raises(NoCandidateError):
         detect_subject(t)
-    header_only = Table(id="h", headers=["a", "b"], rows=[])
+    header_only = Table.from_rows(id="h", headers=["a", "b"], rows=[])
     with pytest.raises(NoCandidateError):
         detect_subject(header_only)
 
@@ -57,7 +57,7 @@ def test_row_permutation_invariance():
     for _ in range(10):
         order = list(range(4))
         rng.shuffle(order)
-        shuffled = Table(id="t", headers=base.headers, rows=[base.rows[i] for i in order])
+        shuffled = Table.from_rows(id="t", headers=base.headers, rows=[base.row(i) for i in order])
         assert detect_subject(shuffled) == expected
 
 
