@@ -5,8 +5,8 @@ report.json, transcript.jsonl, toplevel.json, attributes.json). A config
 file of ``key=value`` lines can seed any option; explicit flags win. The
 only environment input is the API key (``remote.API_KEY_ENV``), so secrets
 never live in config files. All randomness flows from --seed. Every
-subcommand exits 0 on success and 1 on any error, with one ``error:`` line
-on stderr; ``run`` exits 2 when some gett tables failed.
+subcommand exits 0 on success and 1 on any error or bad command line, with
+one ``error:`` line on stderr; ``run`` exits 2 when some gett tables failed.
 
 ``emtt`` and ``embedding`` load numpy, so they are imported only where a run
 clusters or embeds: ``eval``, ``stats``, ``ingest-check`` and gett with the
@@ -214,6 +214,7 @@ def cmd_run(cfg: RunConfig) -> int:
         _write_json(out_dir / "toplevel.json", result.toplevel_dict())
         _write_json(out_dir / "attributes.json", result.attributes_dict())
     else:
+        out_dir.mkdir(parents=True, exist_ok=True)
         transcript = TranscriptLogger(out_dir / "transcript.jsonl")
         edge_filter = _make_edge_filter(cfg, backend, transcript)
         result = gett_mod.run_gett(
@@ -272,9 +273,16 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line, so ``main``'s boundary reports it; subparsers inherit this."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    parser = argparse.ArgumentParser(prog="taxoforge")
+    parser = _Parser(prog="taxoforge")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="infer a taxonomy for a table directory")
@@ -291,9 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     check_p = sub.add_parser("ingest-check", help="parse a table directory and print a summary")
     check_p.add_argument("tables_dir")
 
-    args = parser.parse_args(argv)
-    # the one error boundary: every subcommand ends a bad input in one line and exit 1
+    # the one error boundary: a bad command line or input ends in one line and exit 1
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             return cmd_run(build_config(args))
         if args.command == "eval":

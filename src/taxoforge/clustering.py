@@ -52,7 +52,6 @@ class Merge:
     left: int
     right: int
     height: float
-    size: int
 
 
 @dataclass(frozen=True)
@@ -97,13 +96,13 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
     exactly; a merge rescans only the rows whose cached argmin pointed at a
     merged slot, and resolves a tie among any number of pairs with a fixed
     handful of O(n) array operations, so each merge costs O(n) NumPy work
-    plus O(n) per rescanned row.
+    plus O(n) per rescanned row. One item gives a dendrogram with no merges.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
     n = dm.n
-    if n < 2:
-        raise ValueError("need at least 2 items to agglomerate")
+    if n < 1:
+        raise ValueError("need at least 1 item to agglomerate")
     dist = dm.d.copy()
     np.fill_diagonal(dist, np.inf)
     # retired slots keep row_min = inf and row_arg = -1, so they are never
@@ -125,7 +124,7 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
         c = partners[cid[partners].argmin()]
         i, j = (r, c) if r < c else (c, r)
         si_size, sj_size = sizes[i], sizes[j]
-        merges.append(Merge(int(cid[r]), int(cid[c]), float(current_min), si_size + sj_size))
+        merges.append(Merge(int(cid[r]), int(cid[c]), float(current_min)))
         if step == n - 2:
             break
         row_i, row_j = dist[i], dist[j]

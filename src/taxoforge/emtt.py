@@ -53,13 +53,10 @@ def _cluster_refs(
 
     Returns the groups of the silhouette-selected cut, or one group of all
     refs when no cut with 2 <= k <= n-1 has a silhouette, as with fewer
-    than three refs (which skip the embed call).
+    than three refs.
     """
-    whole = [list(range(len(refs)))]
-    if len(refs) <= 2:
-        return whole
     dm = euclidean_matrix(service.embed_columns(corpus, refs))
-    return select_k(dm, agglomerate(dm, linkage), k_max) or whole
+    return select_k(dm, agglomerate(dm, linkage), k_max) or [list(range(len(refs)))]
 
 
 def identify_top_level(
@@ -206,10 +203,8 @@ def run_emtt(
             for ref in refs:
                 attributes[ref] = attr_id
                 attr_sets[ref.table_id].add(attr_id)
-        fragment: list[FragmentNode] = []
-        if len(member_ids) >= 2:
-            dm = jaccard_matrix(member_ids, attr_sets)
-            fragment = prune_dendrogram(agglomerate(dm, linkage), dm, delta)
+        dm = jaccard_matrix(member_ids, attr_sets)
+        fragment = prune_dendrogram(agglomerate(dm, linkage), dm, delta)
         claimed = {member_ids[i] for node in fragment for i in node.members}
         tax.add_type(EntityType(id=tlt_id, name=tlt_id, tables=set(member_ids) - claimed))
         node_ids: dict[frozenset[int] | None, str] = {None: tlt_id}

@@ -105,7 +105,6 @@ class TranscriptLogger:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.path.write_text("", encoding="utf-8")
         self._seq = 0
 

@@ -111,7 +111,7 @@ def reference_agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendr
         assert best_key is not None
         i, j = best_slots
         si_size, sj_size = sizes[i], sizes[j]
-        merges.append(Merge(best_key[0], best_key[1], float(current_min), si_size + sj_size))
+        merges.append(Merge(best_key[0], best_key[1], float(current_min)))
         row_i, row_j = dist[i], dist[j]
         if linkage == "average":
             new_row = (si_size * row_i + sj_size * row_j) / (si_size + sj_size)
@@ -193,7 +193,7 @@ def naive_cut_members(merges, leaf_count: int, height: float) -> set[frozenset[i
     cut height, no later merge can apply either.
     """
     active: dict[int, frozenset[int]] = {i: frozenset([i]) for i in range(leaf_count)}
-    for k, (left, right, h, _size) in enumerate(merges):
+    for k, (left, right, h) in enumerate(merges):
         if h <= height:
             active[leaf_count + k] = active.pop(left) | active.pop(right)
     return set(active.values())
@@ -205,7 +205,7 @@ def oracle_prune(merges, leaf_count: int, dist: list[list[float]], delta: float)
     Returns {cluster members -> parent members or None} for every emitted
     cluster, derived purely from naive cuts and the naive silhouette.
     """
-    heights = sorted({h for _, _, h, _ in merges}, reverse=True)
+    heights = sorted({h for _, _, h in merges}, reverse=True)
     cuts = []
     for h in heights:
         clusters = naive_cut_members(merges, leaf_count, h)

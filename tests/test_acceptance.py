@@ -165,8 +165,8 @@ def test_criterion_2_clustering_reference():
             linkage = linkages[trial % 3]
             den = agglomerate(dm, linkage)
             ref = naive_agglomerate(d.tolist(), linkage)
-            assert [(m.left, m.right, m.size) for m in den.merges] == [
-                (r[0], r[1], r[3]) for r in ref
+            assert [(m.left, m.right) for m in den.merges] == [
+                (r[0], r[1]) for r in ref
             ], f"merge sequence differs (trial {trial}, linkage {linkage})"
             for mine, theirs in zip(den.heights, (r[2] for r in ref)):
                 assert abs(mine - theirs) <= 1e-9
@@ -218,7 +218,7 @@ def test_criterion_3_planted_recovery(planted_dir):
                         assert dm.d[i, j] >= 0.6
             den = agglomerate(dm)
             nodes = prune_dendrogram(den, dm, 0.15)
-            merges = [(m.left, m.right, m.height, m.size) for m in den.merges]
+            merges = [(m.left, m.right, m.height) for m in den.merges]
             expected = oracle_prune(merges, den.leaf_count, dm.d.tolist(), 0.15)
             assert {n.members: n.parent for n in nodes} == expected
             assert {frozenset(ids[i] for i in members) for members in expected} == {

@@ -242,6 +242,32 @@ def test_ingest_check_fails_on_a_bad_table(planted_dir, tmp_path, capsys, conten
     assert last.startswith(f"error: {tables / 'uni_col_1.csv'}: {message}")
 
 
+# command lines that argparse refuses; main reports them like any other bad input
+BAD_COMMAND_LINES = {
+    "bad-choice": ["run", "--method", "bogus"],
+    "bad-int": ["run", "--k-max", "x"],
+    "unknown-flag": ["run", "--bogus", "1"],
+    "no-subcommand": [],
+    "eval-without-gt": ["eval", "t.json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_COMMAND_LINES.values()), ids=list(BAD_COMMAND_LINES))
+def test_bad_command_line_is_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "usage:" not in captured.err + captured.out
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: taxoforge")
+
+
 def test_run_missing_script_path(gett_dir, tmp_path, capsys):
     code = run_cli(
         "run",

@@ -78,12 +78,18 @@ def test_line_points_average_linkage():
     assert den.merges[1].left == 2 and den.merges[1].right == 3
 
 
+def test_one_item_gives_no_merges():
+    den = agglomerate(DistanceMatrix(np.zeros((1, 1))))
+    assert den.merges == ()
+    assert den.leaf_count == 1
+
+
 def test_two_items():
     dm = dm_from([[0.0, 2.5], [2.5, 0.0]])
     den = agglomerate(dm)
     assert len(den.merges) == 1
     assert den.merges[0].height == 2.5
-    assert den.merges[0].size == 2
+    assert (den.merges[0].left, den.merges[0].right) == (0, 1)
 
 
 @pytest.mark.parametrize("linkage", ["average", "complete", "single"])
@@ -94,9 +100,7 @@ def test_matches_naive_reference(linkage):
         dm = random_distance_matrix(rng, n)
         den = agglomerate(dm, linkage)
         reference = naive_agglomerate(dm.d.tolist(), linkage)
-        assert [(m.left, m.right, m.size) for m in den.merges] == [
-            (r[0], r[1], r[3]) for r in reference
-        ]
+        assert [(m.left, m.right) for m in den.merges] == [(r[0], r[1]) for r in reference]
         for mine, ref in zip(den.heights, (r[2] for r in reference)):
             assert mine == pytest.approx(ref, abs=1e-9)
 

@@ -127,7 +127,7 @@ def test_jaccard_matrix_is_pairwise_distance_bit_for_bit(sets):
 
 def oracle_prune(den, dm: DistanceMatrix, delta: float):
     """Exhaustive cut-enumeration oracle, independent of prune_dendrogram."""
-    merges = [(m.left, m.right, m.height, m.size) for m in den.merges]
+    merges = [(m.left, m.right, m.height) for m in den.merges]
     return shared_oracle_prune(merges, den.leaf_count, dm.d.tolist(), delta)
 
 
