@@ -121,7 +121,8 @@ def _read_table(path: Path) -> Table:
         if not raw or not any(cell.strip() for cell in raw[0]):
             raise ValueError("no header row")
     headers = _dedupe_headers([h.strip() for h in raw[0]])
-    return Table.from_rows(path.stem, headers, raw[1:])
+    # csv.reader yields [] for a blank line; a "," line is a real row of empty cells
+    return Table.from_rows(path.stem, headers, [row for row in raw[1:] if row])
 
 
 def ingest(dir_path: str | Path) -> Corpus:

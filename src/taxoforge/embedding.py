@@ -4,17 +4,20 @@ Two providers ship: ``remote`` speaks a JSON embeddings API (order-preserving
 ``{"model", "input": [...]}`` -> ``{"data": [{"embedding": [...]}]}``), and
 ``local-hash`` maps each token to a seeded pseudo-random unit vector and
 averages, giving a fully offline space where shared vocabulary means high
-cosine similarity. Vectors are cached one file per entry, keyed by the
-SHA-256 of (provider id || serialized text), so repeated runs are bit-exact
-even against nondeterministic remote backends.
+cosine similarity. Vectors are cached in one append-only pack file per cache
+directory, keyed by the SHA-256 of (provider id || serialized text), so
+repeated runs are bit-exact even against nondeterministic remote backends.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import logging
 import os
 import struct
+import weakref
+import zlib
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -133,35 +136,119 @@ def cache_key(provider_id: str, text: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+PACK_FILE = "vectors.pack"
+_KEY_LEN = struct.Struct("<H")
+_DIM_CRC = struct.Struct("<II")
+
+
 class VectorCache:
-    """One file per vector: uint32 little-endian dim then float32 values."""
+    """Vectors in one append-only pack file, ``vectors.pack`` in the cache directory.
+
+    A record is a uint16 key length, the UTF-8 key, a uint32 dim, a CRC32 of
+    the record's other bytes, then ``dim`` float32 values, all little-endian.
+    The first whole record of a key whose CRC matches and whose values are
+    all finite wins; a record whose CRC fails is skipped with a warning. On
+    first use one read under a shared ``flock`` indexes the pack. ``put``
+    takes an exclusive ``flock``, indexes what other writers appended since,
+    truncates a tail cut short by a crashed writer, then appends, so
+    processes may share a directory. Nothing else in the directory is read.
+    """
 
     def __init__(self, cache_dir: str | Path):
-        self.dir = Path(cache_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.dir / f"{key}.vec"
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        self.path = Path(cache_dir) / PACK_FILE
+        self._fd: int | None = None
+        # key -> offset of its values << 32 | dim: one int per key, where a tuple costs 56 bytes more
+        self._index: dict[str, int] = {}
+        self._end = 0  # the pack is indexed up to here, the end of a whole record
 
     def get(self, key: str) -> np.ndarray | None:
-        """The cached vector; ``None`` when absent, or corrupt (wrong length or a non-finite value)."""
-        path = self._path(key)
-        if not path.exists():
+        """The cached vector; ``None`` when absent, or when its values are not all finite."""
+        if self._fd is None and self._open(create=False):
+            fcntl.flock(self._fd, fcntl.LOCK_SH)
+            try:
+                self._index_appended()
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
+        entry = self._index.get(key)
+        if entry is None:
             return None
-        blob = path.read_bytes()
-        vec = None
-        if len(blob) >= 4 and len(blob) == 4 + 4 * struct.unpack_from("<I", blob)[0]:
-            vec = np.frombuffer(blob, dtype="<f4", offset=4)
-        if vec is None or not np.isfinite(vec).all():
-            logger.warning("corrupt cache entry %s, ignoring", path)
-            return None
-        return vec.copy()
+        vec = self._read(entry)
+        if vec is None:
+            logger.warning("non-finite cache record at %s offset %d, recomputing", self.path, entry >> 32)
+            del self._index[key]  # so that put appends the recomputed vector
+        return vec
 
     def put(self, key: str, vec: np.ndarray) -> None:
-        blob = struct.pack("<I", vec.shape[0]) + np.asarray(vec, dtype="<f4").tobytes()
-        tmp = self.dir / f".{key}.{os.getpid()}.tmp"
-        tmp.write_bytes(blob)
-        os.replace(tmp, self._path(key))  # atomic under concurrent writers
+        """Append ``vec`` under ``key``, unless the pack already holds the key."""
+        raw_key = key.encode("utf-8")
+        values = np.asarray(vec, dtype="<f4").tobytes()
+        head = _KEY_LEN.pack(len(raw_key)) + raw_key + struct.pack("<I", len(values) // 4)
+        record = head + struct.pack("<I", zlib.crc32(values, zlib.crc32(head))) + values
+        self._open(create=True)
+        fcntl.flock(self._fd, fcntl.LOCK_EX)
+        try:
+            size = self._index_appended()
+            if size > self._end:
+                torn = size - self._end
+                logger.warning(
+                    "torn cache record at %s offset %d, truncating %d bytes", self.path, self._end, torn
+                )
+                os.ftruncate(self._fd, self._end)
+            if key in self._index:
+                return
+            if os.pwrite(self._fd, record, self._end) != len(record):
+                raise OSError(f"{self.path}: short write")
+            self._index[key] = (self._end + len(head) + 4) << 32 | len(values) // 4
+            self._end += len(record)
+        finally:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
+
+    def _open(self, create: bool) -> bool:
+        """Open the pack for the life of this cache unless open; False when absent and not ``create``."""
+        if self._fd is None:
+            try:
+                self._fd = os.open(self.path, os.O_RDWR | (os.O_CREAT if create else 0), 0o644)
+            except FileNotFoundError:
+                return False
+            weakref.finalize(self, os.close, self._fd)
+        return True
+
+    def _index_appended(self) -> int:
+        """Index the whole records past ``_end``, move ``_end`` past them and return the pack's size."""
+        size = os.fstat(self._fd).st_size
+        if size <= self._end:
+            return size
+        blob = os.pread(self._fd, size - self._end, self._end)
+        view = memoryview(blob)
+        pos = 0
+        while pos + _KEY_LEN.size <= len(blob):
+            at = pos + _KEY_LEN.size + _KEY_LEN.unpack_from(blob, pos)[0]  # where the dim and the CRC sit
+            if at + _DIM_CRC.size > len(blob):
+                break
+            dim, crc = _DIM_CRC.unpack_from(blob, at)
+            values_at = at + _DIM_CRC.size
+            end = values_at + 4 * dim
+            if end > len(blob):
+                break
+            # the CRC covers the key length, the key, the dim and the values
+            if zlib.crc32(view[values_at:end], zlib.crc32(view[pos : at + 4])) != crc:
+                logger.warning("corrupt cache record at %s offset %d, skipping", self.path, self._end + pos)
+            else:
+                key = blob[pos + _KEY_LEN.size : at].decode("utf-8", "replace")
+                held = self._index.get(key)
+                if held is None or self._read(held) is None:
+                    self._index[key] = (self._end + values_at) << 32 | dim
+            pos = end
+        self._end += pos
+        return size
+
+    def _read(self, entry: int) -> np.ndarray | None:
+        """The vector an index entry points at; ``None`` unless all its values are there and finite."""
+        vec = np.empty(entry & 0xFFFFFFFF, dtype="<f4")
+        if os.preadv(self._fd, [vec], entry >> 32) != vec.nbytes or not np.isfinite(vec).all():
+            return None
+        return vec
 
 
 class EmbeddingService:

@@ -452,14 +452,15 @@ def brute_tcs(
 
 # --- a table's cells, held as rows ---------------------------------------------------
 # Tables were once held as lists of stripped, padded rows. These are the readers of
-# that form, kept verbatim but for taking rows in place of a table.
+# that form, kept verbatim but for taking rows in place of a table and for skipping
+# blank lines, as ingest now does.
 
 def read_rows(path: Path, width: int) -> list[list[str]]:
     """The data rows of a table file: cells stripped, short rows padded to ``width``."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         raw = list(csv.reader(fh))
     rows = []
-    for raw_row in raw[1:]:
+    for raw_row in filter(None, raw[1:]):  # a blank line is no row
         assert len(raw_row) <= width
         cells = [c.strip() for c in raw_row]
         cells += [""] * (width - len(cells))

@@ -5,9 +5,11 @@ import hashlib
 import json
 import logging
 import shutil
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -17,6 +19,8 @@ import pytest
 import taxoforge
 from taxoforge import cli
 from taxoforge.cli import CHOICES, RunConfig, main
+from taxoforge.corpus import ingest
+from taxoforge.embedding import LocalHashProvider, VectorCache, cache_key, serialize_column
 
 
 def run_cli(*args) -> int:
@@ -148,25 +152,72 @@ def test_run_emtt_fixture_golden_digests(planted_dir, tmp_path):
         assert digests == EMTT_GOLDEN_DIGESTS, run
 
 
+def pack_records(blob: bytes) -> list[tuple[int, str, int, int]]:
+    """``(offset, key, offset of the values, dim)`` of each record of a vector pack."""
+    records, pos = [], 0
+    while pos < len(blob):
+        (key_len,) = struct.unpack_from("<H", blob, pos)
+        key = blob[pos + 2 : pos + 2 + key_len].decode()
+        (dim,) = struct.unpack_from("<I", blob, pos + 2 + key_len)
+        values_at = pos + 2 + key_len + 8  # past the dim and the CRC
+        records.append((pos, key, values_at, dim))
+        pos = values_at + 4 * dim
+    return records
+
+
 def test_run_emtt_recomputes_corrupt_cache_entries(planted_dir, tmp_path, caplog):
     cache = tmp_path / "cache"
     extra = ["--cache-dir", str(cache)]
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     assert main(emtt_args(planted_dir, cold, extra=extra)) == 0
-    truncated, nan_filled = sorted(cache.glob("*.vec"))[:2]
-    whole = truncated.read_bytes()
-    truncated.write_bytes(whole[:-1])
-    blob = nan_filled.read_bytes()
-    nan_filled.write_bytes(blob[:4] + np.full((len(blob) - 4) // 4, np.nan, dtype="<f4").tobytes())
+    pack = cache / "vectors.pack"
+    blob = bytearray(pack.read_bytes())
+    (flipped, flipped_key, flipped_at, _), (nan_filled, nan_key, nan_at, dim) = pack_records(blob)[:2]
+    originals = {key: VectorCache(cache).get(key) for key in (flipped_key, nan_key)}
+    blob[flipped_at] ^= 0xFF  # one value byte: the CRC fails
+    nan = np.full(dim, np.nan, dtype="<f4").tobytes()
+    blob[nan_at : nan_at + len(nan)] = nan  # a matching CRC, values not finite
+    struct.pack_into("<I", blob, nan_at - 4, zlib.crc32(nan, zlib.crc32(blob[nan_filled : nan_at - 4])))
+    pack.write_bytes(blob)
     caplog.clear()
     assert main(emtt_args(planted_dir, warm, extra=extra)) == 0
     warned = {r.getMessage() for r in caplog.records if r.levelno == logging.WARNING}
-    assert {f"corrupt cache entry {p}, ignoring" for p in (truncated, nan_filled)} <= warned
+    assert {
+        f"corrupt cache record at {pack} offset {flipped}, skipping",
+        f"non-finite cache record at {pack} offset {nan_at}, recomputing",
+    } <= warned
     names = sorted(p.name for p in cold.iterdir())
     assert names == sorted(p.name for p in warm.iterdir())
     for name in names:
         assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
-    assert truncated.read_bytes() == whole
+    # the warm run appended both vectors again, and they win over the damaged records
+    for key, vec in originals.items():
+        assert VectorCache(cache).get(key).tobytes() == vec.tobytes()
+
+
+def test_run_emtt_cache_is_one_pack_file(planted_dir, tmp_path):
+    cache = tmp_path / "cache"
+    assert main(emtt_args(planted_dir, tmp_path / "out", extra=["--cache-dir", str(cache)])) == 0
+    assert [p.name for p in cache.iterdir()] == ["vectors.pack"]
+
+
+def test_run_emtt_ignores_old_vec_files(planted_dir, tmp_path):
+    """A ``.vec`` file of the old one-file-per-vector layout is neither read nor deleted."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    provider_id = LocalHashProvider(dim=64).provider_id
+    stale = struct.pack("<I", 64) + np.full(64, 0.125, dtype="<f4").tobytes()
+    for table in ingest(planted_dir / "tables").tables:
+        for col in range(table.n_cols):
+            (cache / f"{cache_key(provider_id, serialize_column(table, col))}.vec").write_bytes(stale)
+    old = sorted(cache.iterdir())
+    out = tmp_path / "out"
+    extra = ["--gt-path", str(planted_dir / "gt"), "--cache-dir", str(cache)]
+    assert main(emtt_args(planted_dir, out, extra=extra)) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EMTT_GOLDEN_DIGESTS}
+    assert digests == EMTT_GOLDEN_DIGESTS
+    assert sorted(cache.iterdir()) == sorted([*old, cache / "vectors.pack"])
+    assert all(path.read_bytes() == stale for path in old)
 
 
 def test_eval_gt_against_itself(planted_dir, tmp_path, capsys):
@@ -216,6 +267,13 @@ def test_ingest_check(planted_dir, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["tables"] == 24
     assert out["columns"] == 96
+
+
+def test_ingest_check_skips_blank_lines(tmp_path, capsys):
+    # a blank line is no row; a "," line is a row of empty cells
+    (tmp_path / "a.csv").write_bytes(b"name,size\r\nfoo,1\r\n\r\nbar,2\r\n\r\n,\r\n")
+    assert run_cli("ingest-check", str(tmp_path)) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 3
 
 
 def test_ingest_check_empty(tmp_path, capsys):

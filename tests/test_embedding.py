@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import taxoforge
 from taxoforge.cli import main
 from taxoforge.corpus import Table, Corpus
 from taxoforge.embedding import (
@@ -128,10 +136,104 @@ def test_cache_key_distinguishes_provider_and_text():
     assert cache_key("p1", "x") != cache_key("p1", "y")
 
 
-def test_cache_truncated_entry_treated_as_miss(tmp_path):
+def record_size(key, dim):
+    return 2 + len(key.encode()) + 8 + 4 * dim
+
+
+def test_cache_truncated_entry_treated_as_miss(tmp_path, caplog):
+    """A tail cut short is a miss, and the next put truncates it before appending."""
     cache = VectorCache(tmp_path)
-    (tmp_path / "bad.vec").write_bytes(b"\x01")
-    assert cache.get("bad") is None
+    one, two, three, four = (np.full(3, x, dtype=np.float32) for x in (1, 2, 3, 4))
+    cache.put("one", one)
+    cache.put("two", two)
+    pack = tmp_path / "vectors.pack"
+    whole = record_size("one", 3)
+    with pack.open("r+b") as fh:
+        fh.truncate(whole + 5)
+    reader = VectorCache(tmp_path)
+    assert np.array_equal(reader.get("one"), one)
+    assert reader.get("two") is None
+    caplog.clear()
+    writer = VectorCache(tmp_path)
+    writer.put("three", three)
+    writer.put("four", four)
+    warned = [r.getMessage() for r in caplog.records]
+    assert warned == [f"torn cache record at {pack} offset {whole}, truncating 5 bytes"]
+    fresh = VectorCache(tmp_path)
+    assert fresh.get("two") is None
+    for key, vec in (("one", one), ("three", three), ("four", four)):
+        assert np.array_equal(fresh.get(key), vec)
+    assert pack.stat().st_size == whole + record_size("three", 3) + record_size("four", 3)
+
+
+PUTTER = """
+import sys
+import time
+import numpy as np
+from taxoforge.embedding import VectorCache
+cache = VectorCache(sys.argv[1])
+print("ready", flush=True)
+time.sleep(max(0.0, float(sys.stdin.readline()) - time.time()))
+for i in range(500):
+    cache.put(sys.argv[2] + str(i), np.full(4, i, dtype=np.float32))
+"""
+
+
+def test_cache_writers_in_four_processes_lose_no_record(tmp_path):
+    """Four processes putting 500 distinct keys each into one directory at once: every record lands once."""
+    env = {**os.environ, "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", PUTTER, str(tmp_path), prefix],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        for prefix in "abcd"
+    ]
+    try:
+        for writer in writers:
+            assert writer.stdout.readline() == "ready\n"
+        start = f"{time.time() + 0.2}\n"  # all start putting at this moment
+        for writer in writers:
+            writer.stdin.write(start)
+            writer.stdin.close()
+        assert [writer.wait(timeout=60) for writer in writers] == [0] * len(writers)
+    finally:
+        for writer in writers:
+            writer.kill()
+            writer.stdout.close()
+    cache = VectorCache(tmp_path)
+    keys = [f"{prefix}{i}" for prefix in "abcd" for i in range(500)]
+    assert [cache.get(key)[0] for key in keys] == [int(key[1:]) for key in keys]
+    assert (tmp_path / "vectors.pack").stat().st_size == sum(record_size(key, 4) for key in keys)
+
+
+finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    puts=st.lists(
+        st.tuples(st.booleans(), st.sampled_from("abcde"), st.lists(finite32, min_size=1, max_size=4)),
+        max_size=25,
+    )
+)
+def test_cache_reopened_equals_a_first_write_wins_dict(puts):
+    """Two writers on one directory, reopened, hold the first vector put under each key."""
+    model: dict[str, bytes] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        writers = [VectorCache(tmp), VectorCache(tmp)]
+        for second, key, values in puts:
+            vec = np.array(values, dtype=np.float32)
+            writers[second].put(key, vec)
+            model.setdefault(key, vec.tobytes())
+        fresh = VectorCache(tmp)
+        held = {key: fresh.get(key) for key in "abcde"}
+        size = sum(path.stat().st_size for path in Path(tmp).iterdir())
+    assert {key: vec.tobytes() for key, vec in held.items() if vec is not None} == model
+    assert size == sum(record_size(key, len(vec) // 4) for key, vec in model.items())  # nothing appended twice
 
 
 def test_embed_texts_empty_list(tmp_path):

@@ -167,7 +167,7 @@ def test_mutated_input_ends_in_an_exit_code(case, mutation):
 
 READ_CALLS = {"open", "read_text", "read_bytes"}
 # reads that are not inputs: the vector cache's own files and the packaged prompts
-ALLOWED_READERS = {"open_input", "VectorCache.get", "load_prompt"}
+ALLOWED_READERS = {"open_input", "VectorCache._open", "load_prompt"}
 
 
 def _is_write(call: ast.Call) -> bool:
