@@ -73,17 +73,27 @@ def euclidean_matrix(vectors: list[np.ndarray] | np.ndarray) -> DistanceMatrix:
 
     Differences (not the Gram-matrix shortcut) keep near-duplicate vectors
     at distances accurate to ~1e-15, which the clustering tie-breaks and
-    the zero-height cut both rely on.
+    the zero-height cut both rely on. Row i's differences to every later
+    vector are squared in one reused buffer laid out like the input, and
+    summed along it by the same ufuncs on the same layout as
+    ``tests/oracles.py``'s ``reference_euclidean``, so every distance equals
+    it bit for bit. Row i is written to both triangles in the same pass, so
+    no n x n temporary is made.
     """
     mat = np.asarray(vectors, dtype=np.float64)
     if mat.ndim != 2:
         raise DimensionMismatchError("vectors must share one dimension")
     n = mat.shape[0]
     d = np.zeros((n, n))
+    scratch = np.empty_like(mat)
     for i in range(n - 1):
-        diff = mat[i + 1 :] - mat[i]
-        d[i, i + 1 :] = np.sqrt(np.sum(diff * diff, axis=1))
-    d += d.T
+        diff = scratch[i + 1 :]
+        np.subtract(mat[i + 1 :], mat[i], out=diff)
+        np.multiply(diff, diff, out=diff)
+        row = d[i, i + 1 :]
+        np.sum(diff, axis=1, out=row)
+        np.sqrt(row, out=row)
+        d[i + 1 :, i] = row
     return DistanceMatrix(d)
 
 
@@ -160,57 +170,88 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
     return Dendrogram(tuple(merges))
 
 
-def _leaves(den: Dendrogram, node: int) -> list[int]:
-    """Leaves under ``node`` (leaf i, or merge j as n+j), ascending."""
-    n = den.leaf_count
-    nodes = [node]
-    for x in nodes:
-        if x >= n:
-            nodes += (den.merges[x - n].left, den.merges[x - n].right)
-    return sorted(x for x in nodes if x < n)
+def _leaf_order(den: Dendrogram) -> tuple[list[int], list[int], list[int], list[int]]:
+    """One depth-first leaf order of ``den``, left child first, and where each node sits in it.
 
-
-def _cuts(den: Dendrogram, heights: list[float]) -> Iterator[dict[int, list[int]]]:
-    """The cut at each of the descending ``heights``, undoing merges last first.
-
-    The cut at h applies the first #(merge heights <= h) merges. Its clusters
-    map node ids to ascending leaves and are ordered by smallest leaf.
+    Node i < n is leaf i and node n + j is merge j. Returns the order and,
+    per node, its smallest leaf and the ``[start, end)`` slice of the order
+    that holds its leaves, so ``sorted(order[start:end])`` lists them ascending.
     """
     n = den.leaf_count
+    size, low = [1] * n, list(range(n))
+    for m in den.merges:
+        size.append(size[m.left] + size[m.right])
+        low.append(min(low[m.left], low[m.right]))
+    start = [0] * (2 * n - 1)
+    # a merge's parent is a later merge, so walking back places each parent before its children
+    for j in range(n - 2, -1, -1):
+        m = den.merges[j]
+        start[m.left] = start[n + j]
+        start[m.right] = start[n + j] + size[m.left]
+    order = [0] * n
+    for leaf in range(n):
+        order[start[leaf]] = leaf
+    return order, low, start, [s + z for s, z in zip(start, size)]
+
+
+def _descend(
+    den: Dendrogram, heights: list[float]
+) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
+    """The cut at each of the descending ``heights``, undoing merges last first.
+
+    The cut at h applies the first #(merge heights <= h) merges. Yields its
+    clusters as ascending leaves, ordered by smallest leaf, and the clusters
+    that were not in the previous cut. Clusters are keyed by smallest leaf,
+    so undoing a merge puts the child that holds its smallest leaf in its
+    place.
+    """
+    n = den.leaf_count
+    order, low, start, end = _leaf_order(den)
     ascending = sorted(den.heights)
-    roots = {2 * n - 2: list(range(n))}
+    node_at = {0: 2 * n - 2}  # smallest leaf -> the cluster of the cut that holds it
+    groups: dict[int, list[int]] = {}  # smallest leaf -> that cluster's ascending leaves
+    changed, applied = {0}, n - 1
     for height in heights:
-        for j in range(n - len(roots) - 1, bisect_right(ascending, height) - 1, -1):
-            del roots[n + j]
+        target = bisect_right(ascending, height)
+        for j in range(applied - 1, target - 1, -1):
             for child in (den.merges[j].left, den.merges[j].right):
-                roots[child] = _leaves(den, child)
-        yield dict(sorted(roots.items(), key=lambda item: item[1][0]))
+                node_at[low[child]] = child
+                changed.add(low[child])
+        applied = min(applied, target)
+        fresh = []
+        for key in changed:
+            node = node_at[key]
+            groups[key] = sorted(order[start[node] : end[node]])
+            fresh.append(groups[key])
+        changed = set()
+        yield [groups[key] for key in sorted(groups)], fresh
 
 
 def cut(den: Dendrogram, height: float) -> list[list[int]]:
-    """The clusters after the first #(merge heights <= ``height``) merges, ordered as in ``_cuts``."""
+    """The clusters after the first #(merge heights <= ``height``) merges, ordered as in ``_descend``."""
     if height < 0:
         raise ValueError("cut height must be >= 0")
-    return list(next(_cuts(den, [height])).values())
+    return next(_descend(den, [height]))[0]
 
 
-def _mean_silhouette(columns: list[np.ndarray], groups: list[list[int]]) -> float | None:
-    """Mean silhouette from each group's column of distance sums to every item."""
-    sums = np.stack(columns, axis=1)
-    n, k = sums.shape
+def _mean_silhouette(sums: np.ndarray, labels: np.ndarray) -> float | None:
+    """Mean silhouette from each cluster's row of distance sums to every item.
+
+    ``sums`` is k x n; item i is in the cluster of row ``labels[i]``. The
+    result does not depend on the order of the rows: the intra and
+    per-cluster means are elementwise, the nearest other cluster is an exact
+    ``min``, and the mean over items adds them in item order.
+    """
+    k, n = sums.shape
     if k < 2 or k > n - 1:
         return None
-    labels = [0] * n
-    for label, group in enumerate(groups):
-        for i in group:
-            labels[i] = label
-    labels = np.asarray(labels)
+    items = np.arange(n)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     own = counts[labels]
-    a = sums[np.arange(n), labels] / np.maximum(own - 1, 1)
-    mean_to = sums / counts[np.newaxis, :]
-    mean_to[np.arange(n), labels] = np.inf
-    b = mean_to.min(axis=1)
+    a = sums[labels, items] / np.maximum(own - 1, 1)
+    mean_to = sums / counts[:, np.newaxis]
+    mean_to[labels, items] = np.inf
+    b = mean_to.min(axis=0)
     widest = np.maximum(a, b)
     with np.errstate(invalid="ignore"):
         scores = np.where(widest > 0, (b - a) / widest, 0.0)
@@ -224,10 +265,18 @@ def silhouette(dm: DistanceMatrix, groups: list[list[int]]) -> float | None:
     ``groups`` must partition ``range(dm.n)``. Items in singleton clusters
     contribute 0, and so do items whose intra and nearest-other mean
     distances are both 0.
+
+    A group's distance sums come from the column gather ``dm.d[:, group]``,
+    an F-ordered array, so each item's sum adds its distances one after
+    another in ascending member order. ``sweep`` must match this bit for
+    bit and is tested against it.
     """
     if not all(groups) or sorted(i for group in groups for i in group) != list(range(dm.n)):
         raise ValueError("groups must partition the items 0..n-1")
-    return _mean_silhouette([dm.d[:, group].sum(axis=1) for group in groups], groups)
+    labels = np.empty(dm.n, dtype=np.intp)
+    for label, group in enumerate(groups):
+        labels[group] = label
+    return _mean_silhouette(np.stack([dm.d[:, group].sum(axis=1) for group in groups]), labels)
 
 
 def sweep(
@@ -237,17 +286,33 @@ def sweep(
 
     Level h applies the first #(merge heights <= h) merges, so k rises
     strictly from 1. A cluster's distance sums are computed once, when it
-    appears, summing in ``silhouette``'s order, so scores equal it bit for bit.
+    appears, into one row of a k x n array that doubles as k grows: a split
+    cluster's row goes to its child that holds its smallest leaf, and the
+    other child takes the next free row.
+
+    The sums are ``silhouette``'s bit for bit. Its column gather adds each
+    item's distances one after another in ascending member order; the row
+    gather ``dm.d[leaves].sum(axis=0)`` adds the same numbers in the same
+    order, because ``DistanceMatrix`` is exactly symmetric, and reads
+    contiguous rows. ``np.take(dm.d, leaves, axis=1).sum(axis=1)`` would
+    not do: its result is C-ordered, so numpy sums each row pairwise.
     """
+    n = dm.n
     levels = sorted(set(den.heights), reverse=True)
-    sums: dict[int, np.ndarray] = {}
-    for height, clusters in zip(levels, _cuts(den, levels)):
-        sums = {
-            node: sums[node] if node in sums else dm.d[:, leaves].sum(axis=1)
-            for node, leaves in clusters.items()
-        }
-        groups = list(clusters.values())
-        yield height, groups, _mean_silhouette(list(sums.values()), groups)
+    sums = np.empty((8, n))
+    labels = np.zeros(n, dtype=np.intp)
+    row: dict[int, int] = {}  # a cluster's smallest leaf -> its row of sums
+    for height, (groups, fresh) in zip(levels, _descend(den, levels)):
+        k = len(groups)
+        if k > 1:  # k is 1 only at the top level, which has no silhouette
+            if k > len(sums):
+                sums = np.concatenate([sums, np.empty((max(k, 2 * len(sums)) - len(sums), n))])
+            for group in fresh:
+                at = row.setdefault(group[0], len(row))
+                leaves = np.array(group)
+                np.sum(dm.d[leaves], axis=0, out=sums[at])
+                labels[leaves] = at
+        yield height, groups, _mean_silhouette(sums[:k], labels)
 
 
 def select_k(dm: DistanceMatrix, den: Dendrogram, k_max: int) -> list[list[int]] | None:

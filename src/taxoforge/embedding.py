@@ -147,7 +147,8 @@ class VectorCache:
     A record is a uint16 key length, the UTF-8 key, a uint32 dim, a CRC32 of
     the record's other bytes, then ``dim`` float32 values, all little-endian.
     The first whole record of a key whose CRC matches and whose values are
-    all finite wins; a record whose CRC fails is skipped with a warning. On
+    all finite wins; a record whose CRC fails is skipped, with a warning
+    unless the pack holds a whole record of the key as parsed. On
     first use one read under a shared ``flock`` indexes the pack. ``put``
     takes an exclusive ``flock``, indexes what other writers appended since,
     truncates a tail cut short by a crashed writer, then appends, so
@@ -222,6 +223,7 @@ class VectorCache:
         blob = os.pread(self._fd, size - self._end, self._end)
         view = memoryview(blob)
         pos = 0
+        corrupt: list[tuple[str, int]] = []  # (key as parsed, offset) of each record whose CRC failed
         while pos + _KEY_LEN.size <= len(blob):
             at = pos + _KEY_LEN.size + _KEY_LEN.unpack_from(blob, pos)[0]  # where the dim and the CRC sit
             if at + _DIM_CRC.size > len(blob):
@@ -231,15 +233,19 @@ class VectorCache:
             end = values_at + 4 * dim
             if end > len(blob):
                 break
+            key = blob[pos + _KEY_LEN.size : at].decode("utf-8", "replace")
             # the CRC covers the key length, the key, the dim and the values
             if zlib.crc32(view[values_at:end], zlib.crc32(view[pos : at + 4])) != crc:
-                logger.warning("corrupt cache record at %s offset %d, skipping", self.path, self._end + pos)
+                corrupt.append((key, self._end + pos))
             else:
-                key = blob[pos + _KEY_LEN.size : at].decode("utf-8", "replace")
                 held = self._index.get(key)
                 if held is None or self._read(held) is None:
                     self._index[key] = (self._end + values_at) << 32 | dim
             pos = end
+        # a damaged record whose key has a whole record too was already recomputed and appended
+        for key, offset in corrupt:
+            if key not in self._index:
+                logger.warning("corrupt cache record at %s offset %d, skipping", self.path, offset)
         self._end += pos
         return size
 

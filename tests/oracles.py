@@ -40,6 +40,22 @@ def naive_euclidean(vectors) -> list[list[float]]:
     return d
 
 
+def reference_euclidean(vectors) -> np.ndarray:
+    """The distance loop ``clustering.euclidean_matrix`` must match bit for bit.
+
+    One temporary per row for the differences and one for their squares,
+    then ``d += d.T`` to fill the lower triangle.
+    """
+    mat = np.asarray(vectors, dtype=np.float64)
+    n = mat.shape[0]
+    d = np.zeros((n, n))
+    for i in range(n - 1):
+        diff = mat[i + 1 :] - mat[i]
+        d[i, i + 1 :] = np.sqrt(np.sum(diff * diff, axis=1))
+    d += d.T
+    return d
+
+
 def naive_agglomerate(dist: list[list[float]], linkage: str) -> list[tuple[int, int, float, int]]:
     """O(n^3) reference: recompute linkage distances from member lists.
 

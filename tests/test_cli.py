@@ -193,6 +193,10 @@ def test_run_emtt_recomputes_corrupt_cache_entries(planted_dir, tmp_path, caplog
     # the warm run appended both vectors again, and they win over the damaged records
     for key, vec in originals.items():
         assert VectorCache(cache).get(key).tobytes() == vec.tobytes()
+    # so a third run has nothing left to warn about
+    caplog.clear()
+    assert main(emtt_args(planted_dir, tmp_path / "third", extra=extra)) == 0
+    assert not [r for r in caplog.records if "cache record" in r.getMessage()]
 
 
 def test_run_emtt_cache_is_one_pack_file(planted_dir, tmp_path):

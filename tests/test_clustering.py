@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from .oracles import (
     naive_euclidean,
     naive_silhouette,
     reference_agglomerate,
+    reference_euclidean,
 )
 from taxoforge.clustering import (
     DistanceMatrix,
@@ -54,6 +57,20 @@ def test_euclidean_matches_naive():
     dm = euclidean_matrix(vectors)
     naive = np.asarray(naive_euclidean(vectors.tolist()))
     assert np.max(np.abs(dm.d - naive)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 300])
+@pytest.mark.parametrize("dim", [2, 64, 200])
+def test_euclidean_equals_reference_bit_for_bit(n, dim):
+    rng = np.random.default_rng(n * 1000 + dim)
+    vectors = rng.normal(size=(n, dim))
+    if n >= 3:
+        vectors[n - 1] = vectors[0]  # a duplicate pair, at distance exactly 0
+        vectors[n // 2 :: 7] = vectors[1]  # and a group of duplicates
+    d = euclidean_matrix(vectors).d
+    assert d.tobytes() == reference_euclidean(vectors).tobytes()
+    if n >= 3:
+        assert d[0, n - 1] == 0.0 and d[1, n // 2] == 0.0
 
 
 def test_distance_matrix_validation():
@@ -373,3 +390,27 @@ def test_sweep_matches_cut_and_silhouette(seed, n, kind, linkage):
         sets = {t: {f"a{j}" for j in range(6) if rng.random() < 0.5} for t in ids}
         dm = jaccard_matrix(ids, sets)
     assert_sweep_matches_cut(dm, agglomerate(dm, linkage))
+
+
+def float_bits(score: float | None) -> bytes | None:
+    return None if score is None else struct.pack("<d", score)
+
+
+@pytest.mark.parametrize("n", [9, 130, 300])
+@pytest.mark.parametrize("kind", ["euclidean", "jaccard"])
+@pytest.mark.parametrize("linkage", ["average", "complete", "single"])
+def test_sweep_equals_cut_and_silhouette_bit_for_bit(n, kind, linkage):
+    """Past numpy's 128-element pairwise block, so a sum in any other order shows."""
+    rng = np.random.default_rng(n)
+    if kind == "euclidean":
+        dm = euclidean_matrix(rng.normal(size=(n, 8)))
+    else:
+        ids = [f"t{i}" for i in range(n)]
+        sets = {t: {f"a{j}" for j in range(12) if rng.random() < 0.3} for t in ids}
+        dm = jaccard_matrix(ids, sets)
+    den = agglomerate(dm, linkage)
+    levels = list(sweep(dm, den))
+    assert [h for h, _, _ in levels] == sorted(set(den.heights), reverse=True)
+    for h, groups, score in levels:
+        assert groups == cut(den, h)
+        assert float_bits(score) == float_bits(silhouette(dm, groups)), (h, len(groups))

@@ -166,6 +166,30 @@ def test_cache_truncated_entry_treated_as_miss(tmp_path, caplog):
     assert pack.stat().st_size == whole + record_size("three", 3) + record_size("four", 3)
 
 
+def test_cache_warns_only_about_corrupt_records_still_unresolved(tmp_path, caplog):
+    """A CRC-failed record is warned about until its key is appended again, then never."""
+    one, two = np.full(3, 1, dtype=np.float32), np.full(3, 2, dtype=np.float32)
+    writer = VectorCache(tmp_path)
+    writer.put("one", one)
+    writer.put("two", two)
+    pack = tmp_path / "vectors.pack"
+    blob = bytearray(pack.read_bytes())
+    blob[record_size("one", 3) - 1] ^= 0xFF  # a value byte of "one": its CRC fails
+    blob[-1] ^= 0xFF  # and of "two"
+    pack.write_bytes(blob)
+    warning = f"corrupt cache record at {pack} offset %d, skipping"
+    caplog.clear()
+    healer = VectorCache(tmp_path)
+    assert healer.get("one") is None and healer.get("two") is None
+    healer.put("one", one)
+    assert [r.getMessage() for r in caplog.records] == [warning % 0, warning % record_size("one", 3)]
+    caplog.clear()
+    fresh = VectorCache(tmp_path)
+    assert np.array_equal(fresh.get("one"), one)
+    assert fresh.get("two") is None
+    assert [r.getMessage() for r in caplog.records] == [warning % record_size("one", 3)]
+
+
 PUTTER = """
 import sys
 import time
