@@ -28,8 +28,8 @@ from . import gett as gett_mod
 from . import metrics as metrics_mod
 from .corpus import ingest
 from .errors import TaxoforgeError, open_input
-from .llm import RemoteChatBackend, ScriptedChatBackend, TranscriptLogger
-from .options import DEFAULT_DELTA, DEFAULT_K_MAX, LINKAGES
+from .llm import DEFAULT_CHAT_MODEL, RemoteChatBackend, ScriptedChatBackend, TranscriptLogger
+from .options import DEFAULT_DELTA, DEFAULT_K_MAX, DEFAULT_LINKAGE, LINKAGES
 from .remote import check_url
 from .subject import load_overrides
 from .taxonomy import Taxonomy
@@ -63,12 +63,12 @@ class RunConfig:
     embedder: str = "local-hash"
     llm: str = "scripted"
     delta: float = DEFAULT_DELTA
-    linkage: str = "average"
+    linkage: str = DEFAULT_LINKAGE
     seed: int = 0
     out_dir: str = "out"
     cache_dir: str | None = None
     llm_url: str | None = None
-    llm_model: str = "gpt-4"
+    llm_model: str = DEFAULT_CHAT_MODEL
     script_path: str | None = None
     subject_col_map: str | None = None
     embed_url: str | None = None
@@ -76,7 +76,7 @@ class RunConfig:
     embed_dim: int = 64
     k_max: int = DEFAULT_K_MAX
     edge_scorer: str = "cosine"
-    edge_threshold: float = 0.5
+    edge_threshold: float = gett_mod.DEFAULT_EDGE_THRESHOLD
     root_name: str = gett_mod.DEFAULT_ROOT
     max_iters: int = gett_mod.DEFAULT_MAX_ITERS
 

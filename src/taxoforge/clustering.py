@@ -12,7 +12,6 @@ id n+k.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -21,9 +20,7 @@ from itertools import takewhile
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .options import LINKAGES
-
-logger = logging.getLogger(__name__)
+from .options import DEFAULT_LINKAGE, LINKAGES
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def euclidean_matrix(vectors: list[np.ndarray] | np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(d)
 
 
-def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
+def agglomerate(dm: DistanceMatrix, linkage: str = DEFAULT_LINKAGE) -> Dendrogram:
     """Build the merge tree under average/complete/single linkage.
 
     Inter-cluster distances follow the Lance-Williams updates (UPGMA for
@@ -163,10 +160,6 @@ def agglomerate(dm: DistanceMatrix, linkage: str = "average") -> Dendrogram:
         improved = new_row < row_min
         row_min[improved] = new_row[improved]
         row_arg[improved] = i
-    heights = [m.height for m in merges]
-    for prev, cur in zip(heights, heights[1:]):
-        if cur < prev - 1e-9 * max(1.0, abs(prev)):
-            logger.warning("non-monotone merge heights: %.17g after %.17g", cur, prev)
     return Dendrogram(tuple(merges))
 
 

@@ -60,7 +60,7 @@ class LocalHashProvider:
     are identical across processes and platforms for a given dim.
     """
 
-    def __init__(self, dim: int = 64):
+    def __init__(self, dim: int):
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = dim

@@ -26,7 +26,7 @@ from .clustering import (
 )
 from .corpus import Corpus
 from .embedding import ColumnRef, EmbeddingService
-from .options import DEFAULT_DELTA, DEFAULT_K_MAX
+from .options import DEFAULT_DELTA, DEFAULT_K_MAX, DEFAULT_LINKAGE
 from .subject import assign_subjects
 from .taxonomy import EntityType, Taxonomy
 
@@ -63,7 +63,7 @@ def identify_top_level(
     corpus: Corpus,
     service: EmbeddingService,
     subjects: dict[str, int],
-    linkage: str = "average",
+    linkage: str = DEFAULT_LINKAGE,
     k_max: int = DEFAULT_K_MAX,
 ) -> list[list[str]]:
     """Cluster tables by the embeddings of their ``subjects`` columns.
@@ -82,7 +82,7 @@ def identify_attributes(
     table_ids: list[str],
     corpus: Corpus,
     service: EmbeddingService,
-    linkage: str = "average",
+    linkage: str = DEFAULT_LINKAGE,
     k_max: int = DEFAULT_K_MAX,
 ) -> list[list[ColumnRef]]:
     """Cluster every column of the tables into conceptual attributes.
@@ -171,7 +171,7 @@ class EmttResult:
 
     def attributes_dict(self) -> dict:
         out: dict[str, dict[str, str]] = {}
-        for ref, attr in sorted(self.attributes.items(), key=lambda kv: (kv[0].table_id, kv[0].col)):
+        for ref, attr in self.attributes.items():
             out.setdefault(ref.table_id, {})[str(ref.col)] = attr
         return out
 
@@ -180,7 +180,7 @@ def run_emtt(
     corpus: Corpus,
     service: EmbeddingService,
     delta: float = DEFAULT_DELTA,
-    linkage: str = "average",
+    linkage: str = DEFAULT_LINKAGE,
     k_max: int = DEFAULT_K_MAX,
     subject_overrides: dict[str, int] | None = None,
 ) -> EmttResult:

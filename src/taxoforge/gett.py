@@ -42,6 +42,7 @@ logger = logging.getLogger(__name__)
 ROW_SAMPLE = 5
 CELL_TOKEN_LIMIT = 50
 DEFAULT_ROOT = "Thing"
+DEFAULT_EDGE_THRESHOLD = 0.5
 DEFAULT_MAX_ITERS = 10
 NO_CHILDREN_MARKER = "NONE"
 
@@ -76,7 +77,7 @@ class EdgeScore:
 @dataclass
 class EdgeFilter:
     scorer: object
-    threshold: float = 0.5
+    threshold: float = DEFAULT_EDGE_THRESHOLD
 
 
 class ConstantScorer:

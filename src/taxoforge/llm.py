@@ -20,6 +20,7 @@ from .remote import MAX_ATTEMPTS, post_json
 
 CHAT_PATH = "/v1/chat/completions"
 CHAT_TIMEOUT_S = 120.0
+DEFAULT_CHAT_MODEL = "gpt-4"
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class ScriptedChatBackend:
 class RemoteChatBackend:
     """OpenAI-compatible chat client; retries and errors come from ``remote.post_json``."""
 
-    def __init__(self, base_url: str, model: str = "gpt-4", max_retries: int = MAX_ATTEMPTS):
+    def __init__(self, base_url: str, model: str = DEFAULT_CHAT_MODEL, max_retries: int = MAX_ATTEMPTS):
         self.url = base_url.rstrip("/") + CHAT_PATH
         self.model = model
         self.max_retries = max_retries

@@ -55,12 +55,14 @@ class GroundTruth:
         return {self.taxonomy.types[a].name for a in self.taxonomy.ancestors(type_id)}
 
 
-def _annotation_rows(fh: TextIO) -> Iterator[list[str]]:
-    """The CSV rows of ``fh``; a row the csv module rejects, such as one with
-    a field over its size limit, is a ValueError naming the line."""
+def _annotation_rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV row of ``fh`` with the file line it ends on; a row the csv
+    module rejects, such as one with a field over its size limit, is a
+    ValueError naming the line."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ValueError(f"annotation line {reader.line_num}: {exc}") from exc
 
@@ -76,7 +78,7 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     names = gt.ids_by_name
     roots = set(tax.roots)
     with open_input(annotations_path) as fh:
-        for row_no, row in enumerate(_annotation_rows(fh), 1):
+        for row_no, row in _annotation_rows(fh):
             if not row or not any(c.strip() for c in row):
                 continue
             if tuple(c.strip() for c in row) == ANNOTATION_HEADER:
@@ -121,9 +123,6 @@ def rand_index(out_assign: dict[str, str], gt: GroundTruth) -> float | None:
     Counts only tables present on both sides; ``None`` below 2 tables.
     """
     shared = sorted(set(out_assign) & set(gt.per_table))
-    excluded = sorted((set(out_assign) | set(gt.per_table)) - set(shared))
-    if excluded:
-        logger.info("rand_index excludes %d tables absent from one side", len(excluded))
     if len(shared) < 2:
         return None
     out_labels = [out_assign[t] for t in shared]
@@ -195,23 +194,20 @@ def per_type_consistency(
     return scores
 
 
-def tcs(out: Taxonomy, gt: GroundTruth, matching: dict[str, str] | None = None) -> float | None:
-    """Mean type consistency over matched, non-synthetic output types; ``None`` if there are none."""
-    if matching is None:
-        matching = match_types(out, gt)
-    return _mean(per_type_consistency(out, gt, matching).values())
-
-
 def report(out: Taxonomy, gt: GroundTruth) -> dict:
     """All metrics plus the matching table and exclusions, as a JSON-ready dict.
+
+    TCS is the mean of ``per_type_consistency`` over the matched types.
 
     Metrics that are undefined for the given inputs (too few shared tables,
     nothing matched) are ``None``, which JSON writes as null.
     """
     matching = match_types(out, gt)
     assignment = out.top_level_assignment()
-    shared = set(assignment) & set(gt.per_table)
-    excluded = sorted((set(assignment) | set(gt.per_table)) - shared)
+    # the tables only one side holds, which rand_index leaves out
+    excluded = sorted(set(assignment) ^ set(gt.per_table))
+    if excluded:
+        logger.info("rand_index excludes %d tables absent from one side", len(excluded))
     per_type = per_type_consistency(out, gt, matching)
     type_count, depth = out.stats()
     gt_count, gt_depth = gt.taxonomy.stats()
@@ -226,7 +222,7 @@ def report(out: Taxonomy, gt: GroundTruth) -> dict:
         "depth": depth,
         "gt_type_count": gt_count,
         "gt_depth": gt_depth,
-        "matching": dict(sorted(matching.items())),
+        "matching": matching,
         "per_type_consistency": per_type,
         "excluded_tables": excluded,
         "unmatched_types": unmatched,

@@ -6,5 +6,6 @@ clustering modules, so a run that never clusters never loads numpy;
 """
 
 LINKAGES = ("average", "complete", "single")
+DEFAULT_LINKAGE = "average"
 DEFAULT_DELTA = 0.15
 DEFAULT_K_MAX = 50

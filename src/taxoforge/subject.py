@@ -70,12 +70,15 @@ def score_columns(table: Table) -> list[SubjectScore]:
     return scores
 
 
-def detect_subject(table: Table) -> int:
-    """Pick the subject column: argmax of total score, ties to the smallest column index."""
+def detect_subject(table: Table) -> int | None:
+    """Pick the subject column: argmax of total score, ties to the smallest column index.
+
+    ``None`` when no column has a non-empty cell.
+    """
     scores = score_columns(table)
     # a column's uniqueness is 0 exactly when it has no non-empty cell
     if all(s.uniqueness == 0 for s in scores):
-        raise NoCandidateError("no non-empty cell")
+        return None
     return max(scores, key=lambda s: (s.total, -s.col)).col
 
 
@@ -120,10 +123,9 @@ def assign_subjects(corpus: Corpus, overrides: dict[str, int] | None = None) -> 
     for table in corpus.tables:
         col = overrides.get(table.id)
         if col is None:
-            try:
-                col = detect_subject(table)
-            except NoCandidateError as exc:
-                raise NoCandidateError(f"{Path(corpus.source_dir) / table.id}.csv: {exc}") from None
+            col = detect_subject(table)
+            if col is None:
+                raise NoCandidateError(f"{Path(corpus.source_dir) / table.id}.csv: no non-empty cell")
         elif not 0 <= col < table.n_cols:
             raise ValueError(f"override for {table.id!r} out of range: {col} (ncols={table.n_cols})")
         subjects[table.id] = col

@@ -114,7 +114,7 @@ class Taxonomy:
         return {top: self.associated_tables(top) for top in self.top_level_ids()}
 
     def top_level_assignment(self) -> dict[str, str]:
-        """Each table's top-level type, in table-id order.
+        """Each table's top-level type.
 
         In a DAG a table can sit under several top-level types; the smallest
         id wins, so reruns are stable.
@@ -123,7 +123,7 @@ class Taxonomy:
         for top, tables in self.top_level_tables().items():
             for table in tables:
                 assignment.setdefault(table, top)
-        return dict(sorted(assignment.items()))
+        return assignment
 
     def levels(self) -> dict[str, int]:
         """Longest root-to-node path length counted in non-synthetic nodes."""

@@ -35,7 +35,6 @@ from taxoforge.metrics import (
     purity,
     rand_index,
     report,
-    tcs,
 )
 from taxoforge.taxonomy import EntityType, Taxonomy
 
@@ -141,7 +140,7 @@ def test_criterion_1_metric_oracles():
                 continue
             gt = gt_from(gt_names, gt_edges, annotations)
             out = build_tax(out_names, out_edges, tables=out_tables)
-            assert abs(tcs(out, gt) - expected) <= 1e-12
+            assert abs(report(out, gt)["tcs"] - expected) <= 1e-12
             checked += 1
         assert time.perf_counter() - started < 60
 
@@ -312,7 +311,7 @@ def test_criterion_5_gett_scripted(gett_dir, tmp_path):
         gt = load_ground_truth(
             gett_dir / "gt" / "gt_taxonomy.json", gett_dir / "gt" / "gt_annotations.csv"
         )
-        assert tcs(tax, gt, match_types(tax, gt)) == 1.0
+        assert report(tax, gt)["tcs"] == 1.0
 
     check("criterion 5 (scripted generative end-to-end)", body)
 
@@ -372,7 +371,7 @@ def test_criterion_7_tcs_hand_worked():
         out = build_tax(["Ap", "Cp"], [("Ap", "Cp")], tables={"Ap": {"t1"}, "Cp": {"t2"}})
         matching = match_types(out, gt)
         assert matching == {"Ap": "A", "Cp": "C"}
-        assert tcs(out, gt, matching) == 1.0
+        assert report(out, gt)["tcs"] == 1.0
         # sibling collapse -> 0.5
         gt2 = gt_from(
             ["A", "B", "C"], [("A", "B"), ("A", "C")], {"t1": ["A", "B"], "t2": ["A", "C"]}
@@ -380,7 +379,7 @@ def test_criterion_7_tcs_hand_worked():
         out2 = build_tax(["Bp", "Cp"], [("Bp", "Cp")], tables={"Bp": {"t1"}, "Cp": {"t2"}})
         matching2 = match_types(out2, gt2)
         assert matching2 == {"Bp": "B", "Cp": "C"}
-        assert tcs(out2, gt2, matching2) == 0.5
+        assert report(out2, gt2)["tcs"] == 0.5
 
     check("criterion 7 (tree-consistency hand-worked cases)", body)
 

@@ -44,7 +44,7 @@ GUARDS = {
         lambda: LocalHashProvider(dim=1), ValueError, "dim must be >= 2"
     ),
     "emtt.run_emtt-delta-2.5": (
-        lambda: run_emtt(_corpus(), EmbeddingService(LocalHashProvider()), delta=2.5),
+        lambda: run_emtt(_corpus(), EmbeddingService(LocalHashProvider(dim=64)), delta=2.5),
         ValueError,
         "delta must be in [0, 2]",
     ),

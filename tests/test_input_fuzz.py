@@ -4,8 +4,9 @@ Each case copies one fixture input into a fresh directory, applies one
 mutation to it and runs the subcommand that reads it. On exit 1 the last
 stderr line is the error, and when that line names the mutated file the
 run made nothing: ``--out-dir`` (or ``eval --out``) does not exist. Also
-here: the guard that every input file is opened through ``open_input``, and
-the guard that no module imports another's private names.
+here: the guards that every input file is opened through ``open_input``,
+that no module imports another's private names, and that every module uses
+what it imports.
 """
 
 from __future__ import annotations
@@ -231,3 +232,40 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# emtt imports cut and silhouette without calling them: bench/tracer.py wraps them there by name
+UNUSED_IMPORTS_ALLOWED = {("emtt.py", "cut"), ("emtt.py", "silhouette")}
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(bound name, line)`` of every top-level import in ``tree`` that no name in it reads."""
+    bound = [
+        (alias.asname or alias.name.split(".")[0], node.lineno)
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in bound if name not in read]
+
+
+def test_unused_imports_are_spotted():
+    src = (
+        "from __future__ import annotations\nimport logging\nimport os.path\n"
+        "from .x import a, b as c\nfrom .y import d\n"
+        "def f() -> d:\n    return os.path.join(a)\n"
+    )
+    assert unused_imports(ast.parse(src)) == [("logging", 2), ("c", 4)]
+
+
+def test_every_module_uses_what_it_imports():
+    package = Path(taxoforge.__file__).parent
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        for name, line in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if (path.name, name) not in UNUSED_IMPORTS_ALLOWED
+    ]
+    assert unused == []

@@ -13,7 +13,6 @@ from taxoforge.metrics import (
     purity,
     rand_index,
     report,
-    tcs,
 )
 from taxoforge.taxonomy import EntityType, Taxonomy
 
@@ -159,7 +158,7 @@ def test_tcs_chain_vs_chain_is_one():
     out = build_tax(["Ap", "Cp"], [("Ap", "Cp")], tables={"Ap": {"t1"}, "Cp": {"t2"}})
     matching = match_types(out, gt)
     assert matching == {"Ap": "A", "Cp": "C"}
-    assert tcs(out, gt, matching) == 1.0
+    assert report(out, gt)["tcs"] == 1.0
 
 
 def test_tcs_sibling_collapse_is_half():
@@ -168,7 +167,7 @@ def test_tcs_sibling_collapse_is_half():
     out = build_tax(["Bp", "Cp"], [("Bp", "Cp")], tables={"Bp": {"t1"}, "Cp": {"t2"}})
     matching = match_types(out, gt)
     assert matching == {"Bp": "B", "Cp": "C"}
-    assert tcs(out, gt, matching) == 0.5
+    assert report(out, gt)["tcs"] == 0.5
 
 
 def test_tcs_self_comparison_identity():
@@ -177,7 +176,7 @@ def test_tcs_self_comparison_identity():
         [("A", "B"), ("A", "C")],
         {"t1": ["A"], "t2": ["A", "B"], "t3": ["A", "C"]},
     )
-    assert tcs(gt.taxonomy, gt) == 1.0
+    assert report(gt.taxonomy, gt)["tcs"] == 1.0
 
 
 def test_tcs_synthetic_root_ignored():
@@ -188,7 +187,7 @@ def test_tcs_synthetic_root_ignored():
         tables={"A1": {"t1"}, "B1": {"t2"}},
         synthetic={"root"},
     )
-    assert tcs(out, gt) == 1.0
+    assert report(out, gt)["tcs"] == 1.0
 
 
 # --- report -----------------------------------------------------------------------
@@ -211,7 +210,6 @@ def test_report_gt_against_itself():
 def test_report_undefined_metrics_are_null():
     gt = gt_from(["A", "B"], [("A", "B")], {"t1": ["A"], "t2": ["A", "B"]})
     out = build_tax(["X"], [], tables={"X": {"zz"}})
-    assert tcs(out, gt) is None
     rep = json.loads(json.dumps(report(out, gt)))
     assert (rep["rand_index"], rep["purity"], rep["tcs"]) == (None, None, None)
     assert rep["unmatched_types"] == ["X"]
@@ -303,6 +301,15 @@ def test_load_ground_truth_rejects_unknown_type(tmp_path):
         load_ground_truth(tax_path, ann_path)
 
 
+def test_load_ground_truth_names_the_file_line_after_a_multiline_record(tmp_path):
+    # a quoted table id spans lines 2-3, so the bad record is on line 4, not record 3
+    lines = ["table_id,top_level,path", '"t\n1",A,A>B', "t2,A,Nope"]
+    tax_path, ann_path = write_gt(tmp_path, BASE_TAX, lines)
+    message = r"csv: annotation line 4: path must start at the top-level type$"
+    with pytest.raises(ValueError, match=message):
+        load_ground_truth(tax_path, ann_path)
+
+
 def test_load_ground_truth_rejects_duplicate_type_names(tmp_path):
     tax = {
         "types": BASE_TAX["types"] + [{"id": "B2", "name": "B", "tables": [], "synthetic": False}],
@@ -364,6 +371,6 @@ def test_tcs_matches_brute_oracle_random():
         )
         if expected is None:
             continue
-        assert tcs(out, gt) == pytest.approx(expected, abs=1e-12)
+        assert report(out, gt)["tcs"] == pytest.approx(expected, abs=1e-12)
         checked += 1
     assert checked > 20
