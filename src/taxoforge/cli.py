@@ -4,9 +4,15 @@ All artifacts land under --out-dir with fixed names (taxonomy.json,
 report.json, transcript.jsonl, toplevel.json, attributes.json). A config
 file of ``key=value`` lines can seed any option; explicit flags win. The
 only environment input is the API key (``remote.API_KEY_ENV``), so secrets
-never live in config files. All randomness flows from --seed. Every
-subcommand exits 0 on success and 1 on any error or bad command line, with
-one ``error:`` line on stderr; ``run`` exits 2 when some gett tables failed.
+never live in config files. ``main`` also sets ``OPENBLAS_NUM_THREADS=1`` in
+its own process before numpy loads, over any value already there, so that
+value is no input either. The package's only BLAS calls are norms and dot
+products of single embedding vectors, too short for OpenBLAS to split
+(local-hash gives the same bits either way up to ``MAX_EMBED_DIM``), so the
+worker-thread pool OpenBLAS would start when numpy loads only costs start-up
+time. All randomness flows from --seed. Every subcommand exits 0 on success
+and 1 on any error or bad command line, with one ``error:`` line on stderr;
+``run`` exits 2 when some gett tables failed.
 
 ``emtt`` and ``embedding`` load numpy, so they are imported only where a run
 clusters or embeds: ``eval``, ``stats``, ``ingest-check`` and gett with the
@@ -20,6 +26,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -281,6 +288,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before anything imports numpy; see the module docstring
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     parser = _Parser(prog="taxoforge")
     sub = parser.add_subparsers(dest="command", required=True)

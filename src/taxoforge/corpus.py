@@ -25,7 +25,7 @@ class Table:
     Each column keeps its distinct cells once, ``""`` included, in
     first-occurrence order, and one code per row that indexes them; the codes
     of all columns share one array, column after column. Build a table with
-    ``from_rows``; read it through ``value_counts`` and ``row``.
+    ``from_rows``; read it through ``distinct``, ``value_counts`` and ``row``.
     """
 
     id: str
@@ -60,11 +60,19 @@ class Table:
     def n_cols(self) -> int:
         return len(self.headers)
 
-    def value_counts(self, col: int) -> dict[str, int]:
-        """Non-empty cell -> number of rows holding it, in first-occurrence order."""
+    def _column_values(self, col: int) -> list[str]:
+        """Column ``col``'s distinct cells, ``""`` included; ``IndexError`` out of range."""
         if not 0 <= col < self.n_cols:
             raise IndexError(f"column {col} out of range for table {self.id!r}")
-        values = self._values[col]
+        return self._values[col]
+
+    def distinct(self, col: int) -> list[str]:
+        """The non-empty cells of column ``col``, each once, in first-occurrence order."""
+        return [value for value in self._column_values(col) if value]
+
+    def value_counts(self, col: int) -> dict[str, int]:
+        """Non-empty cell -> number of rows holding it, in first-occurrence order."""
+        values = self._column_values(col)
         counts = [0] * len(values)
         for code in self._codes[col * self.n_rows:(col + 1) * self.n_rows]:
             counts[code] += 1
@@ -105,13 +113,25 @@ class Corpus:
 
 
 def _dedupe_headers(headers: list[str]) -> list[str]:
-    # duplicate headers get "_2", "_3", ... suffixes in occurrence order
-    seen: dict[str, int] = {}
+    """Make every header unique, keeping as many of them as can be kept.
+
+    A header keeps its text unless an earlier column took it. A repeat gets
+    the smallest ``_k`` suffix, k >= 2, that is neither another header of
+    the table nor taken.
+    """
+    reserved = set(headers)
+    taken: set[str] = set()
+    next_k: dict[str, int] = {}  # no smaller suffix of a header is free: taken only grows
     out = []
     for h in headers:
-        count = seen.get(h, 0) + 1
-        seen[h] = count
-        out.append(h if count == 1 else f"{h}_{count}")
+        name = h
+        if name in taken:
+            k = next_k.get(h, 2)
+            while (name := f"{h}_{k}") in reserved or name in taken:
+                k += 1
+            next_k[h] = k + 1
+        taken.add(name)
+        out.append(name)
     return out
 
 

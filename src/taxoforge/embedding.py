@@ -19,7 +19,6 @@ import struct
 import weakref
 import zlib
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +40,9 @@ class ColumnRef:
 
 
 MAX_DISTINCT_CELLS = 128
+# local-hash sums a text's token vectors in blocks of about this many bytes, so a text of
+# any length takes bounded memory
+REDUCE_BLOCK_BYTES = 1 << 20
 
 
 def serialize_column(table: Table, col: int) -> str:
@@ -49,7 +51,7 @@ def serialize_column(table: Table, col: int) -> str:
     Values are the first ``MAX_DISTINCT_CELLS`` unique non-empty cells in
     first-occurrence order.
     """
-    values = islice(table.value_counts(col), MAX_DISTINCT_CELLS)
+    values = table.distinct(col)[:MAX_DISTINCT_CELLS]
     return " ".join(["<s>", f"<header>{table.headers[col]}</header>", *values])
 
 
@@ -79,11 +81,15 @@ class LocalHashProvider:
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
+        block = max(1, REDUCE_BLOCK_BYTES // (8 * self.dim))
         for i, text in enumerate(texts):
             tokens = text.split() or [""]
             acc = np.zeros(self.dim)
-            for tok in tokens:
-                acc += self._token_vector(tok)
+            for start in range(0, len(tokens), block):
+                # reducing down axis 0 adds the rows one after another onto the running sum,
+                # so the bits are those of adding one token vector at a time
+                rows = [acc, *map(self._token_vector, tokens[start : start + block])]
+                acc = np.add.reduce(np.array(rows), axis=0)
             acc /= len(tokens)
             norm = np.linalg.norm(acc)
             if norm > 0:

@@ -11,6 +11,7 @@ be required to give identical results, ties and rounding included.
 from __future__ import annotations
 
 import csv
+import hashlib
 import random
 import re
 from collections import Counter
@@ -467,6 +468,41 @@ def brute_tcs(
 
 
 # --- a table's cells, held as rows ---------------------------------------------------
+# --- embedding ----------------------------------------------------------------
+
+def reference_local_hash(dim: int, texts: list[str]) -> np.ndarray:
+    """``LocalHashProvider(dim).embed_texts(texts)`` as it was: one running sum per text.
+
+    Kept verbatim, so a faster sum can be required to give the same vectors
+    byte for byte; the golden digests would miss a last-bit change that
+    leaves the clustering as it was.
+    """
+    token_cache: dict[str, np.ndarray] = {}
+
+    def token_vector(token: str) -> np.ndarray:
+        vec = token_cache.get(token)
+        if vec is None:
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+            rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+            vec = rng.standard_normal(dim)
+            vec /= np.linalg.norm(vec)
+            token_cache[token] = vec
+        return vec
+
+    out = np.zeros((len(texts), dim), dtype=np.float32)
+    for i, text in enumerate(texts):
+        tokens = text.split() or [""]
+        acc = np.zeros(dim)
+        for tok in tokens:
+            acc += token_vector(tok)
+        acc /= len(tokens)
+        norm = np.linalg.norm(acc)
+        if norm > 0:
+            acc /= norm
+        out[i] = acc.astype(np.float32)
+    return out
+
+
 # Tables were once held as lists of stripped, padded rows. These are the readers of
 # that form, kept verbatim but for taking rows in place of a table and for skipping
 # blank lines, as ingest now does.

@@ -703,6 +703,25 @@ def test_local_commands_leave_numpy_and_requests_unloaded(planted_dir, gett_dir,
     assert (tmp_path / "out" / "taxonomy.json").exists()
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_emtt_run_starts_no_blas_worker_thread(planted_dir, tmp_path):
+    # OpenBLAS starts one worker thread per extra CPU when numpy loads, unless main pinned it first
+    code = (
+        "import json, os, sys\n"
+        "from taxoforge.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    argv = emtt_args(planted_dir, tmp_path / "out")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
+
+
 def test_run_duplicate_gt_names_fails_before_artifacts(planted_dir, tmp_path, capsys):
     gt_dir = tmp_path / "gt"
     gt_dir.mkdir()

@@ -80,6 +80,7 @@ def test_column_store_reads_equal_the_rows_references(table, terminator, seed):
     assert [stored.row(r) for r in range(stored.n_rows)] == reference
     assert bits(score_columns(stored)) == bits(rows_score_columns(reference, stored.n_cols))
     for col in range(stored.n_cols):
+        assert stored.distinct(col) == list(stored.value_counts(col))
         column = [row[col] for row in reference]
         assert serialize_column(stored, col) == rows_serialize_column(stored.headers[col], column)
     assert sample_rows(stored, seed) == rows_sample_rows(reference, seed)
@@ -111,3 +112,5 @@ def test_reads_outside_the_table_raise():
     for col in (-1, 2):
         with pytest.raises(IndexError, match=f"column {col} out of range"):
             table.value_counts(col)
+        with pytest.raises(IndexError, match=f"column {col} out of range"):
+            table.distinct(col)

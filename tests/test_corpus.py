@@ -3,12 +3,13 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
+from itertools import count
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as scipy_stats
 
-from taxoforge.corpus import Table, ingest
+from taxoforge.corpus import Table, _dedupe_headers, ingest
 from taxoforge.errors import EmptyCorpusError, MalformedTableError
 from taxoforge.gett import CELL_TOKEN_LIMIT, ROW_SAMPLE, sample_rows, truncate_cell
 
@@ -48,6 +49,31 @@ def test_ingest_dedupes_headers(tmp_path):
     write_csv(tmp_path / "t.csv", [["name", "name", "name"], ["a", "b", "c"]])
     table = ingest(tmp_path).get("t")
     assert table.headers == ["name", "name_2", "name_3"]
+
+
+@pytest.mark.parametrize(
+    "headers, expected",
+    [
+        (["name", "name_2", "name"], ["name", "name_2", "name_3"]),
+        (["name", "name", "name_2"], ["name", "name_3", "name_2"]),
+        (["", "_2", ""], ["", "_2", "_3"]),
+    ],
+)
+def test_ingest_renames_a_repeat_past_every_header(tmp_path, headers, expected):
+    write_csv(tmp_path / "t.csv", [headers, ["a", "b", "c"]])
+    assert ingest(tmp_path).get("t").headers == expected
+
+
+@given(st.lists(st.sampled_from(["a", "a", "a_2", "a_3", "a_2_2", "b", ""]), max_size=8))
+def test_dedupe_headers_keeps_what_it_can_and_takes_the_smallest_free_suffix(headers):
+    out = _dedupe_headers(headers)
+    assert len(set(out)) == len(out) == len(headers)
+    for i, (header, name) in enumerate(zip(headers, out)):
+        if header not in out[:i]:
+            assert name == header
+        else:
+            suffixed = (f"{header}_{k}" for k in count(2))
+            assert name == next(s for s in suffixed if s not in headers and s not in out[:i])
 
 
 def test_ingest_rejects_long_rows(tmp_path):

@@ -7,12 +7,13 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import taxoforge
 from taxoforge.cli import main
@@ -20,6 +21,7 @@ from taxoforge.corpus import Table, Corpus
 from taxoforge.embedding import (
     ColumnRef,
     EmbeddingService,
+    REDUCE_BLOCK_BYTES,
     LocalHashProvider,
     RemoteProvider,
     VectorCache,
@@ -27,6 +29,8 @@ from taxoforge.embedding import (
     serialize_column,
 )
 from taxoforge.errors import BackendError, DimensionMismatchError
+
+from .oracles import reference_local_hash
 
 
 def table_of(headers, columns, table_id="t"):
@@ -94,6 +98,72 @@ def test_shared_vocab_high_similarity():
     assert sim_shared > 0.6
     assert abs(sim_disjoint) < 0.3
     assert sim_shared > sim_disjoint
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["paris", "lyon", "x1", "<s>", "<header>city</header>"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+)
+# 300 to 400 tokens from a pool of 20: every token repeats
+LONG_TEXTS = st.lists(st.sampled_from([f"w{i}" for i in range(20)]), min_size=300, max_size=400).map(" ".join)
+TEXTS = st.one_of(
+    st.just(""),
+    st.sampled_from([" ", "\t", " \r\n\u3000"]),
+    TOKENS,
+    st.lists(TOKENS, max_size=8).map(" ".join),
+    LONG_TEXTS,
+)
+EDGE_TEXTS = ["", " \t ", "solo", " ".join(["city", "paris", "lyon", "nice"] * 80)]
+REUSED_PROVIDERS: dict[int, LocalHashProvider] = {}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 64, 4096]), texts=st.lists(TEXTS, max_size=5))
+@example(dim=2, texts=EDGE_TEXTS)
+@example(dim=64, texts=EDGE_TEXTS)
+@example(dim=4096, texts=EDGE_TEXTS)
+def test_local_hash_equals_the_running_sum_reference_byte_for_byte(dim, texts):
+    expected = reference_local_hash(dim, texts).tobytes()
+    assert LocalHashProvider(dim).embed_texts(texts).tobytes() == expected
+    # a reused provider answers from the token vectors of earlier examples
+    reused = REUSED_PROVIDERS.setdefault(dim, LocalHashProvider(dim))
+    assert reused.embed_texts(texts).tobytes() == expected
+
+
+def test_local_hash_sums_a_long_text_in_bounded_memory():
+    # 2000 tokens at dim 4096 would be 65 MB of float64 rows summed in one piece
+    provider = LocalHashProvider(4096)
+    text = " ".join(["alpha", "beta"] * 1000)
+    provider.embed_texts(["alpha beta"])  # make the token vectors first: only the sum is traced
+    tracemalloc.start()
+    try:
+        vecs = provider.embed_texts([text])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vecs.tobytes() == reference_local_hash(4096, [text]).tobytes()
+    assert peak < 4 * REDUCE_BLOCK_BYTES
+
+
+def test_vectors_and_cosine_scores_do_not_depend_on_the_blas_thread_count():
+    # library callers never pass through cli.main, which pins OpenBLAS to one thread
+    code = (
+        "import hashlib\n"
+        "from taxoforge.embedding import EmbeddingService, LocalHashProvider\n"
+        "from taxoforge.gett import EmbeddingCosineScorer\n"
+        "texts = ['city paris lyon', 'animal cat', ' '.join(f'w{i}' for i in range(500))]\n"
+        "print(hashlib.sha256(LocalHashProvider(4096).embed_texts(texts).tobytes()).hexdigest())\n"
+        "edges = [('place', 'city'), ('animal', 'cat'), ('city', 'cat'), (texts[2], 'w7 w8')]\n"
+        "scorer = EmbeddingCosineScorer(EmbeddingService(LocalHashProvider(4096)))\n"
+        "print([score.hex() for score in scorer.scores(edges)])\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    outputs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # --- cache -------------------------------------------------------------------
