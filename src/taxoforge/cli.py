@@ -10,9 +10,11 @@ value is no input either. The package's only BLAS calls are norms and dot
 products of single embedding vectors, too short for OpenBLAS to split
 (local-hash gives the same bits either way up to ``MAX_EMBED_DIM``), so the
 worker-thread pool OpenBLAS would start when numpy loads only costs start-up
-time. All randomness flows from --seed. Every subcommand exits 0 on success
-and 1 on any error or bad command line, with one ``error:`` line on stderr;
-``run`` exits 2 when some gett tables failed.
+time. emtt clusters its top-level types in up to one forked process per
+usable CPU, so the process's CPU affinity sets the speed of a run but not
+its artifacts. All randomness flows from --seed. Every subcommand exits 0
+on success and 1 on any error or bad command line, with one ``error:`` line
+on stderr; ``run`` exits 2 when some gett tables failed.
 
 ``emtt`` and ``embedding`` load numpy, so they are imported only where a run
 clusters or embeds: ``eval``, ``stats``, ``ingest-check`` and gett with the

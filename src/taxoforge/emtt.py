@@ -8,7 +8,14 @@ sets and prunes the dendrogram into a subtype forest.
 
 from __future__ import annotations
 
+import functools
+import io
 import logging
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +33,7 @@ from .clustering import (
 )
 from .corpus import Corpus
 from .embedding import ColumnRef, EmbeddingService
+from .errors import TaxoforgeError
 from .options import DEFAULT_DELTA, DEFAULT_K_MAX, DEFAULT_LINKAGE
 from .subject import assign_subjects
 from .taxonomy import EntityType, Taxonomy
@@ -42,21 +50,15 @@ class FragmentNode:
     parent: frozenset[int] | None
 
 
-def _cluster_refs(
-    corpus: Corpus,
-    service: EmbeddingService,
-    refs: list[ColumnRef],
-    linkage: str,
-    k_max: int,
-) -> list[list[int]]:
-    """Group refs by the embeddings of their serialized columns.
+def _cluster(vectors: np.ndarray, linkage: str, k_max: int) -> list[list[int]]:
+    """Group the rows of ``vectors`` by Euclidean distance.
 
     Returns the groups of the silhouette-selected cut, or one group of all
-    refs when no cut with 2 <= k <= n-1 has a silhouette, as with fewer
-    than three refs.
+    rows when no cut with 2 <= k <= n-1 has a silhouette, as with fewer
+    than three rows.
     """
-    dm = euclidean_matrix(service.embed_columns(corpus, refs))
-    return select_k(dm, agglomerate(dm, linkage), k_max) or [list(range(len(refs)))]
+    dm = euclidean_matrix(vectors)
+    return select_k(dm, agglomerate(dm, linkage), k_max) or [list(range(len(vectors)))]
 
 
 def identify_top_level(
@@ -73,30 +75,51 @@ def identify_top_level(
     """
     tables = corpus.tables
     refs = [ColumnRef(t.id, subjects[t.id]) for t in tables]
-    groups = _cluster_refs(corpus, service, refs, linkage, k_max)
+    groups = _cluster(service.embed_columns(corpus, refs), linkage, k_max)
     logger.info("top-level clustering selected k=%d", len(groups))
     return [[tables[i].id for i in group] for group in groups]
 
 
 def identify_attributes(
-    table_ids: list[str],
-    corpus: Corpus,
-    service: EmbeddingService,
+    refs: list[ColumnRef],
+    vectors: np.ndarray,
     linkage: str = DEFAULT_LINKAGE,
     k_max: int = DEFAULT_K_MAX,
 ) -> list[list[ColumnRef]]:
-    """Cluster every column of the tables into conceptual attributes.
+    """Cluster columns into conceptual attributes by their embeddings, one row per ref.
 
     Returns each attribute's columns; each column lands in exactly one.
     """
-    refs = [ColumnRef(tid, col) for tid in table_ids for col in range(corpus.get(tid).n_cols)]
-    return [
-        [refs[i] for i in group]
-        for group in _cluster_refs(corpus, service, refs, linkage, k_max)
-    ]
+    return [[refs[i] for i in group] for group in _cluster(vectors, linkage, k_max)]
 
 
-def jaccard_matrix(table_ids: list[str], attr_sets: dict[str, set[str]]) -> DistanceMatrix:
+def cluster_type(
+    member_ids: list[str],
+    refs: list[ColumnRef],
+    vectors: np.ndarray,
+    linkage: str = DEFAULT_LINKAGE,
+    k_max: int = DEFAULT_K_MAX,
+    delta: float = DEFAULT_DELTA,
+) -> tuple[list[list[ColumnRef]], list[FragmentNode]]:
+    """One top-level type's conceptual attributes and pruned subtype fragment.
+
+    ``refs`` are the columns of the ``member_ids`` tables and ``vectors``
+    their embeddings. Returns the attributes of ``identify_attributes`` and
+    the fragment that ``prune_dendrogram`` cuts from the tables' Jaccard
+    distances over their attribute sets; its members index ``member_ids``.
+    It reads nothing of any other type and makes no BLAS call, so any
+    process can run it.
+    """
+    attrs = identify_attributes(refs, vectors, linkage, k_max)
+    attr_sets: dict[str, set[int]] = {tid: set() for tid in member_ids}
+    for j, attr in enumerate(attrs):
+        for ref in attr:
+            attr_sets[ref.table_id].add(j)
+    dm = jaccard_matrix(member_ids, attr_sets)
+    return attrs, prune_dendrogram(agglomerate(dm, linkage), dm, delta)
+
+
+def jaccard_matrix(table_ids: list[str], attr_sets: dict[str, set]) -> DistanceMatrix:
     """Jaccard distance between every pair of tables' conceptual-attribute sets.
 
     Bit for bit the pairwise reference ``tests/oracles.py::table_attribute_distance``.
@@ -176,6 +199,163 @@ class EmttResult:
         return out
 
 
+# a type's attributes and pruned fragment, as cluster_type returns them
+TypeResult = tuple[list[list[ColumnRef]], list[FragmentNode]]
+# column pairs of clustering work per process below which a fork does not pay: on a 2-vCPU
+# host a type of 256 columns clustered in about 20 ms, and forking, piping and reaping a
+# worker took about 10 ms
+MIN_SHARE_COST = 256**2
+
+
+def _process_count(costs: list[int]) -> int:
+    """Processes to cluster types of these costs in: one per usable CPU, at most one per
+    type and one per ``MIN_SHARE_COST`` of work.
+
+    1 where forking is unsafe or unavailable: a fork copies only the calling
+    thread, so while another thread is alive a lock it holds could stay held
+    in the child forever.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), len(costs), sum(costs) // MIN_SHARE_COST))
+
+
+def _split(costs: list[int], n: int) -> list[list[int]]:
+    """Deal the indices of ``costs``, costliest first, each to the least-loaded of ``n`` shares."""
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for k in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        p = loads.index(min(loads))
+        shares[p].append(k)
+        loads[p] += costs[k]
+    return shares
+
+
+def _outcome(run) -> bytes:
+    """``run()``'s result, or what it raised, pickled behind an 8-byte length."""
+    try:
+        blob = pickle.dumps(("ok", run()))
+    except BaseException as exc:  # the parent re-raises it
+        try:
+            raised = pickle.dumps(exc)
+        except Exception:  # an exception pickle cannot send arrives as its description alone
+            raised = b""
+        blob = pickle.dumps(("raised", f"{type(exc).__name__}: {exc}", raised))
+    return len(blob).to_bytes(8, "little") + blob
+
+
+def _fork(run) -> tuple[int, io.BufferedReader] | None:
+    """Start a child that sends ``_outcome(run)`` through a pipe; None when fork fails.
+
+    The child always leaves through ``os._exit``, so it never returns into
+    the caller, runs no exit handler and flushes no buffer it inherited.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(_outcome(run))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _received(pid: int, status: int, data: bytes) -> list[tuple[int, TypeResult]]:
+    """A reaped worker's results from its wait ``status`` and the bytes it sent, or what it raised."""
+    if os.WIFSIGNALED(status):
+        sig = os.WTERMSIG(status)
+        try:
+            name = signal.Signals(sig).name
+        except ValueError:
+            name = f"signal {sig}"
+        raise TaxoforgeError(f"cluster worker {pid} was killed by {name}")
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise TaxoforgeError(f"cluster worker {pid} exited with status {code}")
+    size = 8 + int.from_bytes(data[:8], "little")
+    if len(data) != size:
+        raise TaxoforgeError(f"cluster worker {pid} sent {len(data)} bytes of a {size}-byte result")
+    kind, *rest = pickle.loads(data[8:])
+    if kind == "ok":
+        return rest[0]
+    described, raised = rest
+    try:
+        exc = pickle.loads(raised)
+    except Exception:  # pickle rebuilds an exception from its args; CycleError's do not fit
+        exc = None
+    if exc is None or f"{type(exc).__name__}: {exc}" != described:
+        raise TaxoforgeError(f"cluster worker {pid} raised {described}")
+    raise exc
+
+
+def _cluster_types(
+    types: list[list[str]],
+    refs: list[list[ColumnRef]],
+    vectors: list[np.ndarray | None],
+    linkage: str,
+    k_max: int,
+    delta: float,
+) -> list[TypeResult]:
+    """``cluster_type`` of every type, in type order, spread over ``_process_count`` processes.
+
+    The types are split by their columns squared. This process runs the first
+    share and one forked worker runs each other share, or this process does
+    when the fork fails. Every process drops the vectors of the types it
+    does not run. Results are the same whichever process computes them.
+    A worker's exception is re-raised here; any exception here kills and
+    reaps every worker still running before it propagates.
+    """
+
+    def run(share: list[int]) -> list[tuple[int, TypeResult]]:
+        for k in range(len(vectors)):
+            if k not in share:
+                vectors[k] = None
+        out = []
+        for k in share:
+            vecs, vectors[k] = vectors[k], None
+            out.append((k, cluster_type(types[k], refs[k], vecs, linkage, k_max, delta)))
+        return out
+
+    costs = [len(r) ** 2 for r in refs]
+    shares = _split(costs, _process_count(costs))
+    own = shares[0]
+    live: dict[int, io.BufferedReader] = {}  # pid -> read end of its pipe
+    if len(shares) > 1:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    try:
+        for share in shares[1:]:
+            started = _fork(functools.partial(run, share))
+            if started is None:
+                own = own + share
+            else:
+                live[started[0]] = started[1]
+        results = dict(run(own))
+        for pid, pipe in list(live.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del live[pid]
+            results.update(_received(pid, status, data))
+    except BaseException:
+        for pid, pipe in live.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return [results[k] for k in range(len(types))]
+
+
 def run_emtt(
     corpus: Corpus,
     service: EmbeddingService,
@@ -188,23 +368,27 @@ def run_emtt(
 
     Top-level types become the taxonomy roots; each pruned fragment hangs
     beneath its type, and tables not claimed by any subtype stay directly
-    assigned to the top-level type.
+    assigned to the top-level type. Every embedding is made here, type after
+    type, so provider calls and cache writes keep one order in one process;
+    ``_cluster_types`` then clusters the types, in forked workers where it
+    can, and the results do not depend on how many.
     """
     if not 0 <= delta <= 2:
         raise ValueError("delta must be in [0, 2]")
     subjects = assign_subjects(corpus, subject_overrides)
+    types = identify_top_level(corpus, service, subjects, linkage, k_max)
+    refs = [
+        [ColumnRef(tid, col) for tid in ids for col in range(corpus.get(tid).n_cols)] for ids in types
+    ]
+    vectors: list[np.ndarray | None] = [service.embed_columns(corpus, r) for r in refs]
     tax = Taxonomy()
     attributes: dict[ColumnRef, str] = {}
-    for k, member_ids in enumerate(identify_top_level(corpus, service, subjects, linkage, k_max)):
+    clustered = _cluster_types(types, refs, vectors, linkage, k_max, delta)
+    for k, (member_ids, (attrs, fragment)) in enumerate(zip(types, clustered)):
         tlt_id = f"tlt{k}"
-        attr_sets: dict[str, set[str]] = {tid: set() for tid in member_ids}
-        for j, refs in enumerate(identify_attributes(member_ids, corpus, service, linkage, k_max)):
-            attr_id = f"{tlt_id}.attr{j}"
-            for ref in refs:
-                attributes[ref] = attr_id
-                attr_sets[ref.table_id].add(attr_id)
-        dm = jaccard_matrix(member_ids, attr_sets)
-        fragment = prune_dendrogram(agglomerate(dm, linkage), dm, delta)
+        for j, attr in enumerate(attrs):
+            for ref in attr:
+                attributes[ref] = f"{tlt_id}.attr{j}"
         claimed = {member_ids[i] for node in fragment for i in node.members}
         tax.add_type(EntityType(id=tlt_id, name=tlt_id, tables=set(member_ids) - claimed))
         node_ids: dict[frozenset[int] | None, str] = {None: tlt_id}

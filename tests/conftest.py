@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import hypothesis
@@ -37,3 +38,14 @@ def sleeps(monkeypatch):
     calls: list[float] = []
     monkeypatch.setattr("taxoforge.remote.sleep", calls.append)
     return calls
+
+
+@pytest.fixture()
+def usable_cpus(monkeypatch):
+    """Set how many CPUs emtt sees as usable, with any type's clustering worth a fork."""
+
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr("taxoforge.emtt.MIN_SHARE_COST", 1)
+
+    return set_cpus

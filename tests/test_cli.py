@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import logging
+import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 import taxoforge
-from taxoforge import cli
+from taxoforge import cli, emtt
 from taxoforge.cli import CHOICES, RunConfig, main
 from taxoforge.corpus import ingest
 from taxoforge.embedding import LocalHashProvider, VectorCache, cache_key, serialize_column
@@ -150,6 +153,57 @@ def test_run_emtt_fixture_golden_digests(planted_dir, tmp_path):
             for name in EMTT_GOLDEN_DIGESTS
         }
         assert digests == EMTT_GOLDEN_DIGESTS, run
+
+
+@pytest.mark.parametrize(
+    "cpus, fork_fails, fork_calls", [(1, False, 0), (2, False, 1), (3, False, 2), (3, True, 2)]
+)
+def test_run_emtt_digests_do_not_depend_on_worker_count(
+    planted_dir, tmp_path, monkeypatch, usable_cpus, cpus, fork_fails, fork_calls
+):
+    """The planted fixture's 3 types clustered in 1, 2 or 3 processes, or in-process after
+    every fork failed, give the golden bytes."""
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        if fork_fails:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    usable_cpus(cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    out_dir = tmp_path / "out"
+    assert main(emtt_args(planted_dir, out_dir, extra=["--gt-path", str(planted_dir / "gt")])) == 0
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in EMTT_GOLDEN_DIGESTS
+    }
+    assert digests == EMTT_GOLDEN_DIGESTS
+    assert len(calls) == fork_calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_emtt_worker_killed_by_a_signal_exits_1(
+    planted_dir, tmp_path, monkeypatch, usable_cpus, capsys
+):
+    parent = os.getpid()
+    cluster_type = emtt.cluster_type
+
+    def killed_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return cluster_type(*args, **kwargs)
+
+    usable_cpus(2)
+    monkeypatch.setattr(emtt, "cluster_type", killed_in_worker)
+    assert main(emtt_args(planted_dir, tmp_path / "out")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "SIGKILL" in err[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pack_records(blob: bytes) -> list[tuple[int, str, int, int]]:
