@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .options import DEFAULT_LINKAGE, LINKAGES
 
+ROW_BLOCK = 16  # distance rows that one numpy call saves, restores or sums, in place of all n
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -31,12 +33,13 @@ class DistanceMatrix:
         arr = np.asarray(self.d, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("distance matrix must be square")
+        # finiteness first: NaN != NaN, so a NaN would otherwise read as asymmetry
+        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            raise ValueError("distances must be finite and non-negative")
         if not np.array_equal(arr, arr.T):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(arr) != 0):
             raise ValueError("distance matrix diagonal must be zero")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("distances must be finite and non-negative")
         object.__setattr__(self, "d", arr)
 
     @property
@@ -104,13 +107,33 @@ def agglomerate(dm: DistanceMatrix, linkage: str = DEFAULT_LINKAGE) -> Dendrogra
     merged slot, and resolves a tie among any number of pairs with a fixed
     handful of O(n) array operations, so each merge costs O(n) NumPy work
     plus O(n) per rescanned row. One item gives a dendrogram with no merges.
+
+    The merges use ``dm.d`` itself as their working space, so no other
+    thread may read it during the call. Only its upper triangle is saved,
+    as blocks of ``ROW_BLOCK`` rows from the diagonal on (about n^2/2
+    values), and on return or on an exception each block is written back
+    to its rows and, transposed, to its columns below the diagonal. As
+    ``DistanceMatrix`` is exactly symmetric, ``dm.d`` comes back
+    byte-identical, unless it mixes the signs of a zero.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
-    n = dm.n
-    if n < 1:
+    if dm.n < 1:
         raise ValueError("need at least 1 item to agglomerate")
-    dist = dm.d.copy()
+    dist = dm.d
+    starts = range(0, dm.n, ROW_BLOCK)
+    upper = [dist[b : b + ROW_BLOCK, b:].copy() for b in starts]
+    try:
+        return Dendrogram(tuple(_merge_in_place(dist, linkage)))
+    finally:
+        for b, block in zip(starts, upper):
+            dist[b + ROW_BLOCK :, b : b + ROW_BLOCK] = block[:, ROW_BLOCK:].T
+            dist[b : b + ROW_BLOCK, b:] = block
+
+
+def _merge_in_place(dist: np.ndarray, linkage: str) -> list[Merge]:
+    """``agglomerate``'s merges, overwriting ``dist``."""
+    n = len(dist)
     np.fill_diagonal(dist, np.inf)
     # retired slots keep row_min = inf and row_arg = -1, so they are never
     # tied, never rescanned and never improved
@@ -160,7 +183,7 @@ def agglomerate(dm: DistanceMatrix, linkage: str = DEFAULT_LINKAGE) -> Dendrogra
         improved = new_row < row_min
         row_min[improved] = new_row[improved]
         row_arg[improved] = i
-    return Dendrogram(tuple(merges))
+    return merges
 
 
 def _leaf_order(den: Dendrogram) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -227,24 +250,27 @@ def cut(den: Dendrogram, height: float) -> list[list[int]]:
     return next(_descend(den, [height]))[0]
 
 
-def _mean_silhouette(sums: np.ndarray, labels: np.ndarray) -> float | None:
-    """Mean silhouette from each cluster's row of distance sums to every item.
+def _mean_silhouette(means: np.ndarray, own_sums: np.ndarray, labels: np.ndarray) -> float | None:
+    """Mean silhouette from each cluster's row of mean distances to every item.
 
-    ``sums`` is k x n; item i is in the cluster of row ``labels[i]``. The
-    result does not depend on the order of the rows: the intra and
-    per-cluster means are elementwise, the nearest other cluster is an exact
-    ``min``, and the mean over items adds them in item order.
+    ``means`` is k x n; item i is in the cluster of row ``labels[i]``, and
+    ``own_sums[i]`` is the sum of its distances to that cluster. Each
+    item's own entry of ``means`` is set to inf for the nearest-other
+    ``min`` and then put back, so no k x n temporary is made. The result
+    does not depend on the order of the rows: the intra means are
+    elementwise, the nearest other cluster is an exact ``min``, and the
+    mean over items adds them in item order.
     """
-    k, n = sums.shape
+    k, n = means.shape
     if k < 2 or k > n - 1:
         return None
     items = np.arange(n)
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    own = counts[labels]
-    a = sums[labels, items] / np.maximum(own - 1, 1)
-    mean_to = sums / counts[:, np.newaxis]
-    mean_to[labels, items] = np.inf
-    b = mean_to.min(axis=0)
+    own = np.bincount(labels, minlength=k).astype(np.float64)[labels]
+    a = own_sums / np.maximum(own - 1, 1)
+    own_means = means[labels, items]
+    means[labels, items] = np.inf
+    b = means.min(axis=0)
+    means[labels, items] = own_means
     widest = np.maximum(a, b)
     with np.errstate(invalid="ignore"):
         scores = np.where(widest > 0, (b - a) / widest, 0.0)
@@ -267,9 +293,33 @@ def silhouette(dm: DistanceMatrix, groups: list[list[int]]) -> float | None:
     if not all(groups) or sorted(i for group in groups for i in group) != list(range(dm.n)):
         raise ValueError("groups must partition the items 0..n-1")
     labels = np.empty(dm.n, dtype=np.intp)
+    own_sums = np.empty(dm.n)
+    means = np.empty((len(groups), dm.n))
     for label, group in enumerate(groups):
+        sums = dm.d[:, group].sum(axis=1)
         labels[group] = label
-    return _mean_silhouette(np.stack([dm.d[:, group].sum(axis=1) for group in groups]), labels)
+        own_sums[group] = sums[group]
+        np.divide(sums, len(group), out=means[label])
+    return _mean_silhouette(means, own_sums, labels)
+
+
+def _sum_rows(d: np.ndarray, leaves: np.ndarray, out: np.ndarray) -> None:
+    """``np.sum(d[leaves], axis=0, out=out)`` bit for bit, gathering at most ``ROW_BLOCK`` + 1 rows.
+
+    Summing a C-ordered block along axis 0 adds its rows one after another.
+    Row 0 of each later chunk carries the running sum, so every column
+    still adds its rows in ``leaves`` order, and no |leaves| x n gather is
+    made.
+    """
+    rows = np.empty((min(len(leaves), ROW_BLOCK + 1), d.shape[1]))
+    # mode="clip" takes straight into ``rows``; "raise" would gather into a temporary first
+    np.take(d, leaves[: len(rows)], axis=0, out=rows, mode="clip")
+    np.sum(rows, axis=0, out=out)
+    for start in range(len(rows), len(leaves), ROW_BLOCK):
+        chunk = leaves[start : start + ROW_BLOCK]
+        rows[0] = out
+        np.take(d, chunk, axis=0, out=rows[1 : len(chunk) + 1], mode="clip")
+        np.sum(rows[: len(chunk) + 1], axis=0, out=out)
 
 
 def sweep(
@@ -279,33 +329,39 @@ def sweep(
 
     Level h applies the first #(merge heights <= h) merges, so k rises
     strictly from 1. A cluster's distance sums are computed once, when it
-    appears, into one row of a k x n array that doubles as k grows: a split
+    appears: their means go to one row of a k x n array that doubles as k
+    grows, up to n - 1 rows, and each member keeps its own sum. A split
     cluster's row goes to its child that holds its smallest leaf, and the
     other child takes the next free row.
 
     The sums are ``silhouette``'s bit for bit. Its column gather adds each
-    item's distances one after another in ascending member order; the row
-    gather ``dm.d[leaves].sum(axis=0)`` adds the same numbers in the same
-    order, because ``DistanceMatrix`` is exactly symmetric, and reads
-    contiguous rows. ``np.take(dm.d, leaves, axis=1).sum(axis=1)`` would
-    not do: its result is C-ordered, so numpy sums each row pairwise.
+    item's distances one after another in ascending member order; summing
+    the member rows along axis 0 (``_sum_rows``) adds the same numbers in
+    the same order, because ``DistanceMatrix`` is exactly symmetric, and
+    reads contiguous rows. ``np.take(dm.d, leaves, axis=1).sum(axis=1)``
+    would not do: its result is C-ordered, so numpy sums each row pairwise.
     """
     n = dm.n
     levels = sorted(set(den.heights), reverse=True)
-    sums = np.empty((8, n))
+    means = np.empty((8, n))
+    own_sums, sums = np.empty(n), np.empty(n)
     labels = np.zeros(n, dtype=np.intp)
-    row: dict[int, int] = {}  # a cluster's smallest leaf -> its row of sums
+    row: dict[int, int] = {}  # a cluster's smallest leaf -> its row of means
     for height, (groups, fresh) in zip(levels, _descend(den, levels)):
         k = len(groups)
         if k > 1:  # k is 1 only at the top level, which has no silhouette
-            if k > len(sums):
-                sums = np.concatenate([sums, np.empty((max(k, 2 * len(sums)) - len(sums), n))])
+            if k > len(means):  # every level below the top applies a merge, so k <= n - 1
+                grown = np.empty((min(max(k, 2 * len(means)), n - 1), n))
+                grown[: len(means)] = means
+                means = grown
             for group in fresh:
                 at = row.setdefault(group[0], len(row))
                 leaves = np.array(group)
-                np.sum(dm.d[leaves], axis=0, out=sums[at])
+                _sum_rows(dm.d, leaves, sums)
+                np.divide(sums, len(group), out=means[at])
+                own_sums[leaves] = sums[leaves]
                 labels[leaves] = at
-        yield height, groups, _mean_silhouette(sums[:k], labels)
+        yield height, groups, _mean_silhouette(means[:k], own_sums, labels)
 
 
 def select_k(dm: DistanceMatrix, den: Dendrogram, k_max: int) -> list[list[int]] | None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,11 @@ from .oracles import (
     reference_agglomerate,
     reference_euclidean,
 )
+from taxoforge import clustering
 from taxoforge.clustering import (
+    ROW_BLOCK,
     DistanceMatrix,
+    Merge,
     agglomerate,
     cut,
     euclidean_matrix,
@@ -74,12 +78,19 @@ def test_euclidean_equals_reference_bit_for_bit(n, dim):
 
 
 def test_distance_matrix_validation():
-    with pytest.raises(ValueError):
-        dm_from([[0, 1], [2, 0]])  # asymmetric
-    with pytest.raises(ValueError):
-        dm_from([[1, 0], [0, 0]])  # nonzero diagonal
-    with pytest.raises(ValueError):
-        dm_from([[0, -1], [-1, 0]])  # negative
+    with pytest.raises(ValueError, match="symmetric"):
+        dm_from([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="diagonal"):
+        dm_from([[1, 0], [0, 0]])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        dm_from([[0, -1], [-1, 0]])
+    # NaN != NaN, so these must not be reported as asymmetry
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        dm_from([[0, np.nan], [np.nan, 0]])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        dm_from([[np.nan, 1], [1, 0]])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        dm_from([[0, np.inf], [np.inf, 0]])
 
 
 # --- agglomerate --------------------------------------------------------------
@@ -161,6 +172,54 @@ tie_heavy_matrices = st.one_of(
 @settings(max_examples=150)
 def test_matches_reference_under_ties(linkage, dm):
     assert agglomerate(dm, linkage) == reference_agglomerate(dm, linkage)
+
+
+@pytest.mark.parametrize("linkage", ["average", "complete", "single"])
+def test_agglomerate_gives_its_input_back(linkage):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, ROW_BLOCK, 2 * ROW_BLOCK + 3):
+        dm = random_distance_matrix(rng, n)
+        before = dm.d.tobytes()
+        agglomerate(dm, linkage)
+        assert dm.d.tobytes() == before
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 20, 36])
+def test_agglomerate_gives_its_input_back_when_the_loop_raises(monkeypatch, fail_at):
+    dm = random_distance_matrix(np.random.default_rng(8), 2 * ROW_BLOCK + 5)
+    before = dm.d.tobytes()
+    calls = 0
+
+    def failing_merge(*args):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            raise RuntimeError("merge failed")
+        return Merge(*args)
+
+    monkeypatch.setattr(clustering, "Merge", failing_merge)
+    with pytest.raises(RuntimeError, match="merge failed"):
+        agglomerate(dm)
+    assert dm.d.tobytes() == before
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_clustering_holds_at_most_half_a_matrix_more():
+    # numpy reports its buffers to tracemalloc, so a full n x n copy or gather shows
+    rng = np.random.default_rng(12)
+    points = np.concatenate([rng.normal(0, 1, size=(300, 8)), rng.normal(10, 1, size=(300, 8))])
+    dm = euclidean_matrix(points)
+    den = agglomerate(dm)
+    assert traced_peak(agglomerate, dm) <= 0.6 * dm.d.nbytes
+    assert traced_peak(select_k, dm, den, 50) <= 0.25 * dm.d.nbytes
 
 
 def test_heights_non_decreasing():
@@ -396,11 +455,12 @@ def float_bits(score: float | None) -> bytes | None:
     return None if score is None else struct.pack("<d", score)
 
 
-@pytest.mark.parametrize("n", [9, 130, 300])
+@pytest.mark.parametrize("n", [9, 2 * ROW_BLOCK + 3, 130, 300])
 @pytest.mark.parametrize("kind", ["euclidean", "jaccard"])
 @pytest.mark.parametrize("linkage", ["average", "complete", "single"])
 def test_sweep_equals_cut_and_silhouette_bit_for_bit(n, kind, linkage):
-    """Past numpy's 128-element pairwise block, so a sum in any other order shows."""
+    """Past numpy's 128-element pairwise block, so a sum in any other order shows,
+    and past two row blocks, so cluster sums run over several blocks and end in a partial one."""
     rng = np.random.default_rng(n)
     if kind == "euclidean":
         dm = euclidean_matrix(rng.normal(size=(n, 8)))
