@@ -310,7 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     check_p = sub.add_parser("ingest-check", help="parse a table directory and print a summary")
     check_p.add_argument("tables_dir")
 
-    # the one error boundary: a bad command line or input ends in one line and exit 1
+    # the one error boundary: a bad command line or input, or running out of memory, ends in
+    # one line and exit 1
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
@@ -322,6 +323,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_ingest_check(args.tables_dir)
     except (TaxoforgeError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the array's size, shape and dtype
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

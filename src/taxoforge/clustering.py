@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .options import DEFAULT_LINKAGE, LINKAGES
 
-ROW_BLOCK = 16  # distance rows that one numpy call saves, restores or sums, in place of all n
+ROW_BLOCK = 16  # distance rows that one numpy call checks, saves, restores or sums, in place of all n
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,14 @@ class DistanceMatrix:
         arr = np.asarray(self.d, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("distance matrix must be square")
-        # finiteness first: NaN != NaN, so a NaN would otherwise read as asymmetry
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        # checked ROW_BLOCK rows at a time, so no n x n temporary is made
+        blocks = [(b, arr[b : b + ROW_BLOCK]) for b in range(0, arr.shape[0], ROW_BLOCK)]
+        # finiteness first: NaN != NaN, so a NaN would otherwise read as asymmetry; min and
+        # max propagate a NaN, and a NaN fails both comparisons
+        if not all(0 <= rows.min() and rows.max() < np.inf for _, rows in blocks):
             raise ValueError("distances must be finite and non-negative")
-        if not np.array_equal(arr, arr.T):
+        # each block from the diagonal on against its mirror image below the diagonal
+        if not all(np.array_equal(rows[:, b:], arr[b:, b : b + ROW_BLOCK].T) for b, rows in blocks):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(arr) != 0):
             raise ValueError("distance matrix diagonal must be zero")

@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import csv
 from array import array
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import count, zip_longest
+from itertools import accumulate, count, pairwise, zip_longest
 from pathlib import Path
 
 from .errors import EmptyCorpusError, MalformedTableError, open_input
+
+
+def _packed(values: list[int], largest: int) -> bytes | array:
+    """``values``, each in 0 .. ``largest``, at the narrowest width that holds them."""
+    if largest < 256:
+        return bytes(values)
+    return array(next(t for t in "HIQ" if largest < 1 << 8 * array(t).itemsize), values)
 
 
 @dataclass
@@ -23,16 +31,36 @@ class Table:
     """One ingested entity table, held as dictionary-encoded columns.
 
     Each column keeps its distinct cells once, ``""`` included, in
-    first-occurrence order, and one code per row that indexes them; the codes
-    of all columns share one array, column after column. Build a table with
-    ``from_rows``; read it through ``distinct``, ``value_counts`` and ``row``.
+    first-occurrence order, and one code per row that indexes them. The
+    distinct cells of all columns lie end to end, column after column, as
+    UTF-8 in one ``bytes`` buffer, beside an array of where each one starts
+    (then where the last one ends) and one of how many rows hold each. Codes,
+    offsets and counts each take the narrowest width that fits: one byte up
+    to 256 values, held as ``bytes`` (it reads like an ``array("B")`` in one
+    object rather than two), else an ``array`` of typecode ``H`` up to 65,536
+    values and ``I`` past that (``Q`` past 2**32). Each column's codes take
+    their own width. A read decodes only the cells it returns.
+
+    The buffer is UTF-8, not a ``str``, because a ``str`` stores every
+    character at the width of its widest: one character outside the Basic
+    Multilingual Plane would take a table of ASCII text to 4 bytes per
+    character, where UTF-8 spends 4 bytes on that character and 1 on each
+    ASCII one. UTF-8's worst case is text of the Basic Multilingual Plane past
+    U+07FF, CJK for one: 3 bytes per character, where a ``str`` takes 2.
+
+    Build a table with ``from_rows``; read it through ``distinct``,
+    ``iter_distinct``, ``value_counts`` and ``row``.
     """
 
     id: str
     headers: list[str]
     n_rows: int
-    _values: list[list[str]] = field(repr=False)
-    _codes: array = field(repr=False)
+    _cells: bytes = field(repr=False)
+    _offsets: bytes | array = field(repr=False)
+    _counts: bytes | array = field(repr=False)
+    # the index of each column's first distinct cell among all of them, then their total
+    _first: bytes | array = field(repr=False)
+    _codes: list[bytes | array] = field(repr=False)
 
     @classmethod
     def from_rows(cls, id: str, headers: list[str], rows: Sequence[Sequence[str]]) -> Table:
@@ -48,42 +76,74 @@ class Table:
             i, row = next((i, row) for i, row in enumerate(rows, 1) if len(row) > width)
             raise MalformedTableError(id, i, len(row), width)
         columns += [("",) * len(rows)] * (width - len(columns))
-        values, codes = [], array("I")
+        values: list[str] = []
+        counts: list[int] = []
+        first = [0]
+        codes = []
         for column in columns:
             cells = list(map(str.strip, column))
-            index = dict(zip(dict.fromkeys(cells), count()))
-            values.append(list(index))
-            codes.extend(map(index.__getitem__, cells))
-        return cls(id, headers, len(rows), values, codes)
+            # a Counter lists each cell once, in first-occurrence order, with its count
+            column_counts = Counter(cells)
+            index = dict(zip(column_counts, count()))
+            codes.append(_packed(list(map(index.__getitem__, cells)), len(index) - 1))
+            values += index
+            counts += column_counts.values()
+            first.append(len(values))
+        text = "".join(values)
+        if text.isascii():
+            buf, lengths = text.encode("ascii"), map(len, values)
+        else:
+            # surrogatepass: a str, unlike a decoded file, may hold a lone surrogate
+            encoded = [value.encode("utf-8", "surrogatepass") for value in values]
+            buf, lengths = b"".join(encoded), map(len, encoded)
+        return cls(
+            id,
+            headers,
+            len(rows),
+            buf,
+            _packed(list(accumulate(lengths, initial=0)), len(buf)),
+            _packed(counts, max(counts, default=0)),
+            _packed(first, len(values)),
+            codes,
+        )
 
     @property
     def n_cols(self) -> int:
         return len(self.headers)
 
-    def _column_values(self, col: int) -> list[str]:
-        """Column ``col``'s distinct cells, ``""`` included; ``IndexError`` out of range."""
+    def _spans(self, col: int) -> Iterator[tuple[int, int]]:
+        """Where each of column ``col``'s distinct cells, ``""`` included, starts and ends in the buffer."""
         if not 0 <= col < self.n_cols:
             raise IndexError(f"column {col} out of range for table {self.id!r}")
-        return self._values[col]
+        return pairwise(self._offsets[self._first[col] : self._first[col + 1] + 1])
+
+    def iter_distinct(self, col: int) -> Iterator[str]:
+        """``distinct(col)`` one cell at a time, each built only when it is reached."""
+        buf = self._cells
+        return (buf[a:b].decode("utf-8", "surrogatepass") for a, b in self._spans(col) if a != b)
 
     def distinct(self, col: int) -> list[str]:
         """The non-empty cells of column ``col``, each once, in first-occurrence order."""
-        return [value for value in self._column_values(col) if value]
+        return list(self.iter_distinct(col))
 
     def value_counts(self, col: int) -> dict[str, int]:
         """Non-empty cell -> number of rows holding it, in first-occurrence order."""
-        values = self._column_values(col)
-        counts = [0] * len(values)
-        for code in self._codes[col * self.n_rows:(col + 1) * self.n_rows]:
-            counts[code] += 1
-        return {value: n for value, n in zip(values, counts) if value}
+        buf, spans = self._cells, self._spans(col)
+        counts = self._counts[self._first[col] : self._first[col + 1]]
+        return {
+            buf[a:b].decode("utf-8", "surrogatepass"): n for (a, b), n in zip(spans, counts) if a != b
+        }
 
     def row(self, r: int) -> list[str]:
         """The cells of data row ``r`` (0-based), one per column."""
         if not 0 <= r < self.n_rows:
             raise IndexError(f"row {r} out of range for table {self.id!r}")
-        # row r's codes sit n_rows apart, one per column
-        return [values[code] for values, code in zip(self._values, self._codes[r::self.n_rows])]
+        buf, offsets = self._cells, self._offsets
+        out = []
+        for first, codes in zip(self._first, self._codes):
+            i = first + codes[r]
+            out.append(buf[offsets[i] : offsets[i + 1]].decode("utf-8", "surrogatepass"))
+        return out
 
 
 @dataclass
@@ -154,7 +214,7 @@ def ingest(dir_path: str | Path) -> Corpus:
     base = Path(dir_path)
     if not base.is_dir():
         raise EmptyCorpusError(f"not a directory: {base}")
-    tables = [_read_table(path) for path in sorted(base.glob("*.csv"))]
+    tables = [_read_table(path) for path in sorted(base.glob("*.csv"), key=lambda p: p.name)]
     if not tables:
         raise EmptyCorpusError(f"no parseable .csv files in {base}")
     return Corpus(tables=tables, source_dir=str(base))

@@ -19,6 +19,7 @@ import struct
 import weakref
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ def serialize_column(table: Table, col: int) -> str:
     Values are the first ``MAX_DISTINCT_CELLS`` unique non-empty cells in
     first-occurrence order.
     """
-    values = table.distinct(col)[:MAX_DISTINCT_CELLS]
+    values = islice(table.iter_distinct(col), MAX_DISTINCT_CELLS)
     return " ".join(["<s>", f"<header>{table.headers[col]}</header>", *values])
 
 

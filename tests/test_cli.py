@@ -206,6 +206,35 @@ def test_run_emtt_worker_killed_by_a_signal_exits_1(
         os.waitpid(-1, os.WNOHANG)
 
 
+NUMPY_OOM = (
+    "Unable to allocate 7.45 GiB for an array with shape (1000, 1000000) and data type float64"
+)
+
+
+@pytest.mark.parametrize("in_worker", [False, True])
+def test_run_emtt_out_of_memory_exits_1_with_one_line(
+    planted_dir, tmp_path, monkeypatch, usable_cpus, capsys, in_worker
+):
+    """A MemoryError in the run's own process, or only in a forked worker's share, ends in
+    one ``error:`` line and exit 1, and leaves no worker behind."""
+    parent = os.getpid()
+    cluster_type = emtt.cluster_type
+
+    def out_of_memory(*args, **kwargs):
+        if (os.getpid() != parent) == in_worker:
+            raise MemoryError(NUMPY_OOM)
+        return cluster_type(*args, **kwargs)
+
+    usable_cpus(2)
+    monkeypatch.setattr(emtt, "cluster_type", out_of_memory)
+    assert main(emtt_args(planted_dir, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: out of memory: {NUMPY_OOM}"]
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def pack_records(blob: bytes) -> list[tuple[int, str, int, int]]:
     """``(offset, key, offset of the values, dim)`` of each record of a vector pack."""
     records, pos = [], 0

@@ -93,6 +93,38 @@ def test_distance_matrix_validation():
         dm_from([[0, np.inf], [np.inf, 0]])
 
 
+BAD_ENTRIES = [(-1.0, "finite and non-negative"), (np.nan, "finite and non-negative"), (7.0, "symmetric")]
+
+
+@pytest.mark.parametrize(
+    "i, j", [(0, 1), (ROW_BLOCK - 1, ROW_BLOCK), (ROW_BLOCK, 2 * ROW_BLOCK + 3), (3, 44)]
+)
+def test_distance_matrix_validation_reaches_every_block(i, j):
+    """An entry in any row block, on either side of the diagonal, is checked."""
+    d = random_distance_matrix(np.random.default_rng(i * 100 + j), 45).d
+    for value, message in BAD_ENTRIES:
+        for r, c in [(i, j), (j, i)]:
+            bad = d.copy()
+            bad[r, c] = value
+            with pytest.raises(ValueError, match=message):
+                DistanceMatrix(bad)
+    bad = d.copy()
+    bad[j, j] = 1.0
+    with pytest.raises(ValueError, match="diagonal"):
+        DistanceMatrix(bad)
+
+
+def test_distance_matrix_checks_without_n_by_n_temporaries():
+    d = random_distance_matrix(np.random.default_rng(5), 2000).d
+    tracemalloc.start()
+    try:
+        assert DistanceMatrix(d).d is d
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * d.nbytes
+
+
 # --- agglomerate --------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import sys
 import tempfile
 import tracemalloc
 from datetime import date
@@ -114,3 +115,53 @@ def test_reads_outside_the_table_raise():
             table.value_counts(col)
         with pytest.raises(IndexError, match=f"column {col} out of range"):
             table.distinct(col)
+
+
+def retained_by_ingest(tmp_path, headers: list[str], rows: list[list[str]]) -> tuple[Table, int]:
+    """The table ingested from ``rows`` and the bytes that ingesting it left allocated."""
+    with (tmp_path / "t.csv").open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([headers, *rows])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = ingest(tmp_path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return corpus.get("t"), retained
+
+
+def test_distinct_cells_retain_under_their_characters_plus_8_bytes(tmp_path):
+    cells = [f"entity {r}" for r in range(20_000)]
+    table, retained = retained_by_ingest(tmp_path, ["name"], [[cell] for cell in cells])
+    assert table.distinct(0) == cells
+    assert retained / len(cells) < sum(map(len, cells)) / len(cells) + 8
+
+
+def test_columns_of_at_most_256_distinct_cells_retain_under_2_bytes_per_cell(tmp_path):
+    # 20 000 rows of 3 columns holding 256, 2 and 100 distinct cells
+    rows = [[f"name {r % 256}", str(r % 2), f"city {r % 100}"] for r in range(20_000)]
+    table, retained = retained_by_ingest(tmp_path, ["name", "n", "city"], rows)
+    assert [len(table.distinct(col)) for col in range(3)] == [256, 2, 100]
+    assert retained / 60_000 < 2
+
+
+def test_a_wide_character_retains_no_more_than_one_str_per_distinct_cell(tmp_path):
+    """One character outside the Basic Multilingual Plane costs its own cell, not its column."""
+    cells = [f"{r:050d}" for r in range(2_000)] + ["wide \U0001f600"]
+    table, retained = retained_by_ingest(tmp_path, ["name"], [[cell] for cell in cells])
+    assert table.distinct(0) == cells
+    # each distinct cell as its own str, a list pointer to it and a 4-byte code per row
+    one_str_per_cell = sum(sys.getsizeof(cell) + 8 + 4 for cell in cells)
+    assert retained <= one_str_per_cell
+
+
+def test_any_str_reads_back_as_it_was_stored():
+    # ASCII, two- and three-byte UTF-8, a character outside the BMP and a lone surrogate
+    cells = ["plain", "café", "中文", "\U0001f600", "\ud800 lone", "", "plain"]
+    table = Table.from_rows("t", ["a", "b"], [[cell, "x"] for cell in cells])
+    assert [table.row(r) for r in range(len(cells))] == [[cell, "x"] for cell in cells]
+    assert table.distinct(0) == cells[:5]
+    assert table.value_counts(0) == {"plain": 2, **dict.fromkeys(cells[1:5], 1)}
+    assert table.value_counts(1) == {"x": 7}

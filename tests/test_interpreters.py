@@ -27,8 +27,13 @@ GETT = FIXTURES / "gett"
 PLANTED = FIXTURES / "planted"
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 RUNNING = "%d.%d" % sys.version_info[:2]
-# the child imports the same package as this process, installed or not
-ENV = {"PATH": os.defpath, "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+# the child imports the same package as this process, installed or not, and writes no
+# bytecode of its own version beside it
+ENV = {
+    "PATH": os.defpath,
+    "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1]),
+    "PYTHONDONTWRITEBYTECODE": "1",
+}
 
 
 def _version(exe: str) -> tuple[int, int] | None:
