@@ -34,12 +34,12 @@ class Table:
     first-occurrence order, and one code per row that indexes them. The
     distinct cells of all columns lie end to end, column after column, as
     UTF-8 in one ``bytes`` buffer, beside an array of where each one starts
-    (then where the last one ends) and one of how many rows hold each. Codes,
-    offsets and counts each take the narrowest width that fits: one byte up
-    to 256 values, held as ``bytes`` (it reads like an ``array("B")`` in one
-    object rather than two), else an ``array`` of typecode ``H`` up to 65,536
-    values and ``I`` past that (``Q`` past 2**32). Each column's codes take
-    their own width. A read decodes only the cells it returns.
+    (then where the last one ends). Codes and offsets each take the narrowest
+    width that fits: one byte up to 256 values, held as ``bytes`` (it reads
+    like an ``array("B")`` in one object rather than two), else an ``array``
+    of typecode ``H`` up to 65,536 values and ``I`` past that (``Q`` past
+    2**32). Each column's codes take their own width. A read decodes only the
+    cells it returns.
 
     The buffer is UTF-8, not a ``str``, because a ``str`` stores every
     character at the width of its widest: one character outside the Basic
@@ -57,7 +57,6 @@ class Table:
     n_rows: int
     _cells: bytes = field(repr=False)
     _offsets: bytes | array = field(repr=False)
-    _counts: bytes | array = field(repr=False)
     # the index of each column's first distinct cell among all of them, then their total
     _first: bytes | array = field(repr=False)
     _codes: list[bytes | array] = field(repr=False)
@@ -77,32 +76,23 @@ class Table:
             raise MalformedTableError(id, i, len(row), width)
         columns += [("",) * len(rows)] * (width - len(columns))
         values: list[str] = []
-        counts: list[int] = []
         first = [0]
         codes = []
         for column in columns:
             cells = list(map(str.strip, column))
-            # a Counter lists each cell once, in first-occurrence order, with its count
-            column_counts = Counter(cells)
-            index = dict(zip(column_counts, count()))
+            index = dict(zip(dict.fromkeys(cells), count()))
             codes.append(_packed(list(map(index.__getitem__, cells)), len(index) - 1))
             values += index
-            counts += column_counts.values()
             first.append(len(values))
-        text = "".join(values)
-        if text.isascii():
-            buf, lengths = text.encode("ascii"), map(len, values)
-        else:
-            # surrogatepass: a str, unlike a decoded file, may hold a lone surrogate
-            encoded = [value.encode("utf-8", "surrogatepass") for value in values]
-            buf, lengths = b"".join(encoded), map(len, encoded)
+        # surrogatepass: a str, unlike a decoded file, may hold a lone surrogate
+        encoded = [value.encode("utf-8", "surrogatepass") for value in values]
+        buf = b"".join(encoded)
         return cls(
             id,
             headers,
             len(rows),
             buf,
-            _packed(list(accumulate(lengths, initial=0)), len(buf)),
-            _packed(counts, max(counts, default=0)),
+            _packed(list(accumulate(map(len, encoded), initial=0)), len(buf)),
             _packed(first, len(values)),
             codes,
         )
@@ -129,7 +119,8 @@ class Table:
     def value_counts(self, col: int) -> dict[str, int]:
         """Non-empty cell -> number of rows holding it, in first-occurrence order."""
         buf, spans = self._cells, self._spans(col)
-        counts = self._counts[self._first[col] : self._first[col + 1]]
+        # code k first occurs after codes 0 .. k-1, so the Counter lists them in code order
+        counts = Counter(self._codes[col]).values()
         return {
             buf[a:b].decode("utf-8", "surrogatepass"): n for (a, b), n in zip(spans, counts) if a != b
         }
@@ -214,7 +205,7 @@ def ingest(dir_path: str | Path) -> Corpus:
     base = Path(dir_path)
     if not base.is_dir():
         raise EmptyCorpusError(f"not a directory: {base}")
-    tables = [_read_table(path) for path in sorted(base.glob("*.csv"), key=lambda p: p.name)]
+    tables = [_read_table(path) for path in sorted(base.glob("*.csv"))]
     if not tables:
         raise EmptyCorpusError(f"no parseable .csv files in {base}")
     return Corpus(tables=tables, source_dir=str(base))
