@@ -8,17 +8,12 @@ sets and prunes the dendrogram into a subtype forest.
 
 from __future__ import annotations
 
-import functools
-import io
 import logging
-import os
-import pickle
-import signal
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import pool
 
 # cut and silhouette are not called here; bench/tracer.py wraps them in this module by name
 from .clustering import (
@@ -33,7 +28,6 @@ from .clustering import (
 )
 from .corpus import Corpus
 from .embedding import ColumnRef, EmbeddingService
-from .errors import TaxoforgeError
 from .options import DEFAULT_DELTA, DEFAULT_K_MAX, DEFAULT_LINKAGE
 from .subject import assign_subjects
 from .taxonomy import EntityType, Taxonomy
@@ -199,161 +193,10 @@ class EmttResult:
         return out
 
 
-# a type's attributes and pruned fragment, as cluster_type returns them
-TypeResult = tuple[list[list[ColumnRef]], list[FragmentNode]]
-# column pairs of clustering work per process below which a fork does not pay: on a 2-vCPU
-# host a type of 256 columns clustered in about 20 ms, and forking, piping and reaping a
-# worker took about 10 ms
+# column pairs of clustering work that one forked process is worth: on a 2-vCPU host a type
+# of 256 columns clustered in about 20 ms, and forking, piping and reaping a worker took
+# about 10 ms
 MIN_SHARE_COST = 256**2
-
-
-def _process_count(costs: list[int]) -> int:
-    """Processes to cluster types of these costs in: one per usable CPU, at most one per
-    type and one per ``MIN_SHARE_COST`` of work.
-
-    1 where forking is unsafe or unavailable: a fork copies only the calling
-    thread, so while another thread is alive a lock it holds could stay held
-    in the child forever.
-    """
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), len(costs), sum(costs) // MIN_SHARE_COST))
-
-
-def _split(costs: list[int], n: int) -> list[list[int]]:
-    """Deal the indices of ``costs``, costliest first, each to the least-loaded of ``n`` shares."""
-    shares: list[list[int]] = [[] for _ in range(n)]
-    loads = [0] * n
-    for k in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
-        p = loads.index(min(loads))
-        shares[p].append(k)
-        loads[p] += costs[k]
-    return shares
-
-
-def _outcome(run) -> bytes:
-    """``run()``'s result, or what it raised, pickled behind an 8-byte length."""
-    try:
-        blob = pickle.dumps(("ok", run()))
-    except BaseException as exc:  # the parent re-raises it
-        try:
-            raised = pickle.dumps(exc)
-        except Exception:  # an exception pickle cannot send arrives as its description alone
-            raised = b""
-        blob = pickle.dumps(("raised", f"{type(exc).__name__}: {exc}", raised))
-    return len(blob).to_bytes(8, "little") + blob
-
-
-def _fork(run) -> tuple[int, io.BufferedReader] | None:
-    """Start a child that sends ``_outcome(run)`` through a pipe; None when fork fails.
-
-    The child always leaves through ``os._exit``, so it never returns into
-    the caller, runs no exit handler and flushes no buffer it inherited.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with os.fdopen(w, "wb") as pipe:
-                pipe.write(_outcome(run))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
-def _received(pid: int, status: int, data: bytes) -> list[tuple[int, TypeResult]]:
-    """A reaped worker's results from its wait ``status`` and the bytes it sent, or what it raised."""
-    if os.WIFSIGNALED(status):
-        sig = os.WTERMSIG(status)
-        try:
-            name = signal.Signals(sig).name
-        except ValueError:
-            name = f"signal {sig}"
-        raise TaxoforgeError(f"cluster worker {pid} was killed by {name}")
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise TaxoforgeError(f"cluster worker {pid} exited with status {code}")
-    size = 8 + int.from_bytes(data[:8], "little")
-    if len(data) != size:
-        raise TaxoforgeError(f"cluster worker {pid} sent {len(data)} bytes of a {size}-byte result")
-    kind, *rest = pickle.loads(data[8:])
-    if kind == "ok":
-        return rest[0]
-    described, raised = rest
-    try:
-        exc = pickle.loads(raised)
-    except Exception:  # pickle rebuilds an exception from its args; CycleError's do not fit
-        exc = None
-    if exc is None or f"{type(exc).__name__}: {exc}" != described:
-        raise TaxoforgeError(f"cluster worker {pid} raised {described}")
-    raise exc
-
-
-def _cluster_types(
-    types: list[list[str]],
-    refs: list[list[ColumnRef]],
-    vectors: list[np.ndarray | None],
-    linkage: str,
-    k_max: int,
-    delta: float,
-) -> list[TypeResult]:
-    """``cluster_type`` of every type, in type order, spread over ``_process_count`` processes.
-
-    The types are split by their columns squared. This process runs the first
-    share and one forked worker runs each other share, or this process does
-    when the fork fails. Every process drops the vectors of the types it
-    does not run. Results are the same whichever process computes them.
-    A worker's exception is re-raised here; any exception here kills and
-    reaps every worker still running before it propagates.
-    """
-
-    def run(share: list[int]) -> list[tuple[int, TypeResult]]:
-        for k in range(len(vectors)):
-            if k not in share:
-                vectors[k] = None
-        out = []
-        for k in share:
-            vecs, vectors[k] = vectors[k], None
-            out.append((k, cluster_type(types[k], refs[k], vecs, linkage, k_max, delta)))
-        return out
-
-    costs = [len(r) ** 2 for r in refs]
-    shares = _split(costs, _process_count(costs))
-    own = shares[0]
-    live: dict[int, io.BufferedReader] = {}  # pid -> read end of its pipe
-    if len(shares) > 1:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    try:
-        for share in shares[1:]:
-            started = _fork(functools.partial(run, share))
-            if started is None:
-                own = own + share
-            else:
-                live[started[0]] = started[1]
-        results = dict(run(own))
-        for pid, pipe in list(live.items()):
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del live[pid]
-            results.update(_received(pid, status, data))
-    except BaseException:
-        for pid, pipe in live.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    return [results[k] for k in range(len(types))]
 
 
 def run_emtt(
@@ -370,8 +213,8 @@ def run_emtt(
     beneath its type, and tables not claimed by any subtype stay directly
     assigned to the top-level type. Every embedding is made here, type after
     type, so provider calls and cache writes keep one order in one process;
-    ``_cluster_types`` then clusters the types, in forked workers where it
-    can, and the results do not depend on how many.
+    ``pool.run`` then clusters the types, in forked workers where it can,
+    and the results do not depend on how many.
     """
     if not 0 <= delta <= 2:
         raise ValueError("delta must be in [0, 2]")
@@ -380,10 +223,11 @@ def run_emtt(
     refs = [
         [ColumnRef(tid, col) for tid in ids for col in range(corpus.get(tid).n_cols)] for ids in types
     ]
-    vectors: list[np.ndarray | None] = [service.embed_columns(corpus, r) for r in refs]
+    work = [(ids, r, service.embed_columns(corpus, r)) for ids, r in zip(types, refs)]
+    costs = [len(r) ** 2 / MIN_SHARE_COST for r in refs]
+    clustered = pool.run(lambda w: cluster_type(*w, linkage, k_max, delta), work, costs)
     tax = Taxonomy()
     attributes: dict[ColumnRef, str] = {}
-    clustered = _cluster_types(types, refs, vectors, linkage, k_max, delta)
     for k, (member_ids, (attrs, fragment)) in enumerate(zip(types, clustered)):
         tlt_id = f"tlt{k}"
         for j, attr in enumerate(attrs):

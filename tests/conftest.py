@@ -42,7 +42,7 @@ def sleeps(monkeypatch):
 
 @pytest.fixture()
 def usable_cpus(monkeypatch):
-    """Set how many CPUs emtt sees as usable, with any type's clustering worth a fork."""
+    """Set how many CPUs ``pool.run`` sees as usable, with any emtt type's clustering worth a fork."""
 
     def set_cpus(n: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

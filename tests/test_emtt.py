@@ -2,9 +2,6 @@ from __future__ import annotations
 
 import os
 import random
-import signal
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +13,6 @@ from .oracles import (
     reference_prune,
     table_attribute_distance,
 )
-from taxoforge import emtt
 from taxoforge.clustering import DistanceMatrix, agglomerate, cut, euclidean_matrix, silhouette
 from taxoforge.corpus import Corpus, Table, ingest
 from taxoforge.embedding import ColumnRef, EmbeddingService, LocalHashProvider
@@ -27,7 +23,6 @@ from taxoforge.emtt import (
     prune_dendrogram,
     run_emtt,
 )
-from taxoforge.errors import CycleError, DimensionMismatchError, TaxoforgeError
 from taxoforge.metrics import load_ground_truth, report
 from taxoforge.subject import assign_subjects
 
@@ -338,126 +333,10 @@ def test_run_emtt_identical_attributes_no_subtypes():
 # --- per-type clustering in forked workers ---------------------------------------
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """Pids of the processes that called ``os.fork``, which still forks."""
-    calls = []
-    fork = os.fork
-
-    def counted_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return calls
-
-
-def in_parent_or_worker(monkeypatch, where, action):
-    """Make ``cluster_type`` call ``action`` first in this process or in a worker only."""
-    parent = os.getpid()
-    cluster_type = emtt.cluster_type
-
-    def patched(*args, **kwargs):
-        if (os.getpid() == parent) == (where == "parent"):
-            action()
-        return cluster_type(*args, **kwargs)
-
-    monkeypatch.setattr(emtt, "cluster_type", patched)
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def raiser(exc):
-    def action():
-        raise exc
-
-    return action
-
-
-@pytest.mark.parametrize("exc", [ValueError("bad cell"), DimensionMismatchError("mixed dims: [3, 4]")])
-def test_worker_exception_is_reraised_with_its_type_and_message(
-    planted_dir, monkeypatch, forks, usable_cpus, exc
-):
-    usable_cpus(2)
-    in_parent_or_worker(monkeypatch, "worker", raiser(exc))
-    with pytest.raises(type(exc)) as raised:
-        run_emtt(ingest(planted_dir / "tables"), service())
-    assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-    assert len(forks) == 1
-    assert_no_children()
-
-
-def test_worker_exception_that_cannot_be_rebuilt_is_a_taxoforge_error(
-    planted_dir, monkeypatch, forks, usable_cpus
-):
-    # pickle rebuilds CycleError from its one formatted message, which its two-name __init__ refuses
-    usable_cpus(2)
-    in_parent_or_worker(monkeypatch, "worker", raiser(CycleError("a", "b")))
-    with pytest.raises(TaxoforgeError) as raised:
-        run_emtt(ingest(planted_dir / "tables"), service())
-    assert type(raised.value) is TaxoforgeError
-    assert str(CycleError("a", "b")) in str(raised.value) and "CycleError" in str(raised.value)
-    assert len(forks) == 1
-    assert_no_children()
-
-
-def test_worker_killed_by_a_signal_is_a_taxoforge_error(
-    planted_dir, monkeypatch, forks, usable_cpus
-):
-    usable_cpus(2)
-    in_parent_or_worker(monkeypatch, "worker", lambda: os.kill(os.getpid(), signal.SIGKILL))
-    with pytest.raises(TaxoforgeError, match="SIGKILL"):
-        run_emtt(ingest(planted_dir / "tables"), service())
-    assert len(forks) == 1
-    assert_no_children()
-
-
-@pytest.mark.parametrize("exc", [RuntimeError("parent share failed"), KeyboardInterrupt()])
-def test_parent_share_failure_kills_and_reaps_every_worker(
-    planted_dir, monkeypatch, forks, usable_cpus, exc
-):
-    usable_cpus(3)
-    # every worker forks before the parent runs its share, so all are running when it raises
-    in_parent_or_worker(monkeypatch, "worker", lambda: time.sleep(120))
-    in_parent_or_worker(monkeypatch, "parent", raiser(exc))
-    started = time.monotonic()
-    with pytest.raises(type(exc)):
-        run_emtt(ingest(planted_dir / "tables"), service())
-    assert time.monotonic() - started < 60  # killed, not waited out
-    assert len(forks) == 2
-    assert_no_children()
-
-
-@pytest.mark.parametrize(
-    "condition", ["second thread", "one cpu", "one type", "no sched_getaffinity", "little work"]
-)
-def test_no_fork_where_unsafe_or_pointless(planted_dir, monkeypatch, forks, usable_cpus, condition):
-    if condition == "little work":
-        # the planted types have tens of columns each, far below MIN_SHARE_COST
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    else:
-        usable_cpus(2)
+def test_planted_corpus_is_too_little_work_to_fork(planted_dir, monkeypatch):
+    # the planted types have tens of columns each, far below MIN_SHARE_COST
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     corpus = ingest(planted_dir / "tables")
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(60,))
-    if condition == "second thread":
-        thread.start()
-    elif condition == "one cpu":
-        usable_cpus(1)
-    elif condition == "one type":
-        solo = table_of("solo", ["name", "size"], [["Ada", "Bo", "Cy"], ["1", "2", "3"]])
-        corpus = Corpus(tables=[solo])
-    elif condition == "no sched_getaffinity":
-        monkeypatch.delattr(os, "sched_getaffinity")
-    try:
-        result = run_emtt(corpus, service())
-    finally:
-        release.set()
-        if thread.is_alive():
-            thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert forks == []
+    result = run_emtt(corpus, service())
     assert {t.id for t in corpus.tables} == set(result.taxonomy.top_level_assignment())
