@@ -65,6 +65,7 @@ def _fork(run_share, share: list[int]) -> tuple[int, io.BufferedReader] | None:
     if pid == 0:
         code = 1
         try:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
             os.close(r)
             with os.fdopen(w, "wb") as pipe:
                 pipe.write(_outcome(run_share, share))
@@ -102,6 +103,14 @@ def _received(pid: int, status: int, data: bytes) -> dict:
     raise exc
 
 
+class _Terminated(BaseException):
+    """A SIGTERM that arrived while workers ran."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def run(fn, items: list, costs: list[float]) -> list:
     """``[fn(x) for x in items]``, spread over ``_process_count(costs)`` processes.
 
@@ -112,7 +121,10 @@ def run(fn, items: list, costs: list[float]) -> list:
     run, and each of its own once ``fn`` has taken it. ``fn``'s results must
     not depend on which process computes them, and must pickle. A worker's
     exception is re-raised here; any exception here kills and reaps every
-    worker still running before it propagates.
+    worker still running before it propagates. While workers may run, and
+    when SIGTERM's action is the default one and this is the main thread,
+    a SIGTERM is such an exception: once the workers are reaped, this
+    process restores the default action and sends SIGTERM to itself.
     """
 
     def run_share(share: list[int]) -> dict:
@@ -128,9 +140,16 @@ def run(fn, items: list, costs: list[float]) -> list:
     shares = _split(costs, _process_count(costs))
     own = shares[0]
     live: dict[int, io.BufferedReader] = {}  # pid -> read end of its pipe
+    terminable = (
+        len(shares) > 1
+        and threading.current_thread() is threading.main_thread()
+        and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    )
     if len(shares) > 1:
         sys.stdout.flush()
         sys.stderr.flush()
+    if terminable:
+        signal.signal(signal.SIGTERM, _terminate)
     try:
         for share in shares[1:]:
             started = _fork(run_share, share)
@@ -145,10 +164,16 @@ def run(fn, items: list, costs: list[float]) -> list:
             _, status = os.waitpid(pid, 0)
             del live[pid]
             results.update(_received(pid, status, data))
-    except BaseException:
+    except BaseException as exc:
         for pid, pipe in live.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if isinstance(exc, _Terminated):
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
         raise
+    finally:
+        if terminable:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
     return [results[k] for k in range(len(items))]

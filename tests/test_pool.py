@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import taxoforge
 from taxoforge import pool
 from taxoforge.errors import CycleError, DimensionMismatchError, TaxoforgeError
 
@@ -121,3 +125,46 @@ def test_no_fork_where_unsafe_or_pointless(monkeypatch, forks, usable_cpus, cond
             thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
+
+
+# a map of two sleeping items over two processes; the worker writes its pid to argv[1]
+SLEEPING_POOL = """
+import os, sys, time
+from taxoforge import pool
+os.sched_getaffinity = lambda pid: {0, 1}
+parent = os.getpid()
+
+def sleep(x):
+    if os.getpid() != parent:
+        with open(sys.argv[1] + ".part", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.rename(sys.argv[1] + ".part", sys.argv[1])
+    time.sleep(60)
+
+pool.run(sleep, [0, 1], [1, 1])
+"""
+
+
+def test_sigterm_kills_and_reaps_every_worker_then_the_process(tmp_path):
+    pid_file = tmp_path / "worker.pid"
+    env = {**os.environ, "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", SLEEPING_POOL, str(pid_file)], env=env)
+    worker = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        worker = int(pid_file.read_text())
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker, 0)
+    finally:
+        proc.kill()
+        proc.wait()
+        if worker is not None:
+            try:
+                os.kill(worker, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
