@@ -160,6 +160,9 @@ class VectorCache:
     takes an exclusive ``flock``, indexes what other writers appended since,
     truncates a tail cut short by a crashed writer, then appends, so
     processes may share a directory. Nothing else in the directory is read.
+    The cache only saves work, so the first ``put`` that fails with an
+    ``OSError`` (a short write, ``EFBIG``, ``ENOSPC``) logs one warning and
+    turns writes off for the life of this cache; reads go on.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -169,6 +172,7 @@ class VectorCache:
         # key -> offset of its values << 32 | dim: one int per key, where a tuple costs 56 bytes more
         self._index: dict[str, int] = {}
         self._end = 0  # the pack is indexed up to here, the end of a whole record
+        self._writable = True
 
     def get(self, key: str) -> np.ndarray | None:
         """The cached vector; ``None`` when absent, or when its values are not all finite."""
@@ -188,7 +192,17 @@ class VectorCache:
         return vec
 
     def put(self, key: str, vec: np.ndarray) -> None:
-        """Append ``vec`` under ``key``, unless the pack already holds the key."""
+        """Append ``vec`` under ``key``, unless the pack already holds the key or writes are off."""
+        if not self._writable:
+            return
+        try:
+            self._append(key, vec)
+        except OSError as exc:
+            logger.warning("cannot write the vector cache %s (%s), writing no more to it", self.path, exc)
+            self._writable = False
+
+    def _append(self, key: str, vec: np.ndarray) -> None:
+        """``put``'s write: lock, index what others appended, truncate a torn tail, append."""
         raw_key = key.encode("utf-8")
         values = np.asarray(vec, dtype="<f4").tobytes()
         head = _KEY_LEN.pack(len(raw_key)) + raw_key + struct.pack("<I", len(values) // 4)
@@ -206,7 +220,7 @@ class VectorCache:
             if key in self._index:
                 return
             if os.pwrite(self._fd, record, self._end) != len(record):
-                raise OSError(f"{self.path}: short write")
+                raise OSError("short write")
             self._index[key] = (self._end + len(head) + 4) << 32 | len(values) // 4
             self._end += len(record)
         finally:

@@ -155,6 +155,27 @@ def test_run_emtt_fixture_golden_digests(planted_dir, tmp_path):
         assert digests == EMTT_GOLDEN_DIGESTS, run
 
 
+def test_run_emtt_survives_a_failed_cache_write(planted_dir, tmp_path, monkeypatch, caplog):
+    """A cache write cut short turns cache writes off with one warning and the run gives the
+    golden bytes; the next run truncates the torn record and gives them again."""
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[: len(data) // 2], offset))
+    extra = ["--gt-path", str(planted_dir / "gt"), "--cache-dir", str(tmp_path / "cache")]
+    for run in ("short write", "next run"):
+        caplog.clear()
+        out_dir = tmp_path / run
+        assert main(emtt_args(planted_dir, out_dir, extra=extra)) == 0
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in EMTT_GOLDEN_DIGESTS
+        }
+        assert digests == EMTT_GOLDEN_DIGESTS, run
+        warned = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warned) == 1, warned
+        assert ("short write" if run == "short write" else "torn cache record") in warned[0]
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize(
     "cpus, fork_fails, fork_calls", [(1, False, 0), (2, False, 1), (3, False, 2), (3, True, 2)]
 )

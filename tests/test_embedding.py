@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -234,6 +235,30 @@ def test_cache_truncated_entry_treated_as_miss(tmp_path, caplog):
     for key, vec in (("one", one), ("three", three), ("four", four)):
         assert np.array_equal(fresh.get(key), vec)
     assert pack.stat().st_size == whole + record_size("three", 3) + record_size("four", 3)
+
+
+def test_cache_write_failure_turns_writes_off_and_reads_go_on(tmp_path, monkeypatch, caplog):
+    """The first put that fails warns once; no later put writes, and what the pack held still reads."""
+    one, two, three = (np.full(3, x, dtype=np.float32) for x in (1, 2, 3))
+    cache = VectorCache(tmp_path)
+    cache.put("one", one)
+
+    def full(fd, data, offset):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    caplog.clear()
+    monkeypatch.setattr(os, "pwrite", full)
+    cache.put("two", two)
+    monkeypatch.undo()
+    cache.put("three", three)
+    pack = tmp_path / "vectors.pack"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"cannot write the vector cache {pack} ([Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}),"
+        " writing no more to it"
+    ]
+    assert pack.stat().st_size == record_size("one", 3)
+    assert np.array_equal(cache.get("one"), one)
+    assert cache.get("two") is None and cache.get("three") is None
 
 
 def test_cache_warns_only_about_corrupt_records_still_unresolved(tmp_path, caplog):
