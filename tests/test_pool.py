@@ -6,11 +6,13 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import taxoforge
 from taxoforge import pool
@@ -53,6 +55,32 @@ def raiser(exc):
         raise exc
 
     return action
+
+
+@settings(derandomize=True, max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(costs=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=6), cpus=st.integers(1, 3))
+def test_run_equals_the_serial_map(forks, usable_cpus, costs, cpus):
+    """Each item computed once, in whichever process, and the results in item order."""
+    usable_cpus(cpus)
+    forked = len(forks)
+    names = [f"item {k}" for k in range(len(costs))]
+    items = list(names)
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = Path(tmp) / "calls"
+
+        def shout(x):
+            with calls.open("a") as fh:  # one short append per call, whole whatever process writes it
+                fh.write(f"{x}\t{os.getpid()}\n")
+            return x.upper(), os.getpid()
+
+        results = pool.run(shout, items, costs)
+        computed = calls.read_text().splitlines()
+    assert [value for value, _ in results] == [x.upper() for x in names]
+    assert sorted(computed) == sorted(f"{x}\t{pid}" for x, (_, pid) in zip(names, results))
+    assert len({pid for _, pid in results}) <= cpus
+    assert len(forks) - forked <= cpus - 1
+    assert items == [None] * len(names)
+    assert_no_children()
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad cell"), DimensionMismatchError("mixed dims: [3, 4]")])
