@@ -5,8 +5,9 @@ mutation to it and runs the subcommand that reads it. On exit 1 the last
 stderr line is the error, and when that line names the mutated file the
 run made nothing: ``--out-dir`` (or ``eval --out``) does not exist. Also
 here: the guards that every input file is opened through ``open_input``,
-that no module imports another's private names, and that every module uses
-what it imports.
+that only ``pool.py`` forks, signals or reaps processes, that no module
+imports another's private names, and that every module uses what it
+imports.
 """
 
 from __future__ import annotations
@@ -218,6 +219,58 @@ def test_every_input_file_is_opened_through_open_input():
         if where not in ALLOWED_READERS
     ]
     assert stray == []
+
+
+# --- one process manager -------------------------------------------------------
+
+PROCESS_CALLS = {
+    "os": {"fork", "pipe", "waitpid", "kill", "_exit", "sched_getaffinity"},
+    "signal": {"signal"},
+}
+
+
+def process_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` of every use of a ``PROCESS_CALLS`` function in ``tree``, as an
+    attribute of its module or imported from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.attr in PROCESS_CALLS.get(node.value.id, ()):
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in PROCESS_CALLS:
+            found += [
+                (node.lineno, f"{node.module}.{alias.name}")
+                for alias in node.names
+                if alias.name in PROCESS_CALLS[node.module]
+            ]
+    return sorted(found)
+
+
+def test_process_calls_are_spotted():
+    src = (
+        "import os\nimport signal\nfrom os import fork as spawn, getpid\n"
+        "def a():\n    return os.fork()\n"
+        "def b(pid):\n    os.kill(pid, signal.SIGKILL)\n    signal.signal(signal.SIGTERM, signal.SIG_DFL)\n"
+        "def c():\n    return os.getpid(), os.path.join('a'), hasattr(os, 'fork')\n"
+        "leave = os._exit\n"
+    )
+    assert process_calls(ast.parse(src)) == [
+        (3, "os.fork"), (5, "os.fork"), (7, "os.kill"), (8, "signal.signal"), (11, "os._exit")
+    ]
+
+
+def test_only_pool_manages_processes():
+    package = Path(taxoforge.__file__).parent
+    stray = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "pool.py"
+        for line, name in process_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert stray == []
+
+
+# --- module boundaries -----------------------------------------------------------
 
 
 def test_no_module_imports_a_private_name_of_another():
