@@ -131,8 +131,8 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     """``RunConfig`` field -> converted value; unknown keys and bad values are errors, ``-`` reads as ``_``."""
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
-    with open_input(path) as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), 1):
+    with open_input(path) as text:
+        for line_no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -9,6 +9,7 @@ padded with empty strings, longer rows are rejected. No file is skipped.
 from __future__ import annotations
 
 import csv
+import io
 from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
@@ -186,9 +187,23 @@ def _dedupe_headers(headers: list[str]) -> list[str]:
     return out
 
 
+# str.splitlines ends a line at each of these too, where the csv module does not
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """``csv.reader``'s rows of ``text``; where it holds no quote and no line is
+    longer than the field limit, they are the rows ``str.split`` gives."""
+    if '"' not in text and not any(c in text for c in _SPLITLINES_ONLY):
+        lines = text.splitlines()
+        if max(map(len, lines), default=0) <= csv.field_size_limit():
+            return [line.split(",") if line else [] for line in lines]
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
 def _read_table(path: Path) -> Table:
-    with open_input(path) as fh:
-        raw = list(csv.reader(fh))
+    with open_input(path) as text:
+        raw = _csv_rows(text)
         if not raw or not any(cell.strip() for cell in raw[0]):
             raise ValueError("no header row")
     headers = _dedupe_headers([h.strip() for h in raw[0]])

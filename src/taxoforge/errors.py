@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import csv
-import io
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TextIO
 
 
 class TaxoforgeError(Exception):
@@ -89,19 +87,22 @@ class PipelineAbortedError(TaxoforgeError):
 # --- input files ----------------------------------------------------------
 
 @contextmanager
-def open_input(path: str | Path) -> Iterator[TextIO]:
-    """Read an input file whole; yield it as UTF-8 text with ``newline=""``, a leading byte-order mark dropped.
+def open_input(path: str | Path) -> Iterator[str]:
+    """Read an input file whole and yield its text: UTF-8, a leading byte-order mark dropped.
 
-    A file holding a NUL byte is refused, on every Python version (the csv
-    module stopped refusing one in 3.11). A ``ValueError`` (undecodable bytes
-    included), ``csv.Error`` or ``RecursionError`` raised while it is open
-    becomes one ``ValueError`` that starts with the path.
+    Line breaks are kept as the file has them. A file holding a NUL byte is
+    refused, on every Python version (the csv module stopped refusing one in
+    3.11). A ``ValueError`` (undecodable bytes included), ``csv.Error`` or
+    ``RecursionError`` raised while it is open becomes one ``ValueError`` that
+    starts with the path.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         if b"\0" in data:
             raise ValueError("line contains NUL")
-        yield io.StringIO(data.decode("utf-8-sig"), newline="")
+        text = data.decode("utf-8-sig")
+        del data  # only the text is held while the caller reads it
+        yield text
     except (ValueError, csv.Error, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

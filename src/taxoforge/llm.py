@@ -57,8 +57,8 @@ class ScriptedChatBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatBackend":
         """Load ``[{"match", "response"}, ...]``; an empty ``match`` acts as a fallback."""
-        with open_input(path) as fh:
-            entries = json.load(fh)
+        with open_input(path) as text:
+            entries = json.loads(text)
             if not isinstance(entries, list):
                 raise ValueError("script must be a JSON list")
             for i, entry in enumerate(entries):

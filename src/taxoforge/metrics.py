@@ -13,12 +13,12 @@ average over is undefined and returned as ``None``.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from collections import Counter
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
 
 from .errors import open_input
 from .taxonomy import Taxonomy
@@ -55,11 +55,11 @@ class GroundTruth:
         return {self.taxonomy.types[a].name for a in self.taxonomy.ancestors(type_id)}
 
 
-def _annotation_rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV row of ``fh`` with the file line it ends on; a row the csv
+def _annotation_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV row of ``text`` with the file line it ends on; a row the csv
     module rejects, such as one with a field over its size limit, is a
     ValueError naming the line."""
-    reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -77,8 +77,8 @@ def load_ground_truth(taxonomy_path: str | Path, annotations_path: str | Path) -
     gt = GroundTruth(taxonomy=tax, per_table={})
     names = gt.ids_by_name
     roots = set(tax.roots)
-    with open_input(annotations_path) as fh:
-        for row_no, row in _annotation_rows(fh):
+    with open_input(annotations_path) as text:
+        for row_no, row in _annotation_rows(text):
             if not row or not any(c.strip() for c in row):
                 continue
             if tuple(c.strip() for c in row) == ANNOTATION_HEADER:

@@ -88,8 +88,8 @@ def load_overrides(path: str | Path, corpus: Corpus) -> dict[str, int]:
     Each line must name a table of ``corpus`` and one of its columns.
     """
     overrides: dict[str, int] = {}
-    with open_input(path) as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), 1):
+    with open_input(path) as text:
+        for line_no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

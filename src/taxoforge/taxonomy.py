@@ -215,5 +215,5 @@ class Taxonomy:
 
     @classmethod
     def load(cls, path: str | Path) -> "Taxonomy":
-        with open_input(path) as fh:
-            return cls.from_dict(json.load(fh))
+        with open_input(path) as text:
+            return cls.from_dict(json.loads(text))
