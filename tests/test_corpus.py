@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import csv
+import io
 import re
 from collections import Counter
 from itertools import count
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from taxoforge.corpus import Table, _dedupe_headers, ingest
+from taxoforge import corpus
+from taxoforge.corpus import Table, _csv_rows, _dedupe_headers, ingest
 from taxoforge.errors import EmptyCorpusError, MalformedTableError
 from taxoforge.gett import CELL_TOKEN_LIMIT, ROW_SAMPLE, sample_rows, truncate_cell
 
@@ -119,6 +121,65 @@ def test_row_width_invariant(tmp_path):
     table = ingest(tmp_path).get("t")
     assert table.n_rows == 3
     assert all(len(table.row(r)) == table.n_cols for r in range(table.n_rows))
+
+
+# --- reading a table's text: split directly where that gives the csv module's rows --
+
+def rows_or_error(read, text):
+    """``read(text)``, or the message of the ``csv.Error`` it raises."""
+    try:
+        return read(text)
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
+
+
+def csv_module(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+# the line breaks of csv and of str.splitlines, quotes, and cells that strip or do not
+PIECES = ["a", "b", "é", " ", "\t", ",", '"', "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+          "\x1e", "\x85", "\u2028", "\u2029", "\xa0"]
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(
+    st.lists(st.sampled_from(PIECES), max_size=24).map("".join),
+    st.one_of(st.integers(min_value=1, max_value=6), st.just(csv.field_size_limit())),
+)
+def test_csv_rows_equal_the_csv_module(text, limit):
+    """Rows, or the ``csv.Error`` message, equal ``csv.reader``'s, under the default field
+    limit and under small ones."""
+    old = csv.field_size_limit(limit)
+    try:
+        assert rows_or_error(_csv_rows, text) == rows_or_error(csv_module, text)
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("cells", [1, 2], ids=["one field", "two fields"])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_csv_rows_at_the_field_limit(cells, extra):
+    """A line of the field limit −1, +0 and +1 characters, as one field or as two."""
+    size = csv.field_size_limit() + extra
+    line = "x" * size if cells == 1 else "x" * (size - 2) + ",y"
+    text = f"name\n{line}\n"
+    assert rows_or_error(_csv_rows, text) == rows_or_error(csv_module, text)
+
+
+def test_quote_free_tables_do_not_go_through_the_csv_module(planted_dir, tmp_path, monkeypatch):
+    """The planted tables are split directly; a quoted cell holding a comma and a CRLF still
+    reads through csv, as one cell."""
+    (tmp_path / "t.csv").write_bytes(b'name,note\r\nAda,"a,b\r\nc"\r\n')
+    assert ingest(tmp_path).get("t").row(0) == ["Ada", "a,b\r\nc"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(corpus.csv, "reader", refuse)
+    assert len(ingest(planted_dir / "tables")) == len(list((planted_dir / "tables").glob("*.csv")))
+    with pytest.raises(AssertionError, match="csv.reader called"):
+        ingest(tmp_path)
 
 
 # --- gett's table block: the row sampler and the cell cap --------------------------
