@@ -124,6 +124,9 @@ CASES = {
     "table-nul": (_mutated_tables(PLANTED_TABLE.replace(b"North", b"No\x00rth")), 1),
     "table-bom": (_mutated_tables(b"\xef\xbb\xbf" + PLANTED_TABLE), 0),
     "table-cr-newlines": (_mutated_tables(PLANTED_TABLE.replace(b"\r\n", b"\r")), 0),
+    # a quote, or a line break str.splitlines knows and csv does not, sends a table to csv
+    "table-quoted": (_mutated_tables(PLANTED_TABLE.replace(b"North Ridge", b'"North,\r\nRidge"')), 0),
+    "table-vertical-tab": (_mutated_tables(PLANTED_TABLE.replace(b"North", b"No\x0brth")), 0),
     "table-long-field": (_mutated_tables(PLANTED_TABLE + b"x" * 200_000 + b",1,urban,1900-01-01\n"), 1),
     "taxonomy-deep": (_taxonomy_file(b"[" * 100_000 + b"]" * 100_000), 1),
     "taxonomy-huge-int": (_taxonomy_file(b'{"types": ' + b"9" * 5000 + b"}"), 1),
