@@ -18,7 +18,9 @@ on stderr; ``run`` exits 2 when some gett tables failed.
 
 ``emtt`` and ``embedding`` load numpy, so they are imported only where a run
 clusters or embeds: ``eval``, ``stats``, ``ingest-check`` and gett with the
-``llm`` or ``constant`` edge scorer never load it.
+``llm`` or ``constant`` edge scorer never load it. Likewise ``gett`` and
+``llm`` are imported only by a gett run; the defaults of their flags come
+from ``options``.
 """
 
 from __future__ import annotations
@@ -33,12 +35,19 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import gett as gett_mod
 from . import metrics as metrics_mod
 from .corpus import ingest
 from .errors import TaxoforgeError, open_input
-from .llm import DEFAULT_CHAT_MODEL, RemoteChatBackend, ScriptedChatBackend, TranscriptLogger
-from .options import DEFAULT_DELTA, DEFAULT_K_MAX, DEFAULT_LINKAGE, LINKAGES
+from .options import (
+    DEFAULT_CHAT_MODEL,
+    DEFAULT_DELTA,
+    DEFAULT_EDGE_THRESHOLD,
+    DEFAULT_K_MAX,
+    DEFAULT_LINKAGE,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_ROOT,
+    LINKAGES,
+)
 from .remote import check_url
 from .subject import load_overrides
 from .taxonomy import Taxonomy
@@ -85,9 +94,9 @@ class RunConfig:
     embed_dim: int = 64
     k_max: int = DEFAULT_K_MAX
     edge_scorer: str = "cosine"
-    edge_threshold: float = gett_mod.DEFAULT_EDGE_THRESHOLD
-    root_name: str = gett_mod.DEFAULT_ROOT
-    max_iters: int = gett_mod.DEFAULT_MAX_ITERS
+    edge_threshold: float = DEFAULT_EDGE_THRESHOLD
+    root_name: str = DEFAULT_ROOT
+    max_iters: int = DEFAULT_MAX_ITERS
 
     def validate(self) -> None:
         if not self.tables_dir:
@@ -172,22 +181,6 @@ def _make_embedding_service(cfg: RunConfig):
     return EmbeddingService(provider, cache_dir=cfg.cache_dir)
 
 
-def _make_chat_backend(cfg: RunConfig):
-    if cfg.llm == "remote":
-        return RemoteChatBackend(base_url=cfg.llm_url, model=cfg.llm_model)
-    return ScriptedChatBackend.from_file(cfg.script_path)
-
-
-def _make_edge_filter(cfg: RunConfig, backend, transcript) -> gett_mod.EdgeFilter:
-    if cfg.edge_scorer == "constant":
-        scorer = gett_mod.ConstantScorer()
-    elif cfg.edge_scorer == "llm":
-        scorer = gett_mod.LlmYesNoScorer(backend, transcript)
-    else:
-        scorer = gett_mod.EmbeddingCosineScorer(_make_embedding_service(cfg))
-    return gett_mod.EdgeFilter(scorer=scorer, threshold=cfg.edge_threshold)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -204,7 +197,6 @@ def cmd_run(cfg: RunConfig) -> int:
     corpus = ingest(cfg.tables_dir)
     emtt = cfg.method == "emtt"
     overrides = load_overrides(cfg.subject_col_map, corpus) if emtt and cfg.subject_col_map else None
-    backend = None if emtt else _make_chat_backend(cfg)
     out_dir = Path(cfg.out_dir)
     partial = False
     if emtt:
@@ -223,13 +215,25 @@ def cmd_run(cfg: RunConfig) -> int:
         _write_json(out_dir / "toplevel.json", result.toplevel_dict())
         _write_json(out_dir / "attributes.json", result.attributes_dict())
     else:
+        from . import gett as gett_mod
+        from . import llm as llm_mod
+
+        if cfg.llm == "remote":
+            backend = llm_mod.RemoteChatBackend(base_url=cfg.llm_url, model=cfg.llm_model)
+        else:
+            backend = llm_mod.ScriptedChatBackend.from_file(cfg.script_path)
         out_dir.mkdir(parents=True, exist_ok=True)
-        transcript = TranscriptLogger(out_dir / "transcript.jsonl")
-        edge_filter = _make_edge_filter(cfg, backend, transcript)
+        transcript = llm_mod.TranscriptLogger(out_dir / "transcript.jsonl")
+        if cfg.edge_scorer == "constant":
+            scorer = gett_mod.ConstantScorer()
+        elif cfg.edge_scorer == "llm":
+            scorer = gett_mod.LlmYesNoScorer(backend, transcript)
+        else:
+            scorer = gett_mod.EmbeddingCosineScorer(_make_embedding_service(cfg))
         result = gett_mod.run_gett(
             corpus,
             backend,
-            edge_filter,
+            gett_mod.EdgeFilter(scorer=scorer, threshold=cfg.edge_threshold),
             root_name=cfg.root_name,
             seed=cfg.seed,
             max_iters=cfg.max_iters,

@@ -34,6 +34,7 @@ from .errors import (
     PipelineAbortedError,
 )
 from .llm import ChatRequest, TranscriptBuffer, TranscriptLogger, complete
+from .options import DEFAULT_EDGE_THRESHOLD, DEFAULT_MAX_ITERS, DEFAULT_ROOT
 from .remote import in_order
 from .taxonomy import EntityType, Taxonomy
 
@@ -41,9 +42,6 @@ logger = logging.getLogger(__name__)
 
 ROW_SAMPLE = 5
 CELL_TOKEN_LIMIT = 50
-DEFAULT_ROOT = "Thing"
-DEFAULT_EDGE_THRESHOLD = 0.5
-DEFAULT_MAX_ITERS = 10
 NO_CHILDREN_MARKER = "NONE"
 
 EDGE_TEMPLATES = (

@@ -16,11 +16,11 @@ from pathlib import Path
 from typing import ClassVar
 
 from .errors import BackendError, open_input
+from .options import DEFAULT_CHAT_MODEL
 from .remote import MAX_ATTEMPTS, post_json
 
 CHAT_PATH = "/v1/chat/completions"
 CHAT_TIMEOUT_S = 120.0
-DEFAULT_CHAT_MODEL = "gpt-4"
 
 
 @dataclass(frozen=True)

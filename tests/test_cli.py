@@ -775,36 +775,43 @@ def test_run_gett_cosine_remote_embedder_requires_embed_url(gett_dir, tmp_path, 
     assert not out_dir.exists()
 
 
-def test_local_commands_leave_numpy_and_requests_unloaded(planted_dir, gett_dir, tmp_path):
-    # numpy is imported only where a run embeds or clusters, and no subcommand imports requests
+def test_commands_load_only_the_modules_they_use(planted_dir, gett_dir, tmp_path):
+    # numpy is imported only where a run embeds or clusters, gett and llm only by a gett run,
+    # and no subcommand imports requests
     gt_taxonomy = str(planted_dir / "gt" / "gt_taxonomy.json")
     commands = {
-        "stats": ["stats", gt_taxonomy],
-        "eval": ["eval", gt_taxonomy, "--gt", str(planted_dir / "gt")],
-        "gett-constant": [
-            "run",
-            "--method", "gett",
-            "--llm", "scripted",
-            "--script-path", str(gett_dir / "script.json"),
-            "--tables-dir", str(gett_dir / "tables"),
-            "--out-dir", str(tmp_path / "out"),
-            "--edge-scorer", "constant",
-        ],
+        "stats": (["stats", gt_taxonomy], []),
+        "eval": (["eval", gt_taxonomy, "--gt", str(planted_dir / "gt")], []),
+        "gett-constant": (
+            [
+                "run",
+                "--method", "gett",
+                "--llm", "scripted",
+                "--script-path", str(gett_dir / "script.json"),
+                "--tables-dir", str(gett_dir / "tables"),
+                "--out-dir", str(tmp_path / "gett"),
+                "--edge-scorer", "constant",
+            ],
+            ["taxoforge.gett", "taxoforge.llm"],
+        ),
+        "emtt": (emtt_args(planted_dir, tmp_path / "emtt"), ["numpy"]),
     }
     code = (
         "import json, sys\n"
         "from taxoforge.cli import main\n"
         "assert main(json.loads(sys.argv[1])) == 0\n"
-        "print(json.dumps(sorted({'numpy', 'requests'} & set(sys.modules))))\n"
+        "watched = {'numpy', 'requests', 'taxoforge.gett', 'taxoforge.llm'}\n"
+        "print(json.dumps(sorted(watched & set(sys.modules))))\n"
     )
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
-    for name, argv in commands.items():
+    for name, (argv, loaded) in commands.items():
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, (name, proc.stderr)
-        assert json.loads(proc.stdout.splitlines()[-1]) == [], name
-    assert (tmp_path / "out" / "taxonomy.json").exists()
+        assert json.loads(proc.stdout.splitlines()[-1]) == loaded, name
+    assert (tmp_path / "gett" / "taxonomy.json").exists()
+    assert (tmp_path / "emtt" / "taxonomy.json").exists()
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
