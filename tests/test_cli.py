@@ -176,6 +176,39 @@ def test_run_emtt_survives_a_failed_cache_write(planted_dir, tmp_path, monkeypat
         monkeypatch.undo()
 
 
+def test_run_emtt_survives_a_file_size_limit(planted_dir, tmp_path):
+    """Under a real ``RLIMIT_FSIZE`` above every artifact's size and below the vector cache's,
+    a cold-cache run gives the golden bytes and one cache-write warning."""
+    resource = pytest.importorskip("resource")
+    limit = 4096  # attributes.json, the largest artifact, is 2783 bytes; vectors.pack is 6930
+
+    def limit_file_size():
+        # in the child only: a write past the limit then fails with EFBIG, not by SIGXFSZ
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    out_dir, cache = tmp_path / "out", tmp_path / "cache"
+    extra = ["--gt-path", str(planted_dir / "gt"), "--cache-dir", str(cache)]
+    env = {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "taxoforge.cli", *emtt_args(planted_dir, out_dir, extra=extra)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_file_size,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in EMTT_GOLDEN_DIGESTS
+    }
+    assert digests == EMTT_GOLDEN_DIGESTS
+    warned = [line for line in proc.stderr.splitlines() if line.startswith("WARNING")]
+    assert len(warned) == 1 and "cannot write the vector cache" in warned[0], proc.stderr
+    assert (cache / "vectors.pack").stat().st_size <= limit
+
+
 @pytest.mark.parametrize(
     "cpus, fork_fails, fork_calls", [(1, False, 0), (2, False, 1), (3, False, 2), (3, True, 2)]
 )
