@@ -192,8 +192,12 @@ _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _csv_rows(text: str) -> list[list[str]]:
-    """``csv.reader``'s rows of ``text``; where it holds no quote and no line is
-    longer than the field limit, they are the rows ``str.split`` gives."""
+    """``csv.reader``'s rows of ``text``, split with ``str`` methods where that gives the same rows.
+
+    That is where ``text`` holds no quote, no line break that only
+    ``str.splitlines`` knows, and no line longer than the csv field limit, so
+    an over-long field still gets the csv module's own error.
+    """
     if '"' not in text and not any(c in text for c in _SPLITLINES_ONLY):
         lines = text.splitlines()
         if max(map(len, lines), default=0) <= csv.field_size_limit():
