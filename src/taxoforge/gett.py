@@ -11,9 +11,10 @@ exhausted. Leftover candidates are attached directly under the root so
 every generated type appears exactly once.
 
 Independent chat calls (the tables' generations, one layer's proposals, one
-iteration's edge votes) run side by side through ``remote.in_order``. Each
-call's transcript entries are buffered and written in input order, so the
-transcript matches a run that made the calls one after another.
+iteration's edge votes) run side by side through ``remote.in_order``, which
+starts the next call as soon as any call finishes. Each call's transcript
+entries are buffered and written in input order, so the transcript matches a
+run that made the calls one after another.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EDGE_TEMPLATES = (
     "{child} is a type of {parent}.",
     "Every {child} is a {parent}.",
 )
+
 
 def load_prompt(name: str) -> str:
     return resources.files("taxoforge").joinpath(f"prompts/{name}.txt").read_text("utf-8")
@@ -423,25 +425,39 @@ def run_gett(
     A table fails when its generation fails after the repair prompt or its
     backend raises. Failures are counted in table order and tolerated while
     at least half of the tables can still succeed; once they cannot, the run
-    aborts and no further table is started.
+    aborts at that table. Tables start in order, the next one as soon as any
+    call returns, and none starts once more than half of all tables are
+    among the returned calls that failed, since the run is then sure to
+    abort. Outcomes, warnings and transcript entries are taken in table
+    order, so the error, its cause, the warnings and the transcript are
+    those of a run that made the calls one after another.
     """
+    limit = len(corpus.tables) // 2
+    returned_failed = []  # appended by the calls' threads; list.append is atomic
 
     def attempt(table: Table, log: TranscriptBuffer) -> list[str] | Exception:
         try:
             return generate_types(table, backend, derive_table_seed(seed, table.id), log)
         except (GenerationFailedError, BackendError) as exc:
+            returned_failed.append(table.id)
             return exc
+
+    def started():
+        for table in corpus.tables:
+            if len(returned_failed) > limit:
+                return
+            yield table
 
     per_table: dict[str, list[str]] = {}
     failures: list[str] = []
-    with closing(_logged_in_order(attempt, corpus.tables, transcript)) as outcomes:
+    with closing(_logged_in_order(attempt, started(), transcript)) as outcomes:
         for table, outcome in zip(corpus.tables, outcomes):
             if not isinstance(outcome, Exception):
                 per_table[table.id] = outcome
                 continue
             logger.warning("table %s failed: %s", table.id, outcome)
             failures.append(table.id)
-            if len(failures) > len(corpus.tables) // 2:
+            if len(failures) > limit:
                 raise PipelineAbortedError(
                     f"{len(failures)}/{len(corpus.tables)} tables failed type generation"
                 ) from outcome

@@ -8,8 +8,10 @@ go through the standard library's ``urllib.request``, which honours
 ``HTTP(S)_PROXY``/``NO_PROXY`` and ``SSL_CERT_FILE``; one connection is
 opened per request.
 
-``in_order`` runs independent requests side by side, at most
-``MAX_IN_FLIGHT`` at once, and hands their results back in input order.
+``completed`` runs independent requests side by side, at most
+``MAX_IN_FLIGHT`` at once, starts the next one as soon as any finishes and
+hands each back as it finishes; ``in_order`` hands the same results back in
+input order.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from itertools import islice
+from queue import SimpleQueue
 from time import sleep
 from urllib.parse import urlsplit
 
@@ -32,20 +35,49 @@ MAX_IN_FLIGHT = 6  # socketserver's backlog of 5 queues 6 unaccepted connects; a
 _UNSENDABLE = re.compile("[\x00-\x20\x7f]")
 
 
+def completed(fn, items):
+    """Yield ``(k, future)`` of ``fn`` on the k-th item as each call finishes, up to ``MAX_IN_FLIGHT`` at once.
+
+    The next item is taken from ``items`` only after a finished call has
+    been handed back, so a lazy iterable that stops early starts nothing
+    more. Closing the generator early likewise starts nothing more and waits
+    for the calls still running. Read each future's result: a call that
+    raised raises there.
+    """
+    items = enumerate(items)
+    finished = SimpleQueue()
+    running = {}
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
+
+        def start(n):
+            for k, item in islice(items, n):
+                future = pool.submit(fn, item)
+                running[future] = k
+                future.add_done_callback(finished.put)
+
+        start(MAX_IN_FLIGHT)
+        while running:
+            future = finished.get()
+            yield running.pop(future), future
+            start(1)
+
+
 def in_order(fn, items):
     """Yield ``fn(item)`` for every item, in input order, running up to ``MAX_IN_FLIGHT`` at once.
 
-    A further item is started only after an earlier item's result has been
-    taken. A call that raised re-raises at its place in the order, once the
+    Calls start as ``completed`` starts them and are handed back in input
+    order. A call that raised re-raises at its place in the order, once the
     calls still running have finished; closing the generator early likewise
     starts nothing more and waits for the calls still running.
     """
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
-        running = deque(pool.submit(fn, item) for item in islice(items, MAX_IN_FLIGHT))
-        while running:
-            yield running.popleft().result()
-            running.extend(pool.submit(fn, item) for item in islice(items, 1))
+    ahead = {}
+    taken = 0
+    with closing(completed(fn, items)) as done:
+        for k, future in done:
+            ahead[k] = future
+            while taken in ahead:
+                yield ahead.pop(taken).result()
+                taken += 1
 
 
 def check_url(url: str) -> None:
