@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import random
 import string
 import threading
@@ -427,6 +428,24 @@ def test_run_gett_starts_no_table_after_half_rule_is_lost():
     assert 21 <= backend.calls <= 21 + remote.MAX_IN_FLIGHT - 1
 
 
+class SlowFirstOutage(OutageBackend):
+    """``OutageBackend`` whose call for the table holding the line "row 0" first sleeps 0.5 s."""
+
+    def complete(self, req):
+        if "row 0" in req.user.splitlines():
+            time.sleep(0.5)
+        return super().complete(req)
+
+
+def test_run_gett_stops_starting_tables_while_the_first_one_is_still_running():
+    # t00 returns last, so the other tables' failures are all that can stop the run
+    corpus = Corpus(tables=[table_of(f"t{i:02d}", ["name"], [[f"row {i}"]]) for i in range(40)])
+    backend = SlowFirstOutage(ScriptedChatBackend([]), "")
+    with pytest.raises(PipelineAbortedError, match="21/40 tables failed type generation"):
+        run_gett(corpus, backend, EdgeFilter(ConstantScorer()), seed=7)
+    assert 21 <= backend.calls <= 21 + remote.MAX_IN_FLIGHT - 1
+
+
 class JitterBackend:
     """Thread-safe wrapper that sleeps a seeded-random 1-5 ms per call, so calls
     finish out of order, and records the most calls in flight at once."""
@@ -473,6 +492,45 @@ def test_run_gett_concurrent_calls_match_one_at_a_time(gett_dir, tmp_path, monke
     assert ("Animal", "Bird") in one_tax.edges and ("Thing", "Duck") in one_tax.edges
     assert one_peak == 1
     assert 2 <= many_peak <= remote.MAX_IN_FLIGHT
+
+
+# how each of 20 tables fares: "down" raises BackendError, "blank" gets an empty
+# reply twice; the 11th failure in table order, the one that loses the half rule, is t13
+OUTAGE_KINDS = "ok down blank down ok blank down blank down ok down blank down blank ok down blank down ok ok"
+
+
+def test_aborted_run_is_the_same_at_max_in_flight_and_at_one(tmp_path, caplog, monkeypatch):
+    kinds = OUTAGE_KINDS.split()
+    corpus = Corpus(
+        tables=[table_of(f"t{i:02d}", ["name"], [[f"{kind} row {i}"]]) for i, kind in enumerate(kinds)]
+    )
+    script = ScriptedChatBackend([("blank", "  "), ("", "Hospital")])
+    caplog.set_level(logging.WARNING, logger="taxoforge.gett")
+
+    def run(name):
+        backend = JitterBackend(OutageBackend(script, "down"), seed=3)
+        transcript = TranscriptLogger(tmp_path / name)
+        caplog.clear()
+        with pytest.raises(PipelineAbortedError) as err:
+            run_gett(corpus, backend, EdgeFilter(ConstantScorer()), seed=7, transcript=transcript)
+        cause = err.value.__cause__
+        warnings = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        return str(err.value), (type(cause), str(cause)), warnings, (tmp_path / name).read_bytes(), backend.peak
+
+    with monkeypatch.context() as m:
+        m.setattr(remote, "MAX_IN_FLIGHT", 1)
+        one = run("one.jsonl")
+    many = run("many.jsonl")
+    assert many[:4] == one[:4]
+    message, cause, warnings, transcript, _ = many
+    assert message == "11/20 tables failed type generation"
+    assert cause == (GenerationFailedError, str(GenerationFailedError("t13")))
+    failed = [f"t{i:02d}" for i, kind in enumerate(kinds[:14]) if kind != "ok"]
+    assert [w.split()[1] for w in warnings] == failed
+    # t00 to t13: one call each, and a repair call for each blank table
+    assert transcript.count(b"\n") == 14 - kinds[:14].count("down") + kinds[:14].count("blank")
+    assert one[4] == 1
+    assert 2 <= many[4] <= remote.MAX_IN_FLIGHT
 
 
 def test_run_gett_single_table():

@@ -229,21 +229,36 @@ PROCESS_CALLS = {
 }
 
 
-def process_calls(tree: ast.Module) -> list[tuple[int, str]]:
-    """``(line, name)`` of every use of a ``PROCESS_CALLS`` function in ``tree``, as an
-    attribute of its module or imported from it."""
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name; ``None`` for any other expression."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted_name(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def module_calls(tree: ast.Module, calls: dict[str, set[str]]) -> list[tuple[int, str]]:
+    """``(line, name)`` of every use of a function in ``calls`` (module to names) in
+    ``tree``, as an attribute of its module or imported from it."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.attr in PROCESS_CALLS.get(node.value.id, ()):
-                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
-        elif isinstance(node, ast.ImportFrom) and node.module in PROCESS_CALLS:
+        if isinstance(node, ast.Attribute):
+            module = dotted_name(node.value)
+            if node.attr in calls.get(module, ()):
+                found.append((node.lineno, f"{module}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in calls:
             found += [
                 (node.lineno, f"{node.module}.{alias.name}")
                 for alias in node.names
-                if alias.name in PROCESS_CALLS[node.module]
+                if alias.name in calls[node.module]
             ]
     return sorted(found)
+
+
+def process_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    return module_calls(tree, PROCESS_CALLS)
 
 
 def test_process_calls_are_spotted():
@@ -268,6 +283,49 @@ def test_only_pool_manages_processes():
         for line, name in process_calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert stray == []
+
+
+# --- one thread starter ----------------------------------------------------------
+
+THREAD_CALLS = {
+    "threading": {"Thread", "Timer"},
+    "concurrent.futures": {"ThreadPoolExecutor"},
+    "multiprocessing.pool": {"ThreadPool"},
+}
+
+
+def thread_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    return module_calls(tree, THREAD_CALLS)
+
+
+def test_thread_calls_are_spotted():
+    src = (
+        "import threading\nimport concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor as Pool, wait\n"
+        "def a(f):\n    return threading.Thread(target=f)\n"
+        "def b():\n    return concurrent.futures.ThreadPoolExecutor(2), threading.Lock(), threading.active_count()\n"
+        "later = threading.Timer\n"
+    )
+    assert thread_calls(ast.parse(src)) == [
+        (3, "concurrent.futures.ThreadPoolExecutor"),
+        (5, "threading.Thread"),
+        (7, "concurrent.futures.ThreadPoolExecutor"),
+        (8, "threading.Timer"),
+    ]
+
+
+def test_only_remote_starts_threads():
+    # every thread is a remote call, so remote.MAX_IN_FLIGHT alone caps open connections
+    package = Path(taxoforge.__file__).parent
+    stray = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "remote.py"
+        for line, name in thread_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert stray == []
+    remote_src = (package / "remote.py").read_text(encoding="utf-8")
+    assert [name for _, name in thread_calls(ast.parse(remote_src))] == ["concurrent.futures.ThreadPoolExecutor"]
 
 
 # --- module boundaries -----------------------------------------------------------
