@@ -67,13 +67,24 @@ def in_order(fn, items):
 
     Calls start as ``completed`` starts them and are handed back in input
     order. A call that raised re-raises at its place in the order, once the
-    calls still running have finished; closing the generator early likewise
-    starts nothing more and waits for the calls still running.
+    calls still running have finished; no further item is started once a
+    call has raised, as every item up to it has started. Closing the
+    generator early likewise starts nothing more and waits for the calls
+    still running.
     """
     ahead = {}
     taken = 0
-    with closing(completed(fn, items)) as done:
+    failed = False
+
+    def until_failed():
+        for item in items:
+            if failed:
+                return
+            yield item
+
+    with closing(completed(fn, until_failed())) as done:
         for k, future in done:
+            failed = failed or future.exception() is not None
             ahead[k] = future
             while taken in ahead:
                 yield ahead.pop(taken).result()

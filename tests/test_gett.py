@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import random
 import string
+import sys
 import threading
 import time
 from pathlib import Path
@@ -441,8 +442,14 @@ def test_run_gett_stops_starting_tables_while_the_first_one_is_still_running():
     # t00 returns last, so the other tables' failures are all that can stop the run
     corpus = Corpus(tables=[table_of(f"t{i:02d}", ["name"], [[f"row {i}"]]) for i in range(40)])
     backend = SlowFirstOutage(ScriptedChatBackend([]), "")
-    with pytest.raises(PipelineAbortedError, match="21/40 tables failed type generation"):
-        run_gett(corpus, backend, EdgeFilter(ConstantScorer()), seed=7)
+    # the calls' threads count their failures; switch between them as often as possible
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(PipelineAbortedError, match="21/40 tables failed type generation"):
+            run_gett(corpus, backend, EdgeFilter(ConstantScorer()), seed=7)
+    finally:
+        sys.setswitchinterval(interval)
     assert 21 <= backend.calls <= 21 + remote.MAX_IN_FLIGHT - 1
 
 

@@ -140,6 +140,26 @@ def test_in_order_raises_the_first_failure_in_input_order():
     assert got == [0, 1]
 
 
+def test_in_order_starts_nothing_after_a_call_has_failed():
+    # item 1 fails first; the other calls return 50 ms after it has, and item 0
+    # 0.5 s after, long enough for every item past the first batch to start
+    item_1_failed = threading.Event()
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 1:
+            item_1_failed.set()
+            raise ValueError("item 1")
+        item_1_failed.wait(5)
+        time.sleep(0.5 if i == 0 else 0.05)
+        return i
+
+    with pytest.raises(ValueError, match="item 1"):
+        list(in_order(fn, range(3 * MAX_IN_FLIGHT)))
+    assert sorted(started) == list(range(MAX_IN_FLIGHT))
+
+
 def test_embed_texts_keeps_row_order_when_the_first_batch_is_slowest(monkeypatch):
     n_batches = 3 * MAX_IN_FLIGHT
     texts = [str(i) for i in range(EMBED_BATCH_SIZE * n_batches - 5)]
