@@ -36,13 +36,13 @@ _UNSENDABLE = re.compile("[\x00-\x20\x7f]")
 
 
 def completed(fn, items):
-    """Yield ``(k, future)`` of ``fn`` on the k-th item as each call finishes, up to ``MAX_IN_FLIGHT`` at once.
+    """Yield ``(k, future)`` of ``fn`` on the k-th item as each call finishes.
 
-    The next item is taken from ``items`` only after a finished call has
-    been handed back, so a lazy iterable that stops early starts nothing
-    more. Closing the generator early likewise starts nothing more and waits
-    for the calls still running. Read each future's result: a call that
-    raised raises there.
+    At most ``MAX_IN_FLIGHT`` calls run at once. The next item is taken from
+    ``items`` only after a finished call has been handed back, so a lazy
+    iterable that stops early starts nothing more. Closing the generator
+    early likewise starts nothing more and waits for the calls still
+    running. Read each future's result: a call that raised raises there.
     """
     items = enumerate(items)
     finished = SimpleQueue()
