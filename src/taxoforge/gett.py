@@ -12,9 +12,10 @@ every generated type appears exactly once.
 
 Independent chat calls (the tables' generations, one layer's proposals, one
 iteration's edge votes) run side by side through ``remote.in_order``, which
-starts the next call as soon as any call finishes. Each call's transcript
-entries are buffered and written in input order, so the transcript matches a
-run that made the calls one after another.
+starts the next call as soon as any call finishes, hands the results back in
+input order and starts nothing more once a call has failed. Each call's
+transcript entries are buffered and written in input order, so the
+transcript matches a run that made the calls one after another.
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ go through the standard library's ``urllib.request``, which honours
 ``HTTP(S)_PROXY``/``NO_PROXY`` and ``SSL_CERT_FILE``; one connection is
 opened per request.
 
-``completed`` runs independent requests side by side, at most
+``in_order`` runs independent requests side by side, at most
 ``MAX_IN_FLIGHT`` at once, starts the next one as soon as any finishes and
-hands each back as it finishes; ``in_order`` hands the same results back in
-input order.
+hands the results back in input order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from itertools import islice
 from queue import SimpleQueue
 from time import sleep
@@ -35,22 +33,27 @@ MAX_IN_FLIGHT = 6  # socketserver's backlog of 5 queues 6 unaccepted connects; a
 _UNSENDABLE = re.compile("[\x00-\x20\x7f]")
 
 
-def completed(fn, items):
-    """Yield ``(k, future)`` of ``fn`` on the k-th item as each call finishes.
+def in_order(fn, items):
+    """Yield ``fn(item)`` for every item, in input order, running up to ``MAX_IN_FLIGHT`` at once.
 
-    At most ``MAX_IN_FLIGHT`` calls run at once. The next item is taken from
-    ``items`` only after a finished call has been handed back, so a lazy
-    iterable that stops early starts nothing more. Closing the generator
-    early likewise starts nothing more and waits for the calls still
-    running. Read each future's result: a call that raised raises there.
+    The next call starts as soon as any call finishes, and its item is taken
+    from ``items`` only after the finished call's in-order results have been
+    handed back, so a lazy iterable that stops early starts nothing more. A
+    call that raised re-raises at its place in the order, once the calls
+    still running have finished; no further item is started once a call has
+    raised, as every item up to it has started. Closing the generator early
+    likewise starts nothing more and waits for the calls still running.
     """
     items = enumerate(items)
     finished = SimpleQueue()
     running = {}
+    ahead = {}
+    taken = 0
+    failed = False
     with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
 
         def start(n):
-            for k, item in islice(items, n):
+            for k, item in islice(items, 0 if failed else n):
                 future = pool.submit(fn, item)
                 running[future] = k
                 future.add_done_callback(finished.put)
@@ -58,37 +61,12 @@ def completed(fn, items):
         start(MAX_IN_FLIGHT)
         while running:
             future = finished.get()
-            yield running.pop(future), future
-            start(1)
-
-
-def in_order(fn, items):
-    """Yield ``fn(item)`` for every item, in input order, running up to ``MAX_IN_FLIGHT`` at once.
-
-    Calls start as ``completed`` starts them and are handed back in input
-    order. A call that raised re-raises at its place in the order, once the
-    calls still running have finished; no further item is started once a
-    call has raised, as every item up to it has started. Closing the
-    generator early likewise starts nothing more and waits for the calls
-    still running.
-    """
-    ahead = {}
-    taken = 0
-    failed = False
-
-    def until_failed():
-        for item in items:
-            if failed:
-                return
-            yield item
-
-    with closing(completed(fn, until_failed())) as done:
-        for k, future in done:
             failed = failed or future.exception() is not None
-            ahead[k] = future
+            ahead[running.pop(future)] = future
             while taken in ahead:
                 yield ahead.pop(taken).result()
                 taken += 1
+            start(1)
 
 
 def check_url(url: str) -> None:

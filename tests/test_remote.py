@@ -7,8 +7,9 @@ import time
 import pytest
 
 from taxoforge import embedding, remote
-from taxoforge.embedding import EMBED_BATCH_SIZE, RemoteProvider
-from taxoforge.remote import MAX_IN_FLIGHT, completed, in_order
+from taxoforge.embedding import EMBED_BATCH_SIZE, EmbeddingService, RemoteProvider
+from taxoforge.errors import BackendError
+from taxoforge.remote import MAX_IN_FLIGHT, in_order
 
 
 def straggler(n):
@@ -35,18 +36,21 @@ def straggler(n):
 
 def test_in_order_runs_the_rest_while_the_first_call_waits():
     n = 3 * MAX_IN_FLIGHT
-    assert list(in_order(straggler(n), range(n))) == [True] * n
+    pulled = []
 
+    def items():
+        for i in range(n):
+            pulled.append(i)
+            yield i
 
-def test_completed_hands_back_the_slow_first_call_last():
-    n = 3 * MAX_IN_FLIGHT
-    results = [(k, future.result()) for k, future in completed(straggler(n), range(n))]
-    assert results[-1] == (0, True)
-    assert sorted(results) == [(k, True) for k in range(n)]
+    # each result, with the number of items taken when it is handed back:
+    # every other item has started before the slow first one is handed back
+    seen = [(result, len(pulled)) for result in in_order(straggler(n), items())]
+    assert seen == [(True, n)] * n
 
 
 @pytest.mark.parametrize("limit", [1, 3, MAX_IN_FLIGHT])
-def test_completed_runs_at_most_max_in_flight_at_once(limit, monkeypatch):
+def test_in_order_runs_at_most_max_in_flight_at_once(limit, monkeypatch):
     monkeypatch.setattr(remote, "MAX_IN_FLIGHT", limit)
     # the first `limit` calls meet at a barrier, so all of them run at once
     barrier = threading.Barrier(limit, timeout=5)
@@ -70,27 +74,44 @@ def test_completed_runs_at_most_max_in_flight_at_once(limit, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = sorted(future.result() for _, future in completed(fn, range(5 * limit + 3)))
+        results = list(in_order(fn, range(5 * limit + 3)))
     finally:
         sys.setswitchinterval(interval)
     assert results == list(range(5 * limit + 3))
     assert peak == limit
 
 
-def test_completed_takes_an_item_only_after_handing_a_call_back():
-    n = 3 * MAX_IN_FLIGHT
-    pulled = []
+def test_in_order_takes_an_item_only_after_a_call_has_finished():
+    n = 5 * MAX_IN_FLIGHT
+    first_batch_taken = threading.Event()
+    lock = threading.Lock()
+    finished = []
+    finished_at_pull = []  # the number of calls finished when each item is taken
 
     def items():
         for i in range(n):
-            pulled.append(i)
+            with lock:
+                finished_at_pull.append(len(finished))
+            if i == MAX_IN_FLIGHT - 1:
+                first_batch_taken.set()
             yield i
 
-    seen = [len(pulled) for _ in completed(lambda i: i, items())]
-    assert seen == [min(MAX_IN_FLIGHT + j, n) for j in range(n)]
+    def fn(i):
+        # no call finishes before the first MAX_IN_FLIGHT items are taken
+        assert first_batch_taken.wait(5)
+        time.sleep((i * 7 % 5) / 1000)
+        with lock:
+            finished.append(i)
+        return i
+
+    assert list(in_order(fn, items())) == list(range(n))
+    assert finished_at_pull[:MAX_IN_FLIGHT] == [0] * MAX_IN_FLIGHT
+    # items taken minus calls finished, at every pull
+    assert max(i + 1 - done for i, done in enumerate(finished_at_pull)) == MAX_IN_FLIGHT
 
 
-def test_closing_completed_after_the_first_result_starts_nothing_more():
+def test_closing_in_order_after_the_first_result_starts_nothing_more():
+    handed_back = threading.Event()
     pulled, started, finished = [], [], []
 
     def items():
@@ -100,11 +121,16 @@ def test_closing_completed_after_the_first_result_starts_nothing_more():
 
     def fn(i):
         started.append(i)
-        time.sleep(0.01 if i else 0)
+        if i:
+            # the other calls finish only after the first result is handed back
+            handed_back.wait(5)
+            time.sleep(0.01)
         finished.append(i)
+        return i
 
-    results = completed(fn, items())
-    next(results)
+    results = in_order(fn, items())
+    assert next(results) == 0
+    handed_back.set()
     results.close()
     assert pulled == list(range(MAX_IN_FLIGHT))
     assert sorted(started) == list(range(MAX_IN_FLIGHT))
@@ -184,3 +210,27 @@ def test_embed_texts_keeps_row_order_when_the_first_batch_is_slowest(monkeypatch
     assert waited == [True]
     assert matrix.shape == (len(texts), 2)
     assert matrix[:, 0].tolist() == list(range(len(texts)))
+
+
+def test_embed_texts_posts_nothing_more_once_the_first_batch_has_failed(monkeypatch, tmp_path):
+    # the first batch fails first; the others return 50 ms after it has
+    texts = [str(i) for i in range(EMBED_BATCH_SIZE * 3 * MAX_IN_FLIGHT)]
+    first_failed = threading.Event()
+    posted = []
+
+    def fake_post_json(url, payload, *, timeout, retries):
+        batch = payload["input"]
+        posted.append(batch[0])
+        if batch[0] == "0":
+            first_failed.set()
+            raise BackendError("POST failed: HTTP 500")
+        first_failed.wait(5)
+        time.sleep(0.05)
+        return {"data": [{"embedding": [float(text), 1.0]} for text in batch]}
+
+    monkeypatch.setattr(embedding, "post_json", fake_post_json)
+    service = EmbeddingService(RemoteProvider("http://127.0.0.1:9/v1/embeddings", "m"), tmp_path)
+    with pytest.raises(BackendError, match="HTTP 500"):
+        service.embed_texts(texts)
+    assert len(posted) <= MAX_IN_FLIGHT
+    assert list(tmp_path.iterdir()) == []
