@@ -49,8 +49,8 @@ class Table:
     ASCII one. UTF-8's worst case is text of the Basic Multilingual Plane past
     U+07FF, CJK for one: 3 bytes per character, where a ``str`` takes 2.
 
-    Build a table with ``from_rows``; read it through ``distinct``,
-    ``iter_distinct``, ``value_counts`` and ``row``.
+    Build a table with ``from_rows``; read it through ``iter_distinct``,
+    ``value_counts`` and ``row``.
     """
 
     id: str
@@ -109,13 +109,12 @@ class Table:
         return pairwise(self._offsets[self._first[col] : self._first[col + 1] + 1])
 
     def iter_distinct(self, col: int) -> Iterator[str]:
-        """``distinct(col)`` one cell at a time, each built only when it is reached."""
+        """The non-empty cells of column ``col``, each once, in first-occurrence order.
+
+        Each cell is built only when it is reached.
+        """
         buf = self._cells
         return (buf[a:b].decode("utf-8", "surrogatepass") for a, b in self._spans(col) if a != b)
-
-    def distinct(self, col: int) -> list[str]:
-        """The non-empty cells of column ``col``, each once, in first-occurrence order."""
-        return list(self.iter_distinct(col))
 
     def value_counts(self, col: int) -> dict[str, int]:
         """Non-empty cell -> number of rows holding it, in first-occurrence order."""

@@ -81,7 +81,7 @@ def test_column_store_reads_equal_the_rows_references(table, terminator, seed):
     assert [stored.row(r) for r in range(stored.n_rows)] == reference
     assert bits(score_columns(stored)) == bits(rows_score_columns(reference, stored.n_cols))
     for col in range(stored.n_cols):
-        assert stored.distinct(col) == list(stored.value_counts(col))
+        assert list(stored.iter_distinct(col)) == list(stored.value_counts(col))
         column = [row[col] for row in reference]
         assert serialize_column(stored, col) == rows_serialize_column(stored.headers[col], column)
     assert sample_rows(stored, seed) == rows_sample_rows(reference, seed)
@@ -114,7 +114,7 @@ def test_reads_outside_the_table_raise():
         with pytest.raises(IndexError, match=f"column {col} out of range"):
             table.value_counts(col)
         with pytest.raises(IndexError, match=f"column {col} out of range"):
-            table.distinct(col)
+            list(table.iter_distinct(col))
 
 
 def retained_by_ingest(tmp_path, headers: list[str], rows: list[list[str]]) -> tuple[Table, int]:
@@ -135,7 +135,7 @@ def retained_by_ingest(tmp_path, headers: list[str], rows: list[list[str]]) -> t
 def test_distinct_cells_retain_under_their_characters_plus_8_bytes(tmp_path):
     cells = [f"entity {r}" for r in range(20_000)]
     table, retained = retained_by_ingest(tmp_path, ["name"], [[cell] for cell in cells])
-    assert table.distinct(0) == cells
+    assert list(table.iter_distinct(0)) == cells
     assert retained / len(cells) < sum(map(len, cells)) / len(cells) + 8
 
 
@@ -143,7 +143,7 @@ def test_columns_of_at_most_256_distinct_cells_retain_under_2_bytes_per_cell(tmp
     # 20 000 rows of 3 columns holding 256, 2 and 100 distinct cells
     rows = [[f"name {r % 256}", str(r % 2), f"city {r % 100}"] for r in range(20_000)]
     table, retained = retained_by_ingest(tmp_path, ["name", "n", "city"], rows)
-    assert [len(table.distinct(col)) for col in range(3)] == [256, 2, 100]
+    assert [len(list(table.iter_distinct(col))) for col in range(3)] == [256, 2, 100]
     assert retained / 60_000 < 2
 
 
@@ -151,7 +151,7 @@ def test_a_wide_character_retains_no_more_than_one_str_per_distinct_cell(tmp_pat
     """One character outside the Basic Multilingual Plane costs its own cell, not its column."""
     cells = [f"{r:050d}" for r in range(2_000)] + ["wide \U0001f600"]
     table, retained = retained_by_ingest(tmp_path, ["name"], [[cell] for cell in cells])
-    assert table.distinct(0) == cells
+    assert list(table.iter_distinct(0)) == cells
     # each distinct cell as its own str, a list pointer to it and a 4-byte code per row
     one_str_per_cell = sum(sys.getsizeof(cell) + 8 + 4 for cell in cells)
     assert retained <= one_str_per_cell
@@ -162,6 +162,6 @@ def test_any_str_reads_back_as_it_was_stored():
     cells = ["plain", "café", "中文", "\U0001f600", "\ud800 lone", "", "plain"]
     table = Table.from_rows("t", ["a", "b"], [[cell, "x"] for cell in cells])
     assert [table.row(r) for r in range(len(cells))] == [[cell, "x"] for cell in cells]
-    assert table.distinct(0) == cells[:5]
+    assert list(table.iter_distinct(0)) == cells[:5]
     assert table.value_counts(0) == {"plain": 2, **dict.fromkeys(cells[1:5], 1)}
     assert table.value_counts(1) == {"x": 7}
