@@ -11,6 +11,7 @@ attached.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -102,11 +103,16 @@ class RemoteChatBackend:
 
 
 class TranscriptLogger:
-    """Appends one JSON line per completed request; deterministic field order."""
+    """Appends one JSON line per completed request; deterministic field order.
+
+    The file is truncated and opened once, line-buffered, so every entry is
+    in the file when ``log`` returns.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.path.write_text("", encoding="utf-8")
+        self._file = self.path.open("w", encoding="utf-8", buffering=1)
+        weakref.finalize(self, self._file.close)
         self._seq = 0
 
     def log(self, req: ChatRequest, resp: ChatResponse) -> None:
@@ -121,8 +127,7 @@ class TranscriptLogger:
             },
             "response": {"text": resp.text, "finish_reason": resp.finish_reason},
         }
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._file.write(json.dumps(entry, sort_keys=True) + "\n")
         self._seq += 1
 
     @property

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import socket
 import socketserver
@@ -73,6 +74,25 @@ def test_transcript_counts_calls(tmp_path):
     assert [e["seq"] for e in entries] == [0, 1, 2]
     assert entries[0]["request"]["user"] == "a0"
     assert entries[0]["response"]["text"] == "A"
+
+
+def test_transcript_opens_its_file_once_and_writes_each_entry_at_once(tmp_path, monkeypatch):
+    backend = ScriptedChatBackend([("a", "A")])
+    path = tmp_path / "t.jsonl"
+    transcript = TranscriptLogger(path)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    real_open = io.open
+    monkeypatch.setattr(io, "open", counting_open)
+    for i in range(4):
+        complete(ChatRequest(user=f"a{i}"), backend, transcript)
+        with real_open(path, encoding="utf-8") as fh:
+            assert [json.loads(line)["seq"] for line in fh] == list(range(i + 1))
+    assert opened == []
 
 
 # --- request validation ------------------------------------------------------------
