@@ -192,10 +192,14 @@ def _load_gt(gt_path: str) -> metrics_mod.GroundTruth:
 
 def cmd_run(cfg: RunConfig) -> int:
     cfg.validate()
+    emtt = cfg.method == "emtt"
+    if not emtt:
+        # imported before the inputs are read: importing them with the corpus live raises peak memory
+        from . import gett as gett_mod
+        from . import llm as llm_mod
     # read every input before --out-dir is made, so a bad one leaves nothing behind
     gt = _load_gt(cfg.gt_path) if cfg.gt_path else None
     corpus = ingest(cfg.tables_dir)
-    emtt = cfg.method == "emtt"
     overrides = load_overrides(cfg.subject_col_map, corpus) if emtt and cfg.subject_col_map else None
     out_dir = Path(cfg.out_dir)
     partial = False
@@ -215,9 +219,6 @@ def cmd_run(cfg: RunConfig) -> int:
         _write_json(out_dir / "toplevel.json", result.toplevel_dict())
         _write_json(out_dir / "attributes.json", result.attributes_dict())
     else:
-        from . import gett as gett_mod
-        from . import llm as llm_mod
-
         if cfg.llm == "remote":
             backend = llm_mod.RemoteChatBackend(base_url=cfg.llm_url, model=cfg.llm_model)
         else:
