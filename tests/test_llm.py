@@ -81,12 +81,12 @@ def test_transcript_opens_its_file_once_and_writes_each_entry_at_once(tmp_path, 
     path = tmp_path / "t.jsonl"
     transcript = TranscriptLogger(path)
     opened = []
+    real_open = io.open
 
     def counting_open(file, *args, **kwargs):
         opened.append(file)
         return real_open(file, *args, **kwargs)
 
-    real_open = io.open
     monkeypatch.setattr(io, "open", counting_open)
     for i in range(4):
         complete(ChatRequest(user=f"a{i}"), backend, transcript)
