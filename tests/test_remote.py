@@ -36,6 +36,11 @@ def straggler(n):
 
 def test_in_order_runs_the_rest_while_the_first_call_waits():
     n = 3 * MAX_IN_FLIGHT
+    assert list(in_order(straggler(n), range(n))) == [True] * n
+
+
+def test_in_order_takes_every_item_before_handing_back_the_slow_first_call():
+    n = 3 * MAX_IN_FLIGHT
     pulled = []
 
     def items():
