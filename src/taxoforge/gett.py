@@ -8,14 +8,17 @@ starting from a synthetic root, every iteration asks the backend for child
 relations of the current layer's types, keeps only candidates that survive
 a template-based edge filter, and repeats until the candidate list is
 exhausted. Leftover candidates are attached directly under the root so
-every generated type appears exactly once.
+every generated type appears exactly once. The ``llm`` edge scorer asks an
+edge's templates in rounds and stops as soon as the votes still to come
+cannot change whether the edge is kept.
 
 Independent chat calls (the tables' generations, one layer's proposals, one
-iteration's edge votes) run side by side through ``remote.in_order``, which
-starts the next call as soon as any call finishes, hands the results back in
-input order and starts nothing more once a call has failed. Each call's
-transcript entries are buffered and written in input order, so the
-transcript matches a run that made the calls one after another.
+round of an iteration's edge votes) run side by side through
+``remote.in_order``, which starts the next call as soon as any call
+finishes, hands the results back in input order and starts nothing more
+once a call has failed. Each call's transcript entries are buffered and
+written in input order, so the transcript matches a run that made the calls
+one after another.
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ class TypeCandidateList:
 
 @dataclass(frozen=True)
 class EdgeScore:
+    """A proposed edge and its score; the edge is kept when the score reaches the threshold.
+
+    For ``LlmYesNoScorer`` the score is the bound that decided the edge, not
+    the mean of every template's vote.
+    """
+
     parent: str
     child: str
     score: float
@@ -84,7 +93,7 @@ class EdgeFilter:
 class ConstantScorer:
     """Scores every edge 1.0, so every guarded edge passes; an ablation of the filter."""
 
-    def scores(self, edges: list[tuple[str, str]]) -> list[float]:
+    def scores(self, edges: list[tuple[str, str]], threshold: float) -> list[float]:
         return [1.0] * len(edges)
 
 
@@ -100,7 +109,7 @@ class EmbeddingCosineScorer:
     def __init__(self, service):
         self.service = service
 
-    def scores(self, edges: list[tuple[str, str]]) -> list[float]:
+    def scores(self, edges: list[tuple[str, str]], threshold: float) -> list[float]:
         # imported here: gett with another scorer never loads numpy
         import numpy as np
 
@@ -118,8 +127,13 @@ class EmbeddingCosineScorer:
 class LlmYesNoScorer:
     """Asks the backend whether each templated subsumption sentence holds.
 
-    An edge scores the mean of its yes (1) / no (0) votes over
-    ``EDGE_TEMPLATES``; all votes of one ``scores`` call are sent together.
+    An edge with ``y`` yes votes after ``m`` of the ``n`` templates is kept
+    once ``y / n`` reaches the threshold and dropped once ``(y + n - m) / n``
+    falls below it, and scores that bound; so it is kept exactly when the
+    mean vote over all of ``EDGE_TEMPLATES`` would reach the threshold. The
+    votes are asked in rounds: each round asks every undecided edge its next
+    templates, as few as could decide it, and all votes of a round are sent
+    together. At a threshold of at most 0 or above 1 no vote is asked.
     """
 
     def __init__(self, backend, transcript: TranscriptLogger | None = None):
@@ -127,20 +141,45 @@ class LlmYesNoScorer:
         self.transcript = transcript
         self._template = load_prompt("edge_yesno")
 
-    def scores(self, edges: list[tuple[str, str]]) -> list[float]:
-        sentences = [tpl.format(parent=p, child=c) for p, c in edges for tpl in EDGE_TEMPLATES]
-        votes = list(_logged_in_order(self._vote, sentences, self.transcript))
+    def scores(self, edges: list[tuple[str, str]], threshold: float) -> list[float]:
         n = len(EDGE_TEMPLATES)
-        return [sum(votes[i : i + n]) / n for i in range(0, len(votes), n)]
+        yes = [0] * len(edges)
+        asked = [0] * len(edges)
+        while todo := [
+            (i, m)
+            for i in range(len(edges))
+            for m in range(asked[i], asked[i] + _votes_to_decide(yes[i], asked[i], n, threshold))
+        ]:
+            sentences = (EDGE_TEMPLATES[m].format(parent=edges[i][0], child=edges[i][1]) for i, m in todo)
+            for vote, (i, _) in zip(_logged_in_order(self._vote, sentences, self.transcript), todo):
+                yes[i] += vote
+                asked[i] += 1
+        return [y / n if y / n >= threshold else (y + n - m) / n for y, m in zip(yes, asked)]
 
-    def _vote(self, sentence: str, log: TranscriptBuffer) -> float:
+    def _vote(self, sentence: str, log: TranscriptBuffer) -> bool:
         resp = complete(ChatRequest(user=self._template.format(sentence=sentence)), self.backend, log)
-        return 1.0 if resp.text.strip().casefold().startswith("yes") else 0.0
+        return resp.text.strip().casefold().startswith("yes")
 
 
-def filter_edges(edges: list[tuple[str, str]], scorer) -> list[EdgeScore]:
-    """Pair each proposed edge with its score from ``scorer.scores``."""
-    return [EdgeScore(parent=p, child=c, score=s) for (p, c), s in zip(edges, scorer.scores(edges))]
+def _votes_to_decide(yes: int, asked: int, n: int, threshold: float) -> int:
+    """The fewest further votes that could decide an edge with ``yes`` of ``asked`` votes.
+
+    0 once the edge is kept (``yes / n >= threshold``) or dropped (``(yes +
+    n - asked) / n < threshold``); otherwise the smallest ``k`` for which
+    ``k`` yes votes would keep it or ``k`` no votes would drop it.
+    """
+    for k in range(n - asked + 1):
+        if (yes + k) / n >= threshold or (yes + n - asked - k) / n < threshold:
+            return k
+    return n - asked  # a NaN threshold decides nothing: ask every template
+
+
+def filter_edges(edges: list[tuple[str, str]], scorer, threshold: float) -> list[EdgeScore]:
+    """Pair each proposed edge with its score from ``scorer.scores(edges, threshold)``."""
+    return [
+        EdgeScore(parent=p, child=c, score=s)
+        for (p, c), s in zip(edges, scorer.scores(edges, threshold))
+    ]
 
 
 def _logged_in_order(fn, items, transcript: TranscriptLogger | None):
@@ -382,7 +421,7 @@ def chain_of_layer(
                 else:
                     guarded[parent_name, child_name] = None
         children: dict[str, None] = {}
-        for edge in filter_edges(list(guarded), edge_filter.scorer):
+        for edge in filter_edges(list(guarded), edge_filter.scorer, edge_filter.threshold):
             if edge.score < edge_filter.threshold:
                 continue
             if edge.child in children:

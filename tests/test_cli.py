@@ -20,10 +20,11 @@ import numpy as np
 import pytest
 
 import taxoforge
-from taxoforge import cli, emtt
+from taxoforge import cli, emtt, llm
 from taxoforge.cli import CHOICES, RunConfig, main
 from taxoforge.corpus import ingest
 from taxoforge.embedding import LocalHashProvider, VectorCache, cache_key, serialize_column
+from taxoforge.errors import BackendError
 
 
 def run_cli(*args) -> int:
@@ -104,7 +105,7 @@ GETT_GOLDEN_DIGESTS = {
     },
     "llm": {
         "taxonomy.json": "0ea4301b729c627699a6068d91066ad9c41edc788069ad246aeb11a69f025f2e",
-        "transcript.jsonl": "65598b5e4052abe337fd2fd980e40a830df204b4610bd4a06e766799ca951b02",
+        "transcript.jsonl": "450e966e84a929eac782cdffc89131712d5bc4baf7e166f3f748e8acbdedfd8e",
         "report.json": "9a7ff2e0ae91dfb0ad9c601a90e86684d58acf1800c1bf6ca8c2ddba98361dcb",
     },
 }
@@ -130,6 +131,50 @@ def test_run_gett_fixture_golden_digests(gett_dir, tmp_path, scorer):
         for name in GETT_GOLDEN_DIGESTS[scorer]
     }
     assert digests == GETT_GOLDEN_DIGESTS[scorer]
+
+
+class EdgeVoteOutage(llm.ScriptedChatBackend):
+    """The script's backend, except that the prompt holding ``statement`` raises ``BackendError``."""
+
+    statement = ""
+
+    def complete(self, req):
+        if f"Statement: {self.statement}\n" in req.user:
+            raise BackendError("HTTP 503", 503, "unavailable")
+        return super().complete(req)
+
+
+@pytest.mark.parametrize(
+    "statement, code",
+    [("Animal is a kind of Thing.", 1), ("Every Animal is a Thing.", 0)],
+    ids=["first-template-asked", "third-template-not-asked"],
+)
+def test_run_gett_fails_only_on_an_edge_vote_it_asks(gett_dir, tmp_path, capsys, monkeypatch, statement, code):
+    # the fixture's script answers every vote no, so two votes drop each edge
+    monkeypatch.setattr(EdgeVoteOutage, "statement", statement)
+    monkeypatch.setattr(llm, "ScriptedChatBackend", EdgeVoteOutage)
+    out_dir = tmp_path / "out"
+    assert run_cli(
+        "run",
+        "--method", "gett",
+        "--llm", "scripted",
+        "--script-path", str(gett_dir / "script.json"),
+        "--tables-dir", str(gett_dir / "tables"),
+        "--gt-path", str(gett_dir / "gt"),
+        "--out-dir", str(out_dir),
+        "--seed", "7",
+        "--edge-scorer", "llm",
+    ) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.splitlines() == ["error: HTTP 503: unavailable"]
+    else:
+        assert err == ""
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in GETT_GOLDEN_DIGESTS["llm"]
+        }
+        assert digests == GETT_GOLDEN_DIGESTS["llm"]
 
 
 # SHA-256 of each artifact of the planted emtt fixture with local-hash at seed 7

@@ -156,7 +156,7 @@ def test_vectors_and_cosine_scores_do_not_depend_on_the_blas_thread_count():
         "print(hashlib.sha256(LocalHashProvider(4096).embed_texts(texts).tobytes()).hexdigest())\n"
         "edges = [('place', 'city'), ('animal', 'cat'), ('city', 'cat'), (texts[2], 'w7 w8')]\n"
         "scorer = EmbeddingCosineScorer(EmbeddingService(LocalHashProvider(4096)))\n"
-        "print([score.hex() for score in scorer.scores(edges)])\n"
+        "print([score.hex() for score in scorer.scores(edges, 0.5)])\n"
     )
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
     outputs = []

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import logging
+import math
 import random
 import string
 import sys
@@ -9,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taxoforge import remote
 from taxoforge.corpus import Corpus, Table, ingest
@@ -19,6 +22,7 @@ from taxoforge.errors import (
     PipelineAbortedError,
 )
 from taxoforge.gett import (
+    EDGE_TEMPLATES,
     ConstantScorer,
     EdgeFilter,
     LlmYesNoScorer,
@@ -156,21 +160,50 @@ def test_parse_edge_lines_none_marker():
 
 def test_filter_edges_constant_keep_and_drop():
     edges = [("A", "B"), ("A", "C")]
-    kept = [e for e in filter_edges(edges, ConstantScorer()) if e.score >= 0.5]
+    kept = [e for e in filter_edges(edges, ConstantScorer(), 0.5) if e.score >= 0.5]
     assert len(kept) == 2
-    dropped = [e for e in filter_edges(edges, ConstantScorer()) if e.score >= 1.5]
+    dropped = [e for e in filter_edges(edges, ConstantScorer(), 1.5) if e.score >= 1.5]
     assert dropped == []
 
 
-def test_filter_edges_yes_yes_no_template_mean():
-    # all nine votes are sent together; each edge still averages its own three
+def edge_vote_blocks(transcript: bytes) -> list[list[str]]:
+    """The statements of each run of consecutive edge votes in a transcript, one list per layer."""
+    blocks, block = [], []
+    for line in transcript.splitlines():
+        last = json.loads(line)["request"]["user"].splitlines()[-1]
+        if last.startswith("Statement: "):
+            block.append(last.removeprefix("Statement: "))
+        elif block:
+            blocks.append(block)
+            block = []
+    return blocks + [block] if block else blocks
+
+
+def test_filter_edges_scores_are_the_deciding_bounds(tmp_path):
+    # two equal first votes decide an edge; a split asks the third template in a second round
     backend = ScriptedChatBackend(
-        [("Every School", "no"), ("Banana", "no"), ("Statement:", "yes")]
+        [
+            ("Every School", "no"),
+            ("Banana", "no"),
+            ("type of Fruit", "no"),
+            ("Every Potato", "no"),
+            ("Statement:", "yes"),
+        ]
     )
-    edges = [("Organization", "School"), ("Organization", "University"), ("Fruit", "Banana")]
-    scores = filter_edges(edges, LlmYesNoScorer(backend))
+    transcript = TranscriptLogger(tmp_path / "t.jsonl")
+    edges = [
+        ("Organization", "School"),
+        ("Organization", "University"),
+        ("Fruit", "Banana"),
+        ("Fruit", "Tomato"),
+        ("Fruit", "Potato"),
+    ]
+    scores = filter_edges(edges, LlmYesNoScorer(backend, transcript), 0.5)
     assert [(e.parent, e.child) for e in scores] == edges
-    assert [e.score for e in scores] == pytest.approx([2 / 3, 1.0, 0.0])
+    assert [e.score for e in scores] == pytest.approx([2 / 3, 2 / 3, 1 / 3, 2 / 3, 1 / 3])
+    [asked] = edge_vote_blocks((tmp_path / "t.jsonl").read_bytes())
+    assert asked[10:] == ["Every Tomato is a Fruit.", "Every Potato is a Fruit."]
+    assert asked[:10] == [tpl.format(parent=p, child=c) for p, c in edges for tpl in EDGE_TEMPLATES[:2]]
 
 
 def test_llm_yes_no_scorer_two_thirds():
@@ -178,8 +211,46 @@ def test_llm_yes_no_scorer_two_thirds():
         [("kind of", "yes"), ("type of", "Yes."), ("Every", "no")]
     )
     scorer = LlmYesNoScorer(backend)
-    scores = filter_edges([("Organization", "School")], scorer)
+    scores = filter_edges([("Organization", "School")], scorer, 0.5)
     assert scores[0].score == pytest.approx(2 / 3)
+
+
+THRESHOLDS = [-math.inf, -0.5, 0.0, 1 / 3, 0.5, 2 / 3, 1.0, 1.5, math.inf]
+
+
+class VoteBackend:
+    """Answers each edge sentence with its scripted vote and records the sentences asked."""
+
+    def __init__(self, votes):
+        self.votes = votes
+        self.asked = []  # appended by the calls' threads; list.append is atomic
+
+    def complete(self, req):
+        sentence = req.user.splitlines()[-1].removeprefix("Statement: ")
+        self.asked.append(sentence)
+        return ChatResponse(text="yes" if self.votes[sentence] else "no")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    patterns=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=4),
+    threshold=st.sampled_from(THRESHOLDS),
+)
+def test_early_decided_votes_keep_the_edges_of_the_template_mean(patterns, threshold):
+    edges = [(f"P{i}", f"C{i}") for i in range(len(patterns))]
+    sentences = [[tpl.format(parent=p, child=c) for tpl in EDGE_TEMPLATES] for p, c in edges]
+    votes = {sentence: vote for row, pattern in zip(sentences, patterns) for sentence, vote in zip(row, pattern)}
+    backend = VoteBackend(votes)
+    scored = filter_edges(edges, LlmYesNoScorer(backend), threshold)
+    # the kept edges are those whose mean vote over every template reaches the threshold
+    assert [e.score >= threshold for e in scored] == [sum(p) / 3 >= threshold for p in patterns]
+    asked = [[backend.asked.count(sentence) for sentence in row] for row in sentences]
+    for row in asked:
+        assert sorted(row, reverse=True) == row and max(row) <= 1  # templates in order, each once
+    if threshold <= 0 or threshold > 1:
+        assert backend.asked == []
+    if threshold == 0.5:
+        assert [sum(row) for row in asked] == [2 if p[0] == p[1] else 3 for p in patterns]
 
 
 # --- chain of layer -----------------------------------------------------------------
@@ -270,7 +341,7 @@ class CountingScorer:
     def __init__(self):
         self.edges = []
 
-    def scores(self, edges):
+    def scores(self, edges, threshold):
         self.edges.extend(edges)
         return [1.0] * len(edges)
 
@@ -479,7 +550,7 @@ class JitterBackend:
 def test_run_gett_concurrent_calls_match_one_at_a_time(gett_dir, tmp_path, monkeypatch):
     corpus = ingest(gett_dir / "tables")
     script = ScriptedChatBackend.from_file(gett_dir / "script.json")
-    # edges under Bird are voted down; every other edge passes two of three templates
+    # edges under Bird are voted down; every other edge passes on its first two templates
     votes = [("Bird.", "no"), ("Statement: Every", "no"), ("Statement:", "yes")]
     script.script = votes + script.script
 
@@ -500,6 +571,84 @@ def test_run_gett_concurrent_calls_match_one_at_a_time(gett_dir, tmp_path, monke
     assert one_peak == 1
     assert 2 <= many_peak <= remote.MAX_IN_FLIGHT
 
+
+# Animal's and Facility's edges split their first two votes, so a second round asks the
+# third template; the Bird edges get two no votes and every other edge two yes votes
+SPLIT_VOTES = [
+    ("Bird.", "no"),
+    ("kind of Facility.", "no"),
+    ("type of Animal.", "no"),
+    ("Every Cat is", "no"),
+    ("Statement:", "yes"),
+]
+
+
+def test_run_gett_split_votes_match_one_at_a_time(gett_dir, tmp_path, monkeypatch):
+    corpus = ingest(gett_dir / "tables")
+
+    def run(name, script):
+        backend = JitterBackend(script, seed=5)
+        transcript = TranscriptLogger(tmp_path / name)
+        edge_filter = EdgeFilter(LlmYesNoScorer(backend, transcript))
+        result = run_gett(corpus, backend, edge_filter, seed=7, transcript=transcript)
+        return (tmp_path / name).read_bytes(), result.taxonomy.to_json(), backend.peak
+
+    plain = ScriptedChatBackend.from_file(gett_dir / "script.json")
+    split = ScriptedChatBackend(SPLIT_VOTES + plain.script)
+    runs = {}
+    for in_flight in (1, remote.MAX_IN_FLIGHT):
+        with monkeypatch.context() as m:
+            m.setattr(remote, "MAX_IN_FLIGHT", in_flight)
+            for name, script in (("plain", plain), ("split", split)):
+                runs[name, in_flight] = run(f"{name}{in_flight}.jsonl", script)
+    for name in ("plain", "split"):
+        one, many = runs[name, 1], runs[name, remote.MAX_IN_FLIGHT]
+        assert many[:2] == one[:2]
+        assert one[2] == 1 and 2 <= many[2] <= remote.MAX_IN_FLIGHT
+    split_bytes, split_tax, _ = runs["split", 1]
+    # the plain script answers every vote no: each edge is dropped after two votes, not three
+    assert runs["plain", 1][0].count(b"\n") == 16
+    # 10 generations, 1 demonstration, 6 layer prompts, 4 + 8 + 4 first-round and 4 second-round votes
+    assert split_bytes.count(b"\n") == 37
+    rounds = [[s.startswith("Every ") for s in block] for block in edge_vote_blocks(split_bytes)]
+    assert rounds == [[False] * 4, [False] * 8 + [True] * 4, [False] * 4]
+    assert [s for s in edge_vote_blocks(split_bytes)[1] if s.startswith("Every ")] == [
+        "Every Bird is a Animal.",
+        "Every Cat is a Animal.",
+        "Every Hospital is a Facility.",
+        "Every School is a Facility.",
+    ]
+    edges = json.loads(split_tax)["edges"]
+    assert ["Animal", "Bird"] in edges and ["Facility", "School"] in edges
+    assert ["Thing", "Cat"] in edges and ["Thing", "Duck"] in edges
+
+
+class TruncatedReplies:
+    """Gives the inner backend's reply text with ``finish_reason="length"``, as a model
+    that ran out of tokens would."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, req):
+        return ChatResponse(text=self.inner.complete(req).text, finish_reason="length")
+
+
+def test_run_gett_parses_replies_cut_at_the_token_limit_as_is(gett_dir, tmp_path):
+    # gett does not read finish_reason: a truncated reply is parsed like a finished one
+    corpus = ingest(gett_dir / "tables")
+    script = ScriptedChatBackend(SPLIT_VOTES + ScriptedChatBackend.from_file(gett_dir / "script.json").script)
+    outputs = {}
+    for name, backend in (("stop", script), ("length", TruncatedReplies(script))):
+        transcript = TranscriptLogger(tmp_path / f"{name}.jsonl")
+        edge_filter = EdgeFilter(LlmYesNoScorer(backend, transcript))
+        result = run_gett(corpus, backend, edge_filter, seed=7, transcript=transcript)
+        lines = (tmp_path / f"{name}.jsonl").read_text().splitlines()
+        reasons = {json.loads(line)["response"]["finish_reason"] for line in lines}
+        outputs[name] = result.taxonomy.to_json(), reasons
+    assert outputs["length"][0] == outputs["stop"][0]
+    assert outputs["stop"][1] == {"stop"} and outputs["length"][1] == {"length"}
+    assert ["Facility", "School"] in json.loads(outputs["length"][0])["edges"]
 
 # how each of 20 tables fares: "down" raises BackendError, "blank" gets an empty
 # reply twice; the 11th failure in table order, the one that loses the half rule, is t13
