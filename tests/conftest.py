@@ -23,16 +23,6 @@ def gett_dir() -> Path:
 
 
 @pytest.fixture()
-def make_table():
-    from taxoforge.corpus import Table
-
-    def build(table_id="t", headers=None, rows=None):
-        return Table.from_rows(id=table_id, headers=headers or ["a"], rows=rows or [])
-
-    return build
-
-
-@pytest.fixture()
 def sleeps(monkeypatch):
     """Backoff sleeps of the remote client, recorded instead of slept."""
     calls: list[float] = []

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from .builders import build_tax, gt_from
 from .oracles import (
     brute_purity,
     brute_rand_index,
@@ -29,14 +30,13 @@ from taxoforge.embedding import EmbeddingService, LocalHashProvider
 from taxoforge.emtt import jaccard_matrix, prune_dendrogram, run_emtt
 from taxoforge.gett import build_generation_prompt
 from taxoforge.metrics import (
-    GroundTruth,
     load_ground_truth,
     match_types,
     purity,
     rand_index,
     report,
 )
-from taxoforge.taxonomy import EntityType, Taxonomy
+from taxoforge.taxonomy import Taxonomy
 
 
 def check(name: str, fn) -> None:
@@ -47,27 +47,6 @@ def check(name: str, fn) -> None:
         print(f"[acceptance] {name}: FAIL ({time.perf_counter() - started:.1f}s)")
         raise
     print(f"[acceptance] {name}: PASS ({time.perf_counter() - started:.1f}s)")
-
-
-def build_tax(types, edges, tables=None, synthetic=()):
-    tax = Taxonomy()
-    tables = tables or {}
-    for t in types:
-        tax.add_type(
-            EntityType(id=t, name=t, tables=set(tables.get(t, ())), synthetic=t in synthetic)
-        )
-    for p, c in edges:
-        tax.add_edge(p, c)
-    return tax
-
-
-def gt_from(types, edges, annotations):
-    tables = {t: set() for t in types}
-    for table, path in annotations.items():
-        tables[path[-1]].add(table)
-    tax = build_tax(types, edges, tables=tables)
-    per_table = {table: list(path) for table, path in annotations.items()}
-    return GroundTruth(taxonomy=tax, per_table=per_table)
 
 
 # --- criterion 1: metric oracle equivalence -----------------------------------------

@@ -1,15 +1,13 @@
 from __future__ import annotations
 
 import errno
-import json
 import os
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import tracemalloc
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +29,9 @@ from taxoforge.embedding import (
 )
 from taxoforge.errors import BackendError, DimensionMismatchError
 
+from .builders import table_of
+from .httpstub import Reply, serve
 from .oracles import reference_local_hash
-
-
-def table_of(headers, columns, table_id="t"):
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return Table.from_rows(id=table_id, headers=headers, rows=rows)
 
 
 # --- serialization ---------------------------------------------------------
@@ -375,88 +370,71 @@ def test_embed_columns_identical_texts_identical_vectors():
 # --- remote provider ----------------------------------------------------------
 
 
-class EmbedHandler(BaseHTTPRequestHandler):
-    fail_first = 0
-    fail_status = 500
-    dim = 4
-    fill = None  # every component takes this value when set
-    reply = None  # JSON sent instead of the vectors when set
-    seen_auth: list[str] = []
+@dataclass
+class EmbedStub:
+    fail_first: int = 0
+    fail_status: int = 500
+    dim: int = 4
+    fill: object = None  # every component takes this value when set
+    reply: object = None  # JSON sent instead of the vectors when set
+    seen_auth: list[str] = field(default_factory=list)
+    url: str = ""
 
-    def do_POST(self):
-        cls = type(self)
-        cls.seen_auth.append(self.headers.get("Authorization", ""))
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if cls.fail_first > 0:
-            cls.fail_first -= 1
-            self.send_response(cls.fail_status)
-            self.end_headers()
-            self.wfile.write(b"boom")
-            return
+    def answer(self, request) -> Reply:
+        self.seen_auth.append(request.headers.get("Authorization", ""))
+        if self.fail_first > 0:
+            self.fail_first -= 1
+            return Reply(b"boom", self.fail_status)
         data = [
-            {"embedding": [float(len(text)) if cls.fill is None else cls.fill] * cls.dim}
-            for text in body["input"]
+            {"embedding": [float(len(text)) if self.fill is None else self.fill] * self.dim}
+            for text in request.json["input"]
         ]
-        payload = json.dumps({"data": data} if cls.reply is None else cls.reply).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
+        return Reply({"data": data} if self.reply is None else self.reply)
 
 
 @pytest.fixture()
 def embed_server():
-    server = HTTPServer(("127.0.0.1", 0), EmbedHandler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    EmbedHandler.fail_first = 0
-    EmbedHandler.fail_status = 500
-    EmbedHandler.fill = None
-    EmbedHandler.reply = None
-    EmbedHandler.seen_auth = []
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
+    stub = EmbedStub()
+    with serve(stub.answer) as stub.url:
+        yield stub
 
 
 def test_remote_provider_roundtrip(embed_server, monkeypatch):
     monkeypatch.setenv("TAXOFORGE_API_KEY", "sekret")
     monkeypatch.setattr("taxoforge.embedding.EMBED_BATCH_SIZE", 2)
-    provider = RemoteProvider(url=embed_server, model="m")
+    provider = RemoteProvider(url=embed_server.url, model="m")
     vecs = provider.embed_texts(["a", "bb", "ccc"])
     assert vecs.shape == (3, 4)
     assert vecs[1][0] == 2.0
-    assert all(auth == "Bearer sekret" for auth in EmbedHandler.seen_auth)
+    assert all(auth == "Bearer sekret" for auth in embed_server.seen_auth)
 
 
 def test_remote_provider_retries_then_succeeds(embed_server, sleeps):
-    EmbedHandler.fail_first = 2
-    provider = RemoteProvider(url=embed_server, model="m")
+    embed_server.fail_first = 2
+    provider = RemoteProvider(url=embed_server.url, model="m")
     vecs = provider.embed_texts(["abc"])
     assert vecs.shape == (1, 4)
     assert sleeps == [1, 2]
 
 
 def test_remote_provider_error_after_retries(embed_server, sleeps):
-    EmbedHandler.fail_first = 99
-    provider = RemoteProvider(url=embed_server, model="m")
+    embed_server.fail_first = 99
+    provider = RemoteProvider(url=embed_server.url, model="m")
     with pytest.raises(BackendError) as err:
         provider.embed_texts(["abc"])
     assert err.value.status == 500
     assert err.value.body == "boom"
-    assert len(EmbedHandler.seen_auth) == 3
+    assert len(embed_server.seen_auth) == 3
     assert sleeps == [1, 2]
 
 
 def test_remote_provider_401_is_sent_once(embed_server, sleeps):
-    EmbedHandler.fail_first, EmbedHandler.fail_status = 99, 401
-    provider = RemoteProvider(url=embed_server, model="m")
+    embed_server.fail_first, embed_server.fail_status = 99, 401
+    provider = RemoteProvider(url=embed_server.url, model="m")
     with pytest.raises(BackendError) as err:
         provider.embed_texts(["abc"])
     assert err.value.status == 401
-    assert len(EmbedHandler.seen_auth) == 1
+    assert len(embed_server.seen_auth) == 1
     assert sleeps == []
 
 
@@ -482,25 +460,25 @@ def test_remote_provider_401_is_sent_once(embed_server, sleeps):
     ],
 )
 def test_remote_provider_malformed_200(embed_server, sleeps, reply, texts):
-    EmbedHandler.reply = reply
-    provider = RemoteProvider(url=embed_server, model="m")
+    embed_server.reply = reply
+    provider = RemoteProvider(url=embed_server.url, model="m")
     with pytest.raises(BackendError):
         provider.embed_texts(texts)
-    assert len(EmbedHandler.seen_auth) == 1
+    assert len(embed_server.seen_auth) == 1
     assert sleeps == []
 
 
 @pytest.mark.parametrize("n_texts", [1, 3])
 def test_remote_provider_wrong_vector_count(embed_server, n_texts):
-    EmbedHandler.reply = {"data": [{"embedding": [1.0, 2.0]}] * 2}
-    provider = RemoteProvider(url=embed_server, model="m")
+    embed_server.reply = {"data": [{"embedding": [1.0, 2.0]}] * 2}
+    provider = RemoteProvider(url=embed_server.url, model="m")
     with pytest.raises(BackendError, match=f"expected {n_texts} vectors, got 2"):
         provider.embed_texts([f"t{i}" for i in range(n_texts)])
 
 
 def test_remote_provider_nan_vector_is_not_cached(embed_server, tmp_path):
-    EmbedHandler.fill = float("nan")
-    service = EmbeddingService(RemoteProvider(url=embed_server, model="m"), cache_dir=tmp_path)
+    embed_server.fill = float("nan")
+    service = EmbeddingService(RemoteProvider(url=embed_server.url, model="m"), cache_dir=tmp_path)
     with pytest.raises(BackendError):
         service.embed_texts(["abc", "de"])
     assert list(tmp_path.iterdir()) == []
@@ -528,17 +506,17 @@ def test_remote_provider_nan_vector_is_not_cached(embed_server, tmp_path):
     ],
 )
 def test_run_remote_embedder_failure_exits_1(
-    embed_server, sleeps, planted_dir, tmp_path, capsys, monkeypatch, stub
+    embed_server, sleeps, planted_dir, tmp_path, capsys, stub
 ):
     for name, value in stub.items():
-        monkeypatch.setattr(EmbedHandler, name, value)
+        setattr(embed_server, name, value)
     cache_dir = tmp_path / "cache"
     code = main(
         [
             "run",
             "--method", "emtt",
             "--embedder", "remote",
-            "--embed-url", embed_server,
+            "--embed-url", embed_server.url,
             "--tables-dir", str(planted_dir / "tables"),
             "--out-dir", str(tmp_path / "out"),
             "--cache-dir", str(cache_dir),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from .builders import table_of
 from .oracles import (
     emission_height,
     oracle_prune as shared_oracle_prune,
@@ -14,7 +15,7 @@ from .oracles import (
     table_attribute_distance,
 )
 from taxoforge.clustering import DistanceMatrix, agglomerate, cut, euclidean_matrix, silhouette
-from taxoforge.corpus import Corpus, Table, ingest
+from taxoforge.corpus import Corpus, ingest
 from taxoforge.embedding import ColumnRef, EmbeddingService, LocalHashProvider
 from taxoforge.emtt import (
     identify_attributes,
@@ -31,11 +32,6 @@ def service():
     return EmbeddingService(LocalHashProvider(dim=64))
 
 
-def table_of(table_id, headers, columns):
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return Table.from_rows(id=table_id, headers=headers, rows=rows)
-
-
 def two_domain_corpus() -> tuple[Corpus, dict[str, int]]:
     """8 company + 8 movie tables with disjoint subject vocabularies."""
     companies = ["Acme Ltd", "Binko Corp", "Crate Co", "Dynamo Plc", "Evershed", "Fulcrum"]
@@ -43,11 +39,11 @@ def two_domain_corpus() -> tuple[Corpus, dict[str, int]]:
     tables = []
     plant = {}
     for i in range(8):
-        tables.append(table_of(f"com_{i}", ["company", f"metric_{i}"],
-                               [companies, [str(100 + i * 7 + j) for j in range(6)]]))
+        tables.append(table_of(["company", f"metric_{i}"],
+                               [companies, [str(100 + i * 7 + j) for j in range(6)]], f"com_{i}"))
         plant[f"com_{i}"] = 0
-        tables.append(table_of(f"mov_{i}", ["film_title", f"figure_{i}"],
-                               [movies, [str(500 + i * 3 + j) for j in range(6)]]))
+        tables.append(table_of(["film_title", f"figure_{i}"],
+                               [movies, [str(500 + i * 3 + j) for j in range(6)]], f"mov_{i}"))
         plant[f"mov_{i}"] = 1
     tables.sort(key=lambda t: t.id)
     return Corpus(tables=tables), plant
@@ -66,7 +62,7 @@ def test_identify_top_level_planted_split():
 
 
 def test_identify_top_level_single_table():
-    t = table_of("solo", ["name"], [["Ada", "Bo"]])
+    t = table_of(["name"], [["Ada", "Bo"]], "solo")
     corpus = Corpus(tables=[t])
     tlts = identify_top_level(corpus, service(), assign_subjects(corpus))
     assert len(tlts) == 1
@@ -80,8 +76,8 @@ def attributes_of(table_ids, corpus):
 
 def test_identify_attributes_shared_vocab_merges():
     cities = ["Paris", "Lyon", "Nice", "Lille"]
-    t1 = table_of("t1", ["location", "staff"], [cities, ["5", "8", "5", "9"]])
-    t2 = table_of("t2", ["place", "budget"], [cities, ["100", "330", "87", "12"]])
+    t1 = table_of(["location", "staff"], [cities, ["5", "8", "5", "9"]], "t1")
+    t2 = table_of(["place", "budget"], [cities, ["100", "330", "87", "12"]], "t2")
     corpus = Corpus(tables=[t1, t2])
     attrs = attributes_of(["t1", "t2"], corpus)
     by_col = {}
@@ -103,7 +99,7 @@ def test_identify_attributes_partition_property():
 
 
 def test_identify_attributes_single_column():
-    t = table_of("t1", ["only"], [["x", "y"]])
+    t = table_of(["only"], [["x", "y"]], "t1")
     corpus = Corpus(tables=[t])
     attrs = attributes_of(["t1"], corpus)
     assert len(attrs) == 1
@@ -320,7 +316,7 @@ def test_run_emtt_identical_attributes_no_subtypes():
     for prefix, names in groups.items():
         for i in range(3):
             tables.append(
-                table_of(f"{prefix}_{i}", ["name", "stock"], [names, ["12", "9", "4"]])
+                table_of(["name", "stock"], [names, ["12", "9", "4"]], f"{prefix}_{i}")
             )
     tables.sort(key=lambda t: t.id)
     corpus = Corpus(tables=tables)

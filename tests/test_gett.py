@@ -42,21 +42,17 @@ from taxoforge.metrics import load_ground_truth, report
 GOLDEN = Path(__file__).parent / "golden" / "generation_prompt.txt"
 
 
-def table_of(table_id, headers, rows):
-    return Table.from_rows(id=table_id, headers=headers, rows=rows)
-
-
 # --- generation ---------------------------------------------------------------
 
 
 def test_generate_types_script_contract():
-    t = table_of("t", ["name"], [["General Hospital"], ["City Clinic"]])
+    t = Table.from_rows(id="t", headers=["name"], rows=[["General Hospital"], ["City Clinic"]])
     backend = ScriptedChatBackend([("General Hospital", "Hospital, Medical Clinic")])
     assert generate_types(t, backend, seed=0) == ["Hospital", "Medical Clinic"]
 
 
 def test_generation_prompt_row_count():
-    t = table_of("t", ["a", "b"], [["1", "2"], ["3", "4"], ["5", "6"]])
+    t = Table.from_rows(id="t", headers=["a", "b"], rows=[["1", "2"], ["3", "4"], ["5", "6"]])
     block = serialize_table_block(t, seed=1)
     lines = block.splitlines()
     assert lines[0] == "a, b"
@@ -83,7 +79,7 @@ def test_generation_prompt_golden():
 
 
 def test_generate_types_repair_path(tmp_path):
-    t = table_of("t", ["name"], [["Mercy General"]])
+    t = Table.from_rows(id="t", headers=["name"], rows=[["Mercy General"]])
     backend = ScriptedChatBackend(
         [("could not be parsed", "Hospital"), ("Mercy General", "   ")]
     )
@@ -93,7 +89,7 @@ def test_generate_types_repair_path(tmp_path):
 
 
 def test_generate_types_fails_after_repair():
-    t = table_of("t", ["name"], [["Mercy General"]])
+    t = Table.from_rows(id="t", headers=["name"], rows=[["Mercy General"]])
     backend = ScriptedChatBackend([("", "  ")])
     with pytest.raises(GenerationFailedError):
         generate_types(t, backend, seed=0)
@@ -492,7 +488,9 @@ def test_run_gett_aborts_as_soon_as_half_rule_is_lost(gett_dir):
 
 
 def test_run_gett_starts_no_table_after_half_rule_is_lost():
-    corpus = Corpus(tables=[table_of(f"t{i:02d}", ["name"], [[f"row {i}"]]) for i in range(40)])
+    corpus = Corpus(
+        tables=[Table.from_rows(id=f"t{i:02d}", headers=["name"], rows=[[f"row {i}"]]) for i in range(40)]
+    )
     backend = OutageBackend(ScriptedChatBackend([]), "")
     with pytest.raises(PipelineAbortedError, match="21/40 tables failed type generation"):
         run_gett(corpus, backend, EdgeFilter(ConstantScorer()), seed=7)
@@ -511,7 +509,9 @@ class SlowFirstOutage(OutageBackend):
 
 def test_run_gett_stops_starting_tables_while_the_first_one_is_still_running():
     # t00 returns last, so the other tables' failures are all that can stop the run
-    corpus = Corpus(tables=[table_of(f"t{i:02d}", ["name"], [[f"row {i}"]]) for i in range(40)])
+    corpus = Corpus(
+        tables=[Table.from_rows(id=f"t{i:02d}", headers=["name"], rows=[[f"row {i}"]]) for i in range(40)]
+    )
     backend = SlowFirstOutage(ScriptedChatBackend([]), "")
     # the calls' threads count their failures; switch between them as often as possible
     interval = sys.getswitchinterval()
@@ -658,7 +658,10 @@ OUTAGE_KINDS = "ok down blank down ok blank down blank down ok down blank down b
 def test_aborted_run_is_the_same_at_max_in_flight_and_at_one(tmp_path, caplog, monkeypatch):
     kinds = OUTAGE_KINDS.split()
     corpus = Corpus(
-        tables=[table_of(f"t{i:02d}", ["name"], [[f"{kind} row {i}"]]) for i, kind in enumerate(kinds)]
+        tables=[
+            Table.from_rows(id=f"t{i:02d}", headers=["name"], rows=[[f"{kind} row {i}"]])
+            for i, kind in enumerate(kinds)
+        ]
     )
     script = ScriptedChatBackend([("blank", "  "), ("", "Hospital")])
     caplog.set_level(logging.WARNING, logger="taxoforge.gett")
@@ -690,7 +693,7 @@ def test_aborted_run_is_the_same_at_max_in_flight_and_at_one(tmp_path, caplog, m
 
 
 def test_run_gett_single_table():
-    corpus = Corpus(tables=[table_of("t1", ["name"], [["Mercy General"]])])
+    corpus = Corpus(tables=[Table.from_rows(id="t1", headers=["name"], rows=[["Mercy General"]])])
     backend = ScriptedChatBackend(
         [
             ("Mercy General", "Hospital"),

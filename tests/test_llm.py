@@ -4,8 +4,7 @@ import io
 import json
 import socket
 import socketserver
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +20,8 @@ from taxoforge.llm import (
     complete,
 )
 from taxoforge.remote import MAX_ATTEMPTS, MAX_IN_FLIGHT, post_json
+
+from .httpstub import Reply, serve
 
 
 # --- scripted backend -----------------------------------------------------------
@@ -106,63 +107,39 @@ def test_chat_request_validation():
 # --- remote backend -----------------------------------------------------------------
 
 
-class ChatHandler(BaseHTTPRequestHandler):
-    fail_first = 0
-    fail_status = 503  # an HTTP status, or bytes sent in place of the status line
-    reply = None  # sent instead of the completion when set: JSON, or bytes as they are
-    posts = 0
-    last_payload = None
+COMPLETION = {"choices": [{"message": {"content": "Hospital\nClinic"}, "finish_reason": "stop"}]}
 
-    def do_POST(self):
-        cls = type(self)
-        cls.posts += 1
-        cls.last_payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if cls.fail_first > 0:
-            cls.fail_first -= 1
-            if isinstance(cls.fail_status, bytes):
-                self.wfile.write(cls.fail_status + b"\r\n\r\n")
-                return
-            self.send_response(cls.fail_status)
-            self.end_headers()
-            return
-        body = {
-            "choices": [
-                {
-                    "message": {"content": "Hospital\nClinic"},
-                    "finish_reason": "stop",
-                }
-            ]
-        }
-        reply = body if cls.reply is None else cls.reply
-        data = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(data)
 
-    def log_message(self, *args):
-        pass
+@dataclass
+class ChatStub:
+    fail_first: int = 0
+    fail_status: int | bytes = 503  # an HTTP status, or bytes sent in place of the status line
+    reply: object = None  # sent instead of the completion when set: JSON, or bytes as they are
+    posts: int = 0
+    last_payload: dict | None = None
+    url: str = ""
+
+    def answer(self, request) -> Reply:
+        self.posts += 1
+        self.last_payload = request.json
+        if self.fail_first > 0:
+            self.fail_first -= 1
+            return Reply(status=self.fail_status)
+        return Reply(COMPLETION if self.reply is None else self.reply)
 
 
 @pytest.fixture()
 def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), ChatHandler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    ChatHandler.fail_first = 0
-    ChatHandler.fail_status = 503
-    ChatHandler.reply = None
-    ChatHandler.posts = 0
-    ChatHandler.last_payload = None
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
+    stub = ChatStub()
+    with serve(stub.answer) as stub.url:
+        yield stub
 
 
 def test_remote_backend_roundtrip(chat_server):
-    backend = RemoteChatBackend(base_url=chat_server, model="test-model")
+    backend = RemoteChatBackend(base_url=chat_server.url, model="test-model")
     resp = backend.complete(ChatRequest(user="hello"))
     assert resp.text == "Hospital\nClinic"
-    assert ChatHandler.last_payload == {
+    assert chat_server.last_payload == {
         "model": "test-model",
         "messages": [{"role": "user", "content": "hello"}],
         "temperature": 0.0,
@@ -171,45 +148,45 @@ def test_remote_backend_roundtrip(chat_server):
 
 
 def test_remote_backend_retries(chat_server, sleeps):
-    ChatHandler.fail_first = 2
-    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
+    chat_server.fail_first = 2
+    backend = RemoteChatBackend(base_url=chat_server.url, max_retries=3)
     assert backend.complete(ChatRequest(user="x")).text == "Hospital\nClinic"
-    assert ChatHandler.posts == 3
+    assert chat_server.posts == 3
     assert sleeps == [1, 2]
 
 
 def test_remote_backend_fails_after_retries(chat_server, sleeps):
-    ChatHandler.fail_first = 99
-    backend = RemoteChatBackend(base_url=chat_server, max_retries=2)
+    chat_server.fail_first = 99
+    backend = RemoteChatBackend(base_url=chat_server.url, max_retries=2)
     with pytest.raises(BackendError) as err:
         backend.complete(ChatRequest(user="x"))
     assert err.value.status == 503
-    assert ChatHandler.posts == 2
+    assert chat_server.posts == 2
     assert sleeps == [1]
 
 
 def test_remote_backend_retries_429(chat_server, sleeps):
-    ChatHandler.fail_first, ChatHandler.fail_status = 1, 429
-    backend = RemoteChatBackend(base_url=chat_server)
+    chat_server.fail_first, chat_server.fail_status = 1, 429
+    backend = RemoteChatBackend(base_url=chat_server.url)
     assert backend.complete(ChatRequest(user="x")).text == "Hospital\nClinic"
     assert sleeps == [1]
 
 
 def test_remote_backend_retries_a_bad_status_line(chat_server, sleeps):
-    ChatHandler.fail_first, ChatHandler.fail_status = 2, b"NOT HTTP"
-    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
+    chat_server.fail_first, chat_server.fail_status = 2, b"NOT HTTP"
+    backend = RemoteChatBackend(base_url=chat_server.url, max_retries=3)
     assert backend.complete(ChatRequest(user="x")).text == "Hospital\nClinic"
-    assert ChatHandler.posts == 3
+    assert chat_server.posts == 3
     assert sleeps == [1, 2]
 
 
 def test_remote_backend_401_is_sent_once(chat_server, sleeps):
-    ChatHandler.fail_first, ChatHandler.fail_status = 99, 401
-    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
+    chat_server.fail_first, chat_server.fail_status = 99, 401
+    backend = RemoteChatBackend(base_url=chat_server.url, max_retries=3)
     with pytest.raises(BackendError) as err:
         backend.complete(ChatRequest(user="x"))
     assert err.value.status == 401
-    assert ChatHandler.posts == 1
+    assert chat_server.posts == 1
     assert sleeps == []
 
 
@@ -224,11 +201,11 @@ def test_remote_backend_401_is_sent_once(chat_server, sleeps):
     ],
 )
 def test_remote_backend_malformed_200(chat_server, sleeps, reply):
-    ChatHandler.reply = reply
-    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
+    chat_server.reply = reply
+    backend = RemoteChatBackend(base_url=chat_server.url, max_retries=3)
     with pytest.raises(BackendError):
         backend.complete(ChatRequest(user="x"))
-    assert ChatHandler.posts == 1
+    assert chat_server.posts == 1
     assert sleeps == []
 
 
@@ -250,12 +227,12 @@ def test_remote_backend_timeout_is_backend_error(silent_url, sleeps, monkeypatch
 
 def test_remote_backend_deeply_nested_reply_is_backend_error(chat_server, sleeps):
     # nested past the JSON decoder's recursion limit
-    ChatHandler.reply = b'{"a": ' * 100_000 + b"1" + b"}" * 100_000
-    backend = RemoteChatBackend(base_url=chat_server, max_retries=3)
+    chat_server.reply = b'{"a": ' * 100_000 + b"1" + b"}" * 100_000
+    backend = RemoteChatBackend(base_url=chat_server.url, max_retries=3)
     with pytest.raises(BackendError, match="response is not JSON") as err:
         backend.complete(ChatRequest(user="x"))
     assert err.value.status == 200
-    assert ChatHandler.posts == 1
+    assert chat_server.posts == 1
     assert sleeps == []
 
 
@@ -300,6 +277,36 @@ def test_post_json_payload_with_nan_fails_at_once(closed_url, sleeps):
     assert sleeps == []
 
 
+@pytest.mark.parametrize("status", [307, 308])
+def test_post_json_does_not_follow_a_307_or_308(status, sleeps):
+    methods = []
+
+    def answer(request):
+        methods.append(request.command)
+        return Reply(status=status, headers={"Location": "/moved"})
+
+    with serve(answer) as url, pytest.raises(BackendError) as err:
+        post_json(url, {}, timeout=5, retries=MAX_ATTEMPTS)
+    assert err.value.status == status
+    assert methods == ["POST"]
+    assert sleeps == []
+
+
+def test_post_json_follows_a_303_as_a_get(sleeps):
+    seen = []
+
+    def answer(request):
+        seen.append((request.command, request.path))
+        if request.command == "POST":
+            return Reply(status=303, headers={"Location": "/result"})
+        return Reply({"answer": 42})
+
+    with serve(answer) as url:
+        assert post_json(url + "/submit", {"x": 1}, timeout=5, retries=MAX_ATTEMPTS) == {"answer": 42}
+    assert seen == [("POST", "/submit"), ("GET", "/result")]
+    assert sleeps == []
+
+
 def test_max_in_flight_connects_fit_a_default_listen_queue():
     # a server that has accepted none of the connections yet: each one must
     # still be queued at once, not have its SYN dropped and wait 1 s for a resend
@@ -326,8 +333,8 @@ def gett_remote_args(gett_dir, url, out_dir):
 
 
 def test_run_remote_llm_malformed_response_exits_1(chat_server, sleeps, gett_dir, tmp_path, capsys):
-    ChatHandler.reply = {}
-    code = main(gett_remote_args(gett_dir, chat_server, tmp_path / "out"))
+    chat_server.reply = {}
+    code = main(gett_remote_args(gett_dir, chat_server.url, tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 1
     assert "error: " in err

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from .builders import build_tax, gt_from
 from .oracles import brute_purity, brute_rand_index, brute_tcs
 from taxoforge.emtt import EmttResult
 from taxoforge.metrics import (
@@ -14,29 +15,7 @@ from taxoforge.metrics import (
     rand_index,
     report,
 )
-from taxoforge.taxonomy import EntityType, Taxonomy
-
-
-def build_tax(types, edges, tables=None, synthetic=()):
-    tax = Taxonomy()
-    tables = tables or {}
-    for t in types:
-        tax.add_type(
-            EntityType(id=t, name=t, tables=set(tables.get(t, ())), synthetic=t in synthetic)
-        )
-    for p, c in edges:
-        tax.add_edge(p, c)
-    return tax
-
-
-def gt_from(types, edges, annotations):
-    """annotations: table -> path list (root first)."""
-    tables: dict[str, set[str]] = {t: set() for t in types}
-    for table, path in annotations.items():
-        tables[path[-1]].add(table)
-    tax = build_tax(types, edges, tables=tables)
-    per_table = {table: list(path) for table, path in annotations.items()}
-    return GroundTruth(taxonomy=tax, per_table=per_table)
+from taxoforge.taxonomy import Taxonomy
 
 
 # --- rand index ---------------------------------------------------------------

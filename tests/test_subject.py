@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from .builders import table_of
 from .oracles import reference_is_numeric_or_date
 from taxoforge.corpus import Table
 from taxoforge.subject import (
@@ -14,11 +15,6 @@ from taxoforge.subject import (
     load_overrides,
     score_columns,
 )
-
-
-def table_of(headers, columns, table_id="t"):
-    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
-    return Table.from_rows(id=table_id, headers=headers, rows=rows)
 
 
 def test_detect_prefers_distinct_text():
