@@ -192,6 +192,13 @@ def _load_gt(gt_path: str) -> metrics_mod.GroundTruth:
 
 def cmd_run(cfg: RunConfig) -> int:
     cfg.validate()
+    out_dir = Path(cfg.out_dir)
+    # an --out-dir that is not a directory, or lies under a file, is refused before any work
+    for path in (out_dir, *out_dir.parents):
+        if path.is_dir():
+            break
+        if path.exists():
+            raise ValueError(f"--out-dir {cfg.out_dir!r}: {str(path)!r} is not a directory")
     emtt = cfg.method == "emtt"
     if not emtt:
         # imported before the inputs are read: importing them with the corpus live raises peak memory
@@ -201,7 +208,6 @@ def cmd_run(cfg: RunConfig) -> int:
     gt = _load_gt(cfg.gt_path) if cfg.gt_path else None
     corpus = ingest(cfg.tables_dir)
     overrides = load_overrides(cfg.subject_col_map, corpus) if emtt and cfg.subject_col_map else None
-    out_dir = Path(cfg.out_dir)
     partial = False
     if emtt:
         from . import emtt as emtt_mod
@@ -223,14 +229,15 @@ def cmd_run(cfg: RunConfig) -> int:
             backend = llm_mod.RemoteChatBackend(base_url=cfg.llm_url, model=cfg.llm_model)
         else:
             backend = llm_mod.ScriptedChatBackend.from_file(cfg.script_path)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        transcript = llm_mod.TranscriptLogger(out_dir / "transcript.jsonl")
+        # every scorer but llm's is made before --out-dir: cosine's vector cache makes --cache-dir
         if cfg.edge_scorer == "constant":
             scorer = gett_mod.ConstantScorer()
-        elif cfg.edge_scorer == "llm":
-            scorer = gett_mod.LlmYesNoScorer(backend, transcript)
-        else:
+        elif cfg.edge_scorer == "cosine":
             scorer = gett_mod.EmbeddingCosineScorer(_make_embedding_service(cfg))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        transcript = llm_mod.TranscriptLogger(out_dir / "transcript.jsonl")
+        if cfg.edge_scorer == "llm":
+            scorer = gett_mod.LlmYesNoScorer(backend, transcript)
         result = gett_mod.run_gett(
             corpus,
             backend,

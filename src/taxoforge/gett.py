@@ -23,6 +23,7 @@ one after another.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import random
@@ -56,6 +57,7 @@ EDGE_TEMPLATES = (
 )
 
 
+@functools.cache
 def load_prompt(name: str) -> str:
     return resources.files("taxoforge").joinpath(f"prompts/{name}.txt").read_text("utf-8")
 
@@ -139,7 +141,6 @@ class LlmYesNoScorer:
     def __init__(self, backend, transcript: TranscriptLogger | None = None):
         self.backend = backend
         self.transcript = transcript
-        self._template = load_prompt("edge_yesno")
 
     def scores(self, edges: list[tuple[str, str]], threshold: float) -> list[float]:
         n = len(EDGE_TEMPLATES)
@@ -157,7 +158,8 @@ class LlmYesNoScorer:
         return [y / n if y / n >= threshold else (y + n - m) / n for y, m in zip(yes, asked)]
 
     def _vote(self, sentence: str, log: TranscriptBuffer) -> bool:
-        resp = complete(ChatRequest(user=self._template.format(sentence=sentence)), self.backend, log)
+        prompt = load_prompt("edge_yesno").format(sentence=sentence)
+        resp = complete(ChatRequest(user=prompt), self.backend, log)
         return resp.text.strip().casefold().startswith("yes")
 
 
@@ -391,7 +393,6 @@ def chain_of_layer(
     demonstration = complete(
         ChatRequest(user=load_prompt("layer_demonstration")), backend, transcript
     ).text
-    template = load_prompt("layer_step")
     layer = [root_name]
     for iteration in range(max_iters):
         if not unplaced:
@@ -400,7 +401,7 @@ def chain_of_layer(
         names = ", ".join(unplaced.values())
 
         def propose(parent: str, log: TranscriptBuffer) -> tuple[list[tuple[str, str]], bool]:
-            prompt = template.format(
+            prompt = load_prompt("layer_step").format(
                 demonstration=demonstration, outline=outline, candidates=names, parent=parent
             )
             return parse_edge_lines(complete(ChatRequest(user=prompt), backend, log).text)

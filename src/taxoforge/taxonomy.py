@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 from .errors import CycleError, UnknownTypeError, open_input
@@ -142,17 +143,9 @@ class Taxonomy:
         return count, depth
 
     def topological_order(self) -> list[str]:
-        indeg = {t: len(ps) for t, ps in self._parents.items()}
-        queue = sorted(t for t, d in indeg.items() if d == 0)
-        order: list[str] = []
-        while queue:
-            cur = queue.pop(0)
-            order.append(cur)
-            for child in sorted(self._children[cur]):
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    queue.append(child)
-        return order
+        """Every type id after its parents, whatever order the types and edges were added in."""
+        graph = {t: sorted(ps) for t, ps in sorted(self._parents.items())}
+        return list(TopologicalSorter(graph).static_order())
 
     # --- serialization ------------------------------------------------------
 

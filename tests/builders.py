@@ -1,10 +1,17 @@
-"""Small constructors of tables, taxonomies and ground truths that several test files share."""
+"""Small constructors of test inputs and ``run`` command lines that several test files share."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import taxoforge
 from taxoforge.corpus import Table
 from taxoforge.metrics import GroundTruth
 from taxoforge.taxonomy import EntityType, Taxonomy
+
+# the directory that holds the package: a child process's PYTHONPATH, so that the child
+# imports the same package as the tests, installed or not
+SRC_DIR = str(Path(taxoforge.__file__).resolve().parents[1])
 
 
 def table_of(headers, columns, table_id="t"):
@@ -33,3 +40,29 @@ def gt_from(types, edges, annotations):
     tax = build_tax(types, edges, tables=tables)
     per_table = {table: list(path) for table, path in annotations.items()}
     return GroundTruth(taxonomy=tax, per_table=per_table)
+
+
+def emtt_args(planted_dir, out_dir, extra=()):
+    """``run`` of emtt with local-hash on the planted fixture at seed 7; ``extra`` flags win."""
+    return [
+        "run",
+        "--method", "emtt",
+        "--embedder", "local-hash",
+        "--tables-dir", str(planted_dir / "tables"),
+        "--out-dir", str(out_dir),
+        "--seed", "7",
+        *extra,
+    ]
+
+
+def gett_args(gett_dir, out_dir, extra=(), script=None):
+    """``run`` of gett on the scripted fixture, or on the chat script at ``script``; ``extra`` flags win."""
+    return [
+        "run",
+        "--method", "gett",
+        "--llm", "scripted",
+        "--script-path", str(script or gett_dir / "script.json"),
+        "--tables-dir", str(gett_dir / "tables"),
+        "--out-dir", str(out_dir),
+        *extra,
+    ]

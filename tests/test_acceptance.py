@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from .builders import build_tax, gt_from
+from .builders import build_tax, gett_args, gt_from
 from .oracles import (
     brute_purity,
     brute_rand_index,
@@ -256,19 +256,7 @@ def test_criterion_5_gett_scripted(gett_dir, tmp_path):
         outputs = []
         for run in range(2):
             out_dir = tmp_path / f"run{run}"
-            code = cli_main(
-                [
-                    "run",
-                    "--method", "gett",
-                    "--llm", "scripted",
-                    "--script-path", str(gett_dir / "script.json"),
-                    "--tables-dir", str(gett_dir / "tables"),
-                    "--out-dir", str(out_dir),
-                    "--edge-scorer", "constant",
-                    "--seed", "11",
-                ]
-            )
-            assert code == 0
+            assert cli_main(gett_args(gett_dir, out_dir, ["--edge-scorer", "constant", "--seed", "11"])) == 0
             outputs.append(
                 (
                     (out_dir / "taxonomy.json").read_bytes(),

@@ -17,31 +17,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import taxoforge
-from taxoforge import cli, emtt, llm
+from taxoforge import cli, emtt, gett, llm, remote
 from taxoforge.cli import CHOICES, RunConfig, main
 from taxoforge.corpus import ingest
 from taxoforge.embedding import LocalHashProvider, VectorCache, cache_key, serialize_column
 from taxoforge.errors import BackendError
 
+from .builders import SRC_DIR, emtt_args, gett_args
 from .httpstub import Reply, serve
 from .test_llm import gett_remote_args
 
 
 def run_cli(*args) -> int:
     return main(list(args))
-
-
-def emtt_args(planted_dir, out_dir, extra=()):
-    return [
-        "run",
-        "--method", "emtt",
-        "--embedder", "local-hash",
-        "--tables-dir", str(planted_dir / "tables"),
-        "--out-dir", str(out_dir),
-        "--seed", "7",
-        *extra,
-    ]
 
 
 def test_run_emtt_happy_path(planted_dir, tmp_path, capsys):
@@ -74,18 +62,8 @@ def test_run_twice_byte_identical(planted_dir, tmp_path):
 
 def test_run_gett_scripted(gett_dir, tmp_path):
     out_dir = tmp_path / "out"
-    code = run_cli(
-        "run",
-        "--method", "gett",
-        "--llm", "scripted",
-        "--script-path", str(gett_dir / "script.json"),
-        "--tables-dir", str(gett_dir / "tables"),
-        "--out-dir", str(out_dir),
-        "--edge-scorer", "constant",
-        "--seed", "3",
-        "--gt-path", str(gett_dir / "gt"),
-    )
-    assert code == 0
+    extra = ["--edge-scorer", "constant", "--seed", "3", "--gt-path", str(gett_dir / "gt")]
+    assert main(gett_args(gett_dir, out_dir, extra)) == 0
     assert (out_dir / "transcript.jsonl").exists()
     rep = json.loads((out_dir / "report.json").read_text())
     assert rep["tcs"] == 1.0
@@ -115,23 +93,30 @@ GETT_GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("scorer", list(GETT_GOLDEN_DIGESTS))
 def test_run_gett_fixture_golden_digests(gett_dir, tmp_path, scorer):
     out_dir = tmp_path / "out"
-    code = run_cli(
-        "run",
-        "--method", "gett",
-        "--llm", "scripted",
-        "--script-path", str(gett_dir / "script.json"),
-        "--tables-dir", str(gett_dir / "tables"),
-        "--gt-path", str(gett_dir / "gt"),
-        "--out-dir", str(out_dir),
-        "--seed", "7",
-        "--edge-scorer", scorer,
-    )
-    assert code == 0
+    extra = ["--gt-path", str(gett_dir / "gt"), "--seed", "7", "--edge-scorer", scorer]
+    assert main(gett_args(gett_dir, out_dir, extra)) == 0
     digests = {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in GETT_GOLDEN_DIGESTS[scorer]
     }
     assert digests == GETT_GOLDEN_DIGESTS[scorer]
+
+
+def test_run_gett_reads_each_prompt_file_once(gett_dir, tmp_path, monkeypatch):
+    reads = []
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        if path.parent.name == "prompts":
+            reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    gett.load_prompt.cache_clear()
+    monkeypatch.setattr(Path, "read_text", counted)
+    # one call at a time: two first calls that race may each read the file, which is harmless
+    monkeypatch.setattr(remote, "MAX_IN_FLIGHT", 1)
+    assert main(gett_args(gett_dir, tmp_path / "out", ["--edge-scorer", "llm"])) == 0
+    assert sorted(reads) == ["edge_yesno.txt", "generation.txt", "layer_demonstration.txt", "layer_step.txt"]
 
 
 class EdgeVoteOutage(llm.ScriptedChatBackend):
@@ -155,17 +140,8 @@ def test_run_gett_fails_only_on_an_edge_vote_it_asks(gett_dir, tmp_path, capsys,
     monkeypatch.setattr(EdgeVoteOutage, "statement", statement)
     monkeypatch.setattr(llm, "ScriptedChatBackend", EdgeVoteOutage)
     out_dir = tmp_path / "out"
-    assert run_cli(
-        "run",
-        "--method", "gett",
-        "--llm", "scripted",
-        "--script-path", str(gett_dir / "script.json"),
-        "--tables-dir", str(gett_dir / "tables"),
-        "--gt-path", str(gett_dir / "gt"),
-        "--out-dir", str(out_dir),
-        "--seed", "7",
-        "--edge-scorer", "llm",
-    ) == code
+    extra = ["--gt-path", str(gett_dir / "gt"), "--seed", "7", "--edge-scorer", "llm"]
+    assert main(gett_args(gett_dir, out_dir, extra)) == code
     err = capsys.readouterr().err
     if code:
         assert err.splitlines() == ["error: HTTP 503: unavailable"]
@@ -237,7 +213,7 @@ def test_run_emtt_survives_a_file_size_limit(planted_dir, tmp_path):
     extra = ["--gt-path", str(planted_dir / "gt"), "--cache-dir", str(cache)]
     env = {
         "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1]),
+        "PYTHONPATH": SRC_DIR,
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     proc = subprocess.run(
@@ -514,15 +490,7 @@ def test_help_still_exits_0(capsys):
 
 
 def test_run_missing_script_path(gett_dir, tmp_path, capsys):
-    code = run_cli(
-        "run",
-        "--method", "gett",
-        "--llm", "scripted",
-        "--script-path", str(tmp_path / "absent.json"),
-        "--tables-dir", str(gett_dir / "tables"),
-        "--out-dir", str(tmp_path / "out"),
-    )
-    assert code == 1
+    assert main(gett_args(gett_dir, tmp_path / "out", script=tmp_path / "absent.json")) == 1
     assert "absent.json" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -568,43 +536,35 @@ def break_gt_taxonomy(tax: dict, case: str):
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
-def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
-    """Flags that put one bad input, named by ``case``, into an otherwise good emtt run."""
+def bad_run_input(case: str, planted_dir, gett_dir, tmp_path, out_dir) -> list[str]:
+    """The argv of an otherwise good emtt run, or gett run for a gett input, with the one bad
+    input named by ``case``."""
     if case == "empty-tables":
         (tmp_path / "empty").mkdir()
-        return ["--tables-dir", str(tmp_path / "empty")]
+        return emtt_args(planted_dir, out_dir, ["--tables-dir", str(tmp_path / "empty")])
     if case == "no-tables-dir":
-        return ["--tables-dir", ""]
+        return emtt_args(planted_dir, out_dir, ["--tables-dir", ""])
     if case == "scripted-llm-without-script":
-        return ["--method", "gett", "--llm", "scripted"]
+        return emtt_args(planted_dir, out_dir, ["--method", "gett", "--llm", "scripted"])
     if case == "remote-llm-without-url":
-        return ["--method", "gett", "--llm", "remote"]
+        return emtt_args(planted_dir, out_dir, ["--method", "gett", "--llm", "remote"])
     if case == "missing-overrides":
-        return ["--subject-col-map", str(tmp_path / "absent.csv")]
-    if case == "overrides-bad-col":
-        (tmp_path / "overrides.csv").write_text("# table_id,col_index\nveh_car_1,x\n", encoding="utf-8")
-        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
-    if case == "overrides-duplicate-table":
-        (tmp_path / "overrides.csv").write_text("uni_col_1,0\nuni_col_1,1\n", encoding="utf-8")
-        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
-    if case == "overrides-col-out-of-range":
-        (tmp_path / "overrides.csv").write_text("veh_car_1,0\nuni_col_1,99\n", encoding="utf-8")
-        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
-    if case == "overrides-col-negative":
-        (tmp_path / "overrides.csv").write_text("veh_car_1,0\nuni_col_1,-1\n", encoding="utf-8")
-        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
-    if case == "overrides-unknown-table":
-        (tmp_path / "overrides.csv").write_text("veh_car_1,0\nno_such_table,0\n", encoding="utf-8")
-        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
-    if case == "overrides-latin-1":
-        (tmp_path / "overrides.csv").write_bytes(b"# caf\xe9\nveh_car_1,0\n")
-        return ["--subject-col-map", str(tmp_path / "overrides.csv")]
-    if case == "config-latin-1":
-        (tmp_path / "run.cfg").write_bytes(b"# caf\xe9\nk_max=8\n")
-        return ["--config", str(tmp_path / "run.cfg")]
-    if case == "config-nul":
-        (tmp_path / "run.cfg").write_bytes(b"k_max=8\x00\n")
-        return ["--config", str(tmp_path / "run.cfg")]
+        return emtt_args(planted_dir, out_dir, ["--subject-col-map", str(tmp_path / "absent.csv")])
+    if case.startswith("overrides-"):
+        content = {
+            "overrides-bad-col": b"# table_id,col_index\nveh_car_1,x\n",
+            "overrides-duplicate-table": b"uni_col_1,0\nuni_col_1,1\n",
+            "overrides-col-out-of-range": b"veh_car_1,0\nuni_col_1,99\n",
+            "overrides-col-negative": b"veh_car_1,0\nuni_col_1,-1\n",
+            "overrides-unknown-table": b"veh_car_1,0\nno_such_table,0\n",
+            "overrides-latin-1": b"# caf\xe9\nveh_car_1,0\n",
+        }[case]
+        (tmp_path / "overrides.csv").write_bytes(content)
+        return emtt_args(planted_dir, out_dir, ["--subject-col-map", str(tmp_path / "overrides.csv")])
+    if case.startswith("config-"):
+        content = {"config-latin-1": b"# caf\xe9\nk_max=8\n", "config-nul": b"k_max=8\x00\n"}[case]
+        (tmp_path / "run.cfg").write_bytes(content)
+        return emtt_args(planted_dir, out_dir, ["--config", str(tmp_path / "run.cfg")])
     if case.startswith("table-"):
         shutil.copytree(planted_dir / "tables", tmp_path / "tables")
         content = {
@@ -614,13 +574,13 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
             "table-nul": b"name,city\nAda\x00,Paris\n",
         }[case]
         (tmp_path / "tables" / "uni_col_1.csv").write_bytes(content)
-        return ["--tables-dir", str(tmp_path / "tables")]
+        return emtt_args(planted_dir, out_dir, ["--tables-dir", str(tmp_path / "tables")])
     if case.startswith("annotations-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
         if case == "annotations-header-only":
             (gt_dir / "gt_annotations.csv").write_bytes(b"table_id,top_level,path\n\n")
-            return ["--gt-path", str(gt_dir)]
+            return emtt_args(planted_dir, out_dir, ["--gt-path", str(gt_dir)])
         line = {
             "annotations-duplicate-table": b"uni_col_1,Universities,Universities>Colleges",
             # one field past the csv module's default limit of 131072 characters
@@ -632,7 +592,7 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         }[case]
         with (gt_dir / "gt_annotations.csv").open("ab") as fh:
             fh.write(line + b"\n")
-        return ["--gt-path", str(gt_dir)]
+        return emtt_args(planted_dir, out_dir, ["--gt-path", str(gt_dir)])
     if case.startswith("gt-"):
         gt_dir = tmp_path / "gt"
         shutil.copytree(planted_dir / "gt", gt_dir)
@@ -641,7 +601,7 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         else:
             text = json.dumps(break_gt_taxonomy(json.loads((gt_dir / "gt_taxonomy.json").read_text()), case))
         (gt_dir / "gt_taxonomy.json").write_text(text, encoding="utf-8")
-        return ["--gt-path", str(gt_dir)]
+        return emtt_args(planted_dir, out_dir, ["--gt-path", str(gt_dir)])
     script = json.loads((gett_dir / "script.json").read_text())
     if case == "script-entry-without-response":
         del script[0]["response"]
@@ -654,6 +614,8 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         script_path.write_text(DEEP_JSON, encoding="utf-8")
     else:
         script_path.write_text(json.dumps(script), encoding="utf-8")
+    if case == "gett-cache-dir-is-file":
+        (tmp_path / "cache").write_bytes(b"")
     # the remote backends' URLs are read only when the run sends to them
     extra = {
         "gett-blank-root-name": ["--root-name", " "],
@@ -666,15 +628,10 @@ def bad_run_input(case: str, planted_dir, gett_dir, tmp_path) -> list[str]:
         "gett-embed-url-newline": [
             "--edge-scorer", "cosine", "--embedder", "remote", "--embed-url", "http://127.0.0.1:1/a\nb",
         ],
+        # the default scorer's vector cache makes --cache-dir
+        "gett-cache-dir-is-file": ["--edge-scorer", "cosine", "--cache-dir", str(tmp_path / "cache")],
     }.get(case, [])
-    return [
-        "--method", "gett",
-        "--llm", "scripted",
-        "--script-path", str(script_path),
-        "--tables-dir", str(gett_dir / "tables"),
-        "--edge-scorer", "constant",
-        *extra,
-    ]
+    return gett_args(gett_dir, out_dir, ["--edge-scorer", "constant", *extra], script=script_path)
 
 
 # each bad input and a part of the one error line it must give
@@ -726,19 +683,38 @@ BAD_RUN_INPUTS = {
     "gett-embed-url-newline": (
         "embed_url 'http://127.0.0.1:1/a\\nb': URL can't contain a space or control character (found '\\n')"
     ),
+    "gett-cache-dir-is-file": "File exists:",
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_RUN_INPUTS))
 def test_run_bad_input_fails_before_out_dir(planted_dir, gett_dir, tmp_path, capsys, case):
     out_dir = tmp_path / "out"
-    extra = bad_run_input(case, planted_dir, gett_dir, tmp_path)
-    assert main(emtt_args(planted_dir, out_dir, extra=extra)) == 1
+    assert main(bad_run_input(case, planted_dir, gett_dir, tmp_path, out_dir)) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert BAD_RUN_INPUTS[case] in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("method", ["emtt", "gett"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_run_refuses_an_out_dir_that_is_no_directory(planted_dir, gett_dir, tmp_path, capsys, caplog, method, under):
+    """Refused with one error line before any input is read or any pipeline step logs."""
+    caplog.set_level(logging.INFO)
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    out_dir = blocker / "out" if under else blocker
+    if method == "emtt":
+        argv = emtt_args(planted_dir, out_dir, ["--gt-path", str(planted_dir / "gt")])
+    else:
+        argv = gett_args(gett_dir, out_dir, ["--edge-scorer", "constant"])
+    assert main(argv) == 1
+    message = f"error: --out-dir {str(out_dir)!r}: {str(blocker)!r} is not a directory"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert caplog.records == []
+    assert blocker.read_bytes() == b""
 
 
 def test_config_file_with_flag_override(planted_dir, tmp_path):
@@ -840,16 +816,7 @@ def test_validate_bounds_embed_dim_from_above():
 def test_run_gett_cosine_remote_embedder_requires_embed_url(gett_dir, tmp_path, capsys):
     # the default cosine edge scorer embeds, so the check must come before any chat call
     out_dir = tmp_path / "out"
-    code = run_cli(
-        "run",
-        "--method", "gett",
-        "--llm", "scripted",
-        "--script-path", str(gett_dir / "script.json"),
-        "--tables-dir", str(gett_dir / "tables"),
-        "--out-dir", str(out_dir),
-        "--embedder", "remote",
-    )
-    assert code == 1
+    assert main(gett_args(gett_dir, out_dir, ["--embedder", "remote"])) == 1
     assert "remote embedder requires --embed-url" in capsys.readouterr().err
     assert not out_dir.exists()
 
@@ -858,21 +825,15 @@ def test_commands_load_only_the_modules_they_use(planted_dir, gett_dir, tmp_path
     # numpy is imported only where a run embeds or clusters, gett and llm only by a gett run,
     # and no subcommand imports requests
     gt_taxonomy = str(planted_dir / "gt" / "gt_taxonomy.json")
+    gett_modules = ["taxoforge.gett", "taxoforge.llm"]
     commands = {
         "stats": (["stats", gt_taxonomy], []),
         "eval": (["eval", gt_taxonomy, "--gt", str(planted_dir / "gt")], []),
         "gett-constant": (
-            [
-                "run",
-                "--method", "gett",
-                "--llm", "scripted",
-                "--script-path", str(gett_dir / "script.json"),
-                "--tables-dir", str(gett_dir / "tables"),
-                "--out-dir", str(tmp_path / "gett"),
-                "--edge-scorer", "constant",
-            ],
-            ["taxoforge.gett", "taxoforge.llm"],
+            gett_args(gett_dir, tmp_path / "gett-constant", ["--edge-scorer", "constant"]), gett_modules
         ),
+        "gett-llm": (gett_args(gett_dir, tmp_path / "gett-llm", ["--edge-scorer", "llm"]), gett_modules),
+        "gett-cosine": (gett_args(gett_dir, tmp_path / "gett-cosine"), ["numpy", *gett_modules]),
         "emtt": (emtt_args(planted_dir, tmp_path / "emtt"), ["numpy"]),
     }
     code = (
@@ -882,15 +843,14 @@ def test_commands_load_only_the_modules_they_use(planted_dir, gett_dir, tmp_path
         "watched = {'numpy', 'requests', 'taxoforge.gett', 'taxoforge.llm'}\n"
         "print(json.dumps(sorted(watched & set(sys.modules))))\n"
     )
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC_DIR}
     for name, (argv, loaded) in commands.items():
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, (name, proc.stderr)
         assert json.loads(proc.stdout.splitlines()[-1]) == loaded, name
-    assert (tmp_path / "gett" / "taxonomy.json").exists()
-    assert (tmp_path / "emtt" / "taxonomy.json").exists()
+        assert argv[0] != "run" or (tmp_path / name / "taxonomy.json").exists(), name
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
@@ -903,7 +863,7 @@ def test_emtt_run_starts_no_blas_worker_thread(planted_dir, tmp_path):
         "assert 'numpy' in sys.modules\n"
         "print(len(os.listdir('/proc/self/task')))\n"
     )
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC_DIR}
     argv = emtt_args(planted_dir, tmp_path / "out")
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, env=env
@@ -938,23 +898,11 @@ def test_run_twice_byte_identical_across_processes(gett_dir, tmp_path):
     outputs = []
     for run, hash_seed in enumerate(("1", "42")):
         out_dir = tmp_path / f"o{run}"
-        cmd = [
-            sys.executable, "-m", "taxoforge.cli", "run",
-            "--method", "gett",
-            "--llm", "scripted",
-            "--script-path", str(gett_dir / "script.json"),
-            "--tables-dir", str(gett_dir / "tables"),
-            "--out-dir", str(out_dir),
-            "--edge-scorer", "constant",
-            "--seed", "5",
-        ]
-        env = {
-            "PATH": "/usr/bin:/bin",
-            "PYTHONHASHSEED": hash_seed,
-            # the child must import the same package as this process, installed or not
-            "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1]),
-        }
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        argv = gett_args(gett_dir, out_dir, ["--edge-scorer", "constant", "--seed", "5"])
+        env = {"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hash_seed, "PYTHONPATH": SRC_DIR}
+        proc = subprocess.run(
+            [sys.executable, "-m", "taxoforge.cli", *argv], capture_output=True, text=True, env=env
+        )
         assert proc.returncode == 0, proc.stderr
         outputs.append(
             ((out_dir / "taxonomy.json").read_bytes(), (out_dir / "transcript.jsonl").read_bytes())
@@ -1011,14 +959,5 @@ def test_run_gett_partial_failure_exit_code(gett_dir, tmp_path):
     script_path = tmp_path / "script.json"
     script_path.write_text(json.dumps(script), encoding="utf-8")
     out_dir = tmp_path / "out"
-    code = run_cli(
-        "run",
-        "--method", "gett",
-        "--llm", "scripted",
-        "--script-path", str(script_path),
-        "--tables-dir", str(gett_dir / "tables"),
-        "--out-dir", str(out_dir),
-        "--edge-scorer", "constant",
-    )
-    assert code == 2
+    assert main(gett_args(gett_dir, out_dir, ["--edge-scorer", "constant"], script=script_path)) == 2
     assert (out_dir / "taxonomy.json").exists()

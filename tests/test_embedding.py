@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import taxoforge
 from taxoforge.cli import main
 from taxoforge.corpus import Table, Corpus
 from taxoforge.embedding import (
@@ -29,7 +28,7 @@ from taxoforge.embedding import (
 )
 from taxoforge.errors import BackendError, DimensionMismatchError
 
-from .builders import table_of
+from .builders import SRC_DIR, table_of
 from .httpstub import Reply, serve
 from .oracles import reference_local_hash
 
@@ -153,7 +152,7 @@ def test_vectors_and_cosine_scores_do_not_depend_on_the_blas_thread_count():
         "scorer = EmbeddingCosineScorer(EmbeddingService(LocalHashProvider(4096)))\n"
         "print([score.hex() for score in scorer.scores(edges, 0.5)])\n"
     )
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC_DIR}
     outputs = []
     for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**env, **extra})
@@ -295,7 +294,7 @@ for i in range(500):
 
 def test_cache_writers_in_four_processes_lose_no_record(tmp_path):
     """Four processes putting 500 distinct keys each into one directory at once: every record lands once."""
-    env = {**os.environ, "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
     writers = [
         subprocess.Popen(
             [sys.executable, "-c", PUTTER, str(tmp_path), prefix],

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-import taxoforge
+from .builders import SRC_DIR
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GETT = FIXTURES / "gett"
@@ -31,7 +31,7 @@ RUNNING = "%d.%d" % sys.version_info[:2]
 # bytecode of its own version beside it
 ENV = {
     "PATH": os.defpath,
-    "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1]),
+    "PYTHONPATH": SRC_DIR,
     "PYTHONDONTWRITEBYTECODE": "1",
 }
 

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import taxoforge
 from taxoforge import pool
 from taxoforge.errors import CycleError, DimensionMismatchError, TaxoforgeError
+
+from .builders import SRC_DIR
 
 
 @pytest.fixture()
@@ -175,7 +176,7 @@ pool.run(sleep, [0, 1], [1, 1])
 
 def test_sigterm_kills_and_reaps_every_worker_then_the_process(tmp_path):
     pid_file = tmp_path / "worker.pid"
-    env = {**os.environ, "PYTHONPATH": str(Path(taxoforge.__file__).resolve().parents[1])}
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
     proc = subprocess.Popen([sys.executable, "-c", SLEEPING_POOL, str(pid_file)], env=env)
     worker = None
     try:

@@ -117,6 +117,16 @@ def test_serialization_deterministic():
     assert t1.to_json() == t2.to_json()
 
 
+def test_topological_order_ignores_insertion_order():
+    edges = [("z", "b"), ("z", "a"), ("b", "a"), ("m", "a"), ("a", "c"), ("m", "c")]
+    forward = build(["z", "b", "m", "a", "c"], edges)
+    backward = build(["c", "a", "m", "b", "z"], edges[::-1])
+    order = forward.topological_order()
+    assert backward.topological_order() == order
+    assert sorted(order) == ["a", "b", "c", "m", "z"]
+    assert all(order.index(p) < order.index(c) for p, c in edges)
+
+
 @st.composite
 def random_dag(draw):
     n = draw(st.integers(min_value=1, max_value=10))
