@@ -103,8 +103,8 @@ class RemoteProvider:
     """Client for a JSON embeddings endpoint; retries and errors come from ``remote.post_json``.
 
     POSTs ``{"model": ..., "input": [texts]}`` and expects order-preserving
-    ``{"data": [{"embedding": [...]}, ...]}`` with one finite vector per text,
-    all of one dimension.
+    ``{"data": [{"embedding": [...]}, ...]}`` with one non-empty finite vector
+    per text, all of one dimension.
     """
 
     def __init__(self, url: str, model: str):
@@ -133,8 +133,8 @@ class RemoteProvider:
             matrix = np.array([vec for batch in results for vec in batch], dtype=np.float32)
         except (TypeError, ValueError) as exc:
             raise BackendError("embeddings are not equal-length lists of numbers") from exc
-        if matrix.ndim != 2 or not np.isfinite(matrix).all():
-            raise BackendError("embeddings are not finite vectors")
+        if matrix.ndim != 2 or matrix.shape[1] == 0 or not np.isfinite(matrix).all():
+            raise BackendError("embeddings are not non-empty finite vectors")
         return matrix
 
 
@@ -153,16 +153,20 @@ class VectorCache:
 
     A record is a uint16 key length, the UTF-8 key, a uint32 dim, a CRC32 of
     the record's other bytes, then ``dim`` float32 values, all little-endian.
-    The first whole record of a key whose CRC matches and whose values are
-    all finite wins; a record whose CRC fails is skipped, with a warning
-    unless the pack holds a whole record of the key as parsed. On
-    first use one read under a shared ``flock`` indexes the pack. ``put``
-    takes an exclusive ``flock``, indexes what other writers appended since,
-    truncates a tail cut short by a crashed writer, then appends, so
-    processes may share a directory. Nothing else in the directory is read.
-    The cache only saves work, so the first ``put`` that fails with an
-    ``OSError`` (a short write, ``EFBIG``, ``ENOSPC``) logs one warning and
-    turns writes off for the life of this cache; reads go on.
+    A record is usable when its CRC matches and its values are all finite,
+    and the first usable record of a key wins; any other record is skipped,
+    with a warning naming the file and offset, until its key is appended
+    again. Making the cache indexes an existing pack once, under a shared
+    ``flock``; a missing pack is made by the first ``put``, which is also
+    when a pack another process made since is first read. ``put`` takes an
+    exclusive ``flock``, indexes what other writers appended since,
+    truncates a tail cut short by a crashed writer, then appends a finite
+    vector unless its key has a usable record, so processes may share a
+    directory and a ``put`` alone heals a skipped record. Nothing else in
+    the directory is read. The cache only saves work, so the first ``put``
+    that fails with an ``OSError`` (a short write, ``EFBIG``, ``ENOSPC``)
+    logs one warning and turns writes off for the life of this cache; reads
+    go on.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -173,27 +177,25 @@ class VectorCache:
         self._index: dict[str, int] = {}
         self._end = 0  # the pack is indexed up to here, the end of a whole record
         self._writable = True
-
-    def get(self, key: str) -> np.ndarray | None:
-        """The cached vector; ``None`` when absent, or when its values are not all finite."""
-        if self._fd is None and self._open(create=False):
+        if self.path.exists():
+            self._open()
             fcntl.flock(self._fd, fcntl.LOCK_SH)
             try:
                 self._index_appended()
             finally:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
+
+    def get(self, key: str) -> np.ndarray | None:
+        """The cached vector; ``None`` when the pack holds no usable record of ``key``."""
         entry = self._index.get(key)
         if entry is None:
             return None
-        vec = self._read(entry)
-        if vec is None:
-            logger.warning("non-finite cache record at %s offset %d, recomputing", self.path, entry >> 32)
-            del self._index[key]  # so that put appends the recomputed vector
-        return vec
+        vec = np.empty(entry & 0xFFFFFFFF, dtype="<f4")
+        return vec if os.preadv(self._fd, [vec], entry >> 32) == vec.nbytes else None
 
     def put(self, key: str, vec: np.ndarray) -> None:
-        """Append ``vec`` under ``key``, unless the pack already holds the key or writes are off."""
-        if not self._writable:
+        """Append a finite ``vec`` under ``key``, unless the key has a usable record or writes are off."""
+        if not self._writable or not np.isfinite(vec).all():
             return
         try:
             self._append(key, vec)
@@ -207,7 +209,7 @@ class VectorCache:
         values = np.asarray(vec, dtype="<f4").tobytes()
         head = _KEY_LEN.pack(len(raw_key)) + raw_key + struct.pack("<I", len(values) // 4)
         record = head + struct.pack("<I", zlib.crc32(values, zlib.crc32(head))) + values
-        self._open(create=True)
+        self._open()
         fcntl.flock(self._fd, fcntl.LOCK_EX)
         try:
             size = self._index_appended()
@@ -226,25 +228,21 @@ class VectorCache:
         finally:
             fcntl.flock(self._fd, fcntl.LOCK_UN)
 
-    def _open(self, create: bool) -> bool:
-        """Open the pack for the life of this cache unless open; False when absent and not ``create``."""
+    def _open(self) -> None:
+        """Open the pack, creating it when absent, for the life of this cache unless open."""
         if self._fd is None:
-            try:
-                self._fd = os.open(self.path, os.O_RDWR | (os.O_CREAT if create else 0), 0o644)
-            except FileNotFoundError:
-                return False
+            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
             weakref.finalize(self, os.close, self._fd)
-        return True
 
     def _index_appended(self) -> int:
-        """Index the whole records past ``_end``, move ``_end`` past them and return the pack's size."""
+        """Index the usable records past ``_end``, move ``_end`` past every whole record, return the size."""
         size = os.fstat(self._fd).st_size
         if size <= self._end:
             return size
         blob = os.pread(self._fd, size - self._end, self._end)
         view = memoryview(blob)
         pos = 0
-        corrupt: list[tuple[str, int]] = []  # (key as parsed, offset) of each record whose CRC failed
+        skipped: list[tuple[str, str, int]] = []  # (key as parsed, warning, offset) of each unusable record
         while pos + _KEY_LEN.size <= len(blob):
             at = pos + _KEY_LEN.size + _KEY_LEN.unpack_from(blob, pos)[0]  # where the dim and the CRC sit
             if at + _DIM_CRC.size > len(blob):
@@ -255,27 +253,23 @@ class VectorCache:
             if end > len(blob):
                 break
             key = blob[pos + _KEY_LEN.size : at].decode("utf-8", "replace")
+            values = view[values_at:end]
             # the CRC covers the key length, the key, the dim and the values
-            if zlib.crc32(view[values_at:end], zlib.crc32(view[pos : at + 4])) != crc:
-                corrupt.append((key, self._end + pos))
+            if zlib.crc32(values, zlib.crc32(view[pos : at + 4])) != crc:
+                skipped.append((key, "corrupt cache record at %s offset %d, skipping", self._end + pos))
+            elif not np.isfinite(np.frombuffer(values, dtype="<f4")).all():
+                skipped.append(
+                    (key, "non-finite cache record at %s offset %d, recomputing", self._end + values_at)
+                )
             else:
-                held = self._index.get(key)
-                if held is None or self._read(held) is None:
-                    self._index[key] = (self._end + values_at) << 32 | dim
+                self._index.setdefault(key, (self._end + values_at) << 32 | dim)
             pos = end
-        # a damaged record whose key has a whole record too was already recomputed and appended
-        for key, offset in corrupt:
+        # an unusable record whose key has a usable record too was already recomputed and appended
+        for key, warning, offset in skipped:
             if key not in self._index:
-                logger.warning("corrupt cache record at %s offset %d, skipping", self.path, offset)
+                logger.warning(warning, self.path, offset)
         self._end += pos
         return size
-
-    def _read(self, entry: int) -> np.ndarray | None:
-        """The vector an index entry points at; ``None`` unless all its values are there and finite."""
-        vec = np.empty(entry & 0xFFFFFFFF, dtype="<f4")
-        if os.preadv(self._fd, [vec], entry >> 32) != vec.nbytes or not np.isfinite(vec).all():
-            return None
-        return vec
 
 
 class EmbeddingService:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
 from pathlib import Path
 
 import taxoforge
@@ -66,3 +68,26 @@ def gett_args(gett_dir, out_dir, extra=(), script=None):
         "--out-dir", str(out_dir),
         *extra,
     ]
+
+
+def record_size(key, dim):
+    return 2 + len(key.encode()) + 8 + 4 * dim  # key length, key, dim, CRC, then float32 values
+
+
+def pack_records(blob: bytes) -> list[tuple[int, str, int, int]]:
+    """``(offset, key, offset of the values, dim)`` of each record of a vector pack."""
+    records, pos = [], 0
+    while pos < len(blob):
+        values_at = pos + 2 + struct.unpack_from("<H", blob, pos)[0] + 8  # past the key, the dim and the CRC
+        dim = struct.unpack_from("<I", blob, values_at - 8)[0]
+        records.append((pos, blob[pos + 2 : values_at - 8].decode(), values_at, dim))
+        pos = values_at + 4 * dim
+    return records
+
+
+def nan_fill(blob: bytearray, record: tuple[int, str, int, int]) -> None:
+    """Overwrite the values of one record of ``pack_records`` with NaN, under a matching CRC."""
+    offset, _, values_at, dim = record
+    nan = b"\x00\x00\xc0\x7f" * dim  # float32 NaN, little-endian
+    blob[values_at : values_at + len(nan)] = nan
+    struct.pack_into("<I", blob, values_at - 4, zlib.crc32(nan, zlib.crc32(blob[offset : values_at - 4])))

@@ -11,7 +11,6 @@ import signal
 import struct
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from taxoforge.corpus import ingest
 from taxoforge.embedding import LocalHashProvider, VectorCache, cache_key, serialize_column
 from taxoforge.errors import BackendError
 
-from .builders import SRC_DIR, emtt_args, gett_args
+from .builders import SRC_DIR, emtt_args, gett_args, nan_fill, pack_records
 from .httpstub import Reply, serve
 from .test_llm import gett_remote_args
 
@@ -311,19 +310,6 @@ def test_run_emtt_out_of_memory_exits_1_with_one_line(
         os.waitpid(-1, os.WNOHANG)
 
 
-def pack_records(blob: bytes) -> list[tuple[int, str, int, int]]:
-    """``(offset, key, offset of the values, dim)`` of each record of a vector pack."""
-    records, pos = [], 0
-    while pos < len(blob):
-        (key_len,) = struct.unpack_from("<H", blob, pos)
-        key = blob[pos + 2 : pos + 2 + key_len].decode()
-        (dim,) = struct.unpack_from("<I", blob, pos + 2 + key_len)
-        values_at = pos + 2 + key_len + 8  # past the dim and the CRC
-        records.append((pos, key, values_at, dim))
-        pos = values_at + 4 * dim
-    return records
-
-
 def test_run_emtt_recomputes_corrupt_cache_entries(planted_dir, tmp_path, caplog):
     cache = tmp_path / "cache"
     extra = ["--cache-dir", str(cache)]
@@ -331,12 +317,10 @@ def test_run_emtt_recomputes_corrupt_cache_entries(planted_dir, tmp_path, caplog
     assert main(emtt_args(planted_dir, cold, extra=extra)) == 0
     pack = cache / "vectors.pack"
     blob = bytearray(pack.read_bytes())
-    (flipped, flipped_key, flipped_at, _), (nan_filled, nan_key, nan_at, dim) = pack_records(blob)[:2]
+    (flipped, flipped_key, flipped_at, _), (_, nan_key, nan_at, _) = records = pack_records(blob)[:2]
     originals = {key: VectorCache(cache).get(key) for key in (flipped_key, nan_key)}
     blob[flipped_at] ^= 0xFF  # one value byte: the CRC fails
-    nan = np.full(dim, np.nan, dtype="<f4").tobytes()
-    blob[nan_at : nan_at + len(nan)] = nan  # a matching CRC, values not finite
-    struct.pack_into("<I", blob, nan_at - 4, zlib.crc32(nan, zlib.crc32(blob[nan_filled : nan_at - 4])))
+    nan_fill(blob, records[1])  # a matching CRC, values not finite
     pack.write_bytes(blob)
     caplog.clear()
     assert main(emtt_args(planted_dir, warm, extra=extra)) == 0

@@ -28,7 +28,7 @@ from taxoforge.embedding import (
 )
 from taxoforge.errors import BackendError, DimensionMismatchError
 
-from .builders import SRC_DIR, table_of
+from .builders import SRC_DIR, nan_fill, pack_records, record_size, table_of
 from .httpstub import Reply, serve
 from .oracles import reference_local_hash
 
@@ -181,6 +181,8 @@ def test_cache_roundtrip(tmp_path):
     cache.put("k1", vec)
     assert np.array_equal(cache.get("k1"), vec)
     assert cache.get("absent") is None
+    cache.put("nan", np.array([1.0, np.nan, 3.0], dtype=np.float32))  # never usable, so never written
+    assert cache.get("nan") is None and (tmp_path / "vectors.pack").stat().st_size == record_size("k1", 3)
 
 
 def test_cache_warm_run_hits_no_provider(tmp_path):
@@ -199,10 +201,6 @@ def test_cache_warm_run_hits_no_provider(tmp_path):
 def test_cache_key_distinguishes_provider_and_text():
     assert cache_key("p1", "x") != cache_key("p2", "x")
     assert cache_key("p1", "x") != cache_key("p1", "y")
-
-
-def record_size(key, dim):
-    return 2 + len(key.encode()) + 8 + 4 * dim
 
 
 def test_cache_truncated_entry_treated_as_miss(tmp_path, caplog):
@@ -255,28 +253,48 @@ def test_cache_write_failure_turns_writes_off_and_reads_go_on(tmp_path, monkeypa
     assert cache.get("two") is None and cache.get("three") is None
 
 
-def test_cache_warns_only_about_corrupt_records_still_unresolved(tmp_path, caplog):
-    """A CRC-failed record is warned about until its key is appended again, then never."""
+@pytest.mark.parametrize("damage", ["corrupt", "non-finite"])
+def test_cache_warns_only_about_corrupt_records_still_unresolved(tmp_path, caplog, damage):
+    """An unusable record is warned about until its key is appended again, then never."""
     one, two = np.full(3, 1, dtype=np.float32), np.full(3, 2, dtype=np.float32)
     writer = VectorCache(tmp_path)
     writer.put("one", one)
     writer.put("two", two)
     pack = tmp_path / "vectors.pack"
     blob = bytearray(pack.read_bytes())
-    blob[record_size("one", 3) - 1] ^= 0xFF  # a value byte of "one": its CRC fails
-    blob[-1] ^= 0xFF  # and of "two"
+    records = pack_records(blob)
+    if damage == "corrupt":
+        for _, _, values_at, dim in records:
+            blob[values_at + 4 * dim - 1] ^= 0xFF  # a value byte: its CRC fails
+        warning, at = f"corrupt cache record at {pack} offset %d, skipping", [r[0] for r in records]
+    else:
+        for record in records:
+            nan_fill(blob, record)
+        warning, at = f"non-finite cache record at {pack} offset %d, recomputing", [r[2] for r in records]
     pack.write_bytes(blob)
-    warning = f"corrupt cache record at {pack} offset %d, skipping"
     caplog.clear()
     healer = VectorCache(tmp_path)
     assert healer.get("one") is None and healer.get("two") is None
     healer.put("one", one)
-    assert [r.getMessage() for r in caplog.records] == [warning % 0, warning % record_size("one", 3)]
+    assert [r.getMessage() for r in caplog.records] == [warning % at[0], warning % at[1]]
     caplog.clear()
     fresh = VectorCache(tmp_path)
     assert np.array_equal(fresh.get("one"), one)
     assert fresh.get("two") is None
-    assert [r.getMessage() for r in caplog.records] == [warning % record_size("one", 3)]
+    assert [r.getMessage() for r in caplog.records] == [warning % at[1]]
+
+
+def test_cache_put_alone_heals_a_non_finite_record(tmp_path):
+    """A put with no get first appends the key again over its NaN record, and the new record wins."""
+    good = np.full(3, 1, dtype=np.float32)
+    VectorCache(tmp_path).put("one", good)
+    pack = tmp_path / "vectors.pack"
+    blob = bytearray(pack.read_bytes())
+    nan_fill(blob, pack_records(blob)[0])
+    pack.write_bytes(blob)
+    VectorCache(tmp_path).put("one", good)
+    assert np.array_equal(VectorCache(tmp_path).get("one"), good)
+    assert pack.stat().st_size == 2 * record_size("one", 3)
 
 
 PUTTER = """
@@ -493,6 +511,7 @@ def test_remote_provider_nan_vector_is_not_cached(embed_server, tmp_path):
         {"fill": float("inf")},
         {"fill": "1"},
         {"fill": True},
+        {"dim": 0},
     ],
     ids=[
         "malformed-200",
@@ -502,6 +521,7 @@ def test_remote_provider_nan_vector_is_not_cached(embed_server, tmp_path):
         "non-finite-vector",
         "string-components",
         "bool-components",
+        "zero-length-vectors",
     ],
 )
 def test_run_remote_embedder_failure_exits_1(
