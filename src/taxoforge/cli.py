@@ -52,6 +52,9 @@ from .remote import check_url
 from .subject import load_overrides
 from .taxonomy import Taxonomy
 
+# named, not __name__, which reads "__main__" under python -m taxoforge.cli
+logger = logging.getLogger("taxoforge.cli")
+
 GT_TAXONOMY_FILE = "gt_taxonomy.json"
 GT_ANNOTATIONS_FILE = "gt_annotations.csv"
 
@@ -190,16 +193,23 @@ def _load_gt(gt_path: str) -> metrics_mod.GroundTruth:
     return metrics_mod.load_ground_truth(base / GT_TAXONOMY_FILE, base / GT_ANNOTATIONS_FILE)
 
 
+def _check_dir(flag: str, value: str) -> None:
+    """Refuse a directory flag whose path is a file or lies under one; a missing path is fine."""
+    for path in (Path(value), *Path(value).parents):
+        if path.is_dir():
+            return
+        if path.exists():
+            raise ValueError(f"{flag} {value!r}: {str(path)!r} is not a directory")
+
+
 def cmd_run(cfg: RunConfig) -> int:
     cfg.validate()
-    out_dir = Path(cfg.out_dir)
-    # an --out-dir that is not a directory, or lies under a file, is refused before any work
-    for path in (out_dir, *out_dir.parents):
-        if path.is_dir():
-            break
-        if path.exists():
-            raise ValueError(f"--out-dir {cfg.out_dir!r}: {str(path)!r} is not a directory")
     emtt = cfg.method == "emtt"
+    # the output and vector-cache directories are checked before any work
+    out_dir = Path(cfg.out_dir)
+    _check_dir("--out-dir", cfg.out_dir)
+    if cfg.cache_dir and (emtt or cfg.edge_scorer == "cosine"):
+        _check_dir("--cache-dir", cfg.cache_dir)
     if not emtt:
         # imported before the inputs are read: importing them with the corpus live raises peak memory
         from . import gett as gett_mod
@@ -233,6 +243,12 @@ def cmd_run(cfg: RunConfig) -> int:
         if cfg.edge_scorer == "constant":
             scorer = gett_mod.ConstantScorer()
         elif cfg.edge_scorer == "cosine":
+            if cfg.embedder == "local-hash":
+                logger.warning(
+                    "the cosine edge scorer over local-hash vectors measures shared tokens, no better "
+                    "than chance for type names that share none; --edge-scorer llm or --embedder "
+                    "remote scores meaning"
+                )
             scorer = gett_mod.EmbeddingCosineScorer(_make_embedding_service(cfg))
         out_dir.mkdir(parents=True, exist_ok=True)
         transcript = llm_mod.TranscriptLogger(out_dir / "transcript.jsonl")

@@ -12,7 +12,6 @@ repeated runs are bit-exact even against nondeterministic remote backends.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import logging
 import os
 import struct
@@ -25,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, Table
+from .digests import blake2b, sha256
 from .errors import BackendError, DimensionMismatchError
 from .remote import MAX_ATTEMPTS, in_order, post_json
 
@@ -73,7 +73,7 @@ class LocalHashProvider:
     def _token_vector(self, token: str) -> np.ndarray:
         vec = self._token_cache.get(token)
         if vec is None:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+            digest = blake2b(token.encode("utf-8"), digest_size=8).digest()
             rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
             vec = rng.standard_normal(self.dim)
             vec /= np.linalg.norm(vec)
@@ -140,7 +140,7 @@ class RemoteProvider:
 
 def cache_key(provider_id: str, text: str) -> str:
     payload = provider_id.encode("utf-8") + b"\x00" + text.encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return sha256(payload).hexdigest()
 
 
 PACK_FILE = "vectors.pack"

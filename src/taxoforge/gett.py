@@ -24,7 +24,6 @@ one after another.
 from __future__ import annotations
 
 import functools
-import hashlib
 import logging
 import random
 import re
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import Corpus, Table
+from .digests import blake2b
 from .errors import (
     BackendError,
     GenerationFailedError,
@@ -442,7 +442,7 @@ def chain_of_layer(
 
 
 def derive_table_seed(seed: int, table_id: str) -> int:
-    digest = hashlib.blake2b(f"{seed}:{table_id}".encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(f"{seed}:{table_id}".encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

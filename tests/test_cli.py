@@ -667,7 +667,7 @@ BAD_RUN_INPUTS = {
     "gett-embed-url-newline": (
         "embed_url 'http://127.0.0.1:1/a\\nb': URL can't contain a space or control character (found '\\n')"
     ),
-    "gett-cache-dir-is-file": "File exists:",
+    "gett-cache-dir-is-file": "cache' is not a directory",
 }
 
 
@@ -699,6 +699,67 @@ def test_run_refuses_an_out_dir_that_is_no_directory(planted_dir, gett_dir, tmp_
     assert capsys.readouterr().err.splitlines() == [message]
     assert caplog.records == []
     assert blocker.read_bytes() == b""
+
+
+@pytest.mark.parametrize("method", ["emtt", "gett-cosine"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_run_refuses_a_cache_dir_that_is_no_directory(
+    planted_dir, gett_dir, tmp_path, capsys, caplog, method, under
+):
+    """Refused with one error line naming the flag, before any input is read or any pipeline step logs."""
+    caplog.set_level(logging.INFO)
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    cache_dir = blocker / "sub" if under else blocker
+    out_dir = tmp_path / "out"
+    extra = ["--cache-dir", str(cache_dir)]
+    if method == "emtt":
+        argv = emtt_args(planted_dir, out_dir, ["--gt-path", str(planted_dir / "gt"), *extra])
+    else:
+        argv = gett_args(gett_dir, out_dir, ["--edge-scorer", "cosine", *extra])
+    assert main(argv) == 1
+    message = f"error: --cache-dir {str(cache_dir)!r}: {str(blocker)!r} is not a directory"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert caplog.records == []
+    assert not out_dir.exists()
+    assert blocker.read_bytes() == b""
+
+
+COSINE_WARNING = "the cosine edge scorer over local-hash vectors"
+
+
+def _embed_answer(handler) -> Reply:
+    return Reply({"data": [{"embedding": [1.0, float(len(text))]} for text in handler.json["input"]]})
+
+
+# flags after the seed -> the golden digests the run must give, if any
+SCORER_RUNS = {
+    "default": ([], "cosine"),
+    "llm": (["--edge-scorer", "llm"], "llm"),
+    "constant": (["--edge-scorer", "constant"], "constant"),
+    "remote-embedder": (["--embedder", "remote"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(SCORER_RUNS))
+def test_run_gett_warns_once_about_the_offline_cosine_filter(gett_dir, tmp_path, caplog, case):
+    """Only the default cosine scorer over local-hash warns, naming the flags to choose instead;
+    the artifacts stay golden."""
+    caplog.set_level(logging.WARNING)
+    flags, golden = SCORER_RUNS[case]
+    out_dir = tmp_path / "out"
+    with serve(_embed_answer) as url:
+        extra = ["--gt-path", str(gett_dir / "gt"), "--seed", "7", "--embed-url", url, *flags]
+        assert main(gett_args(gett_dir, out_dir, extra)) == 0
+    warned = [r.getMessage() for r in caplog.records if COSINE_WARNING in r.getMessage()]
+    assert len(warned) == (case == "default")
+    assert all("--edge-scorer llm" in m and "--embedder remote" in m for m in warned)
+    if golden:
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in GETT_GOLDEN_DIGESTS[golden]
+        }
+        assert digests == GETT_GOLDEN_DIGESTS[golden]
 
 
 def test_config_file_with_flag_override(planted_dir, tmp_path):
@@ -807,9 +868,11 @@ def test_run_gett_cosine_remote_embedder_requires_embed_url(gett_dir, tmp_path, 
 
 def test_commands_load_only_the_modules_they_use(planted_dir, gett_dir, tmp_path):
     # numpy is imported only where a run embeds or clusters, gett and llm only by a gett run,
-    # and no subcommand imports requests
+    # and no subcommand imports requests; OpenSSL's _hashlib comes in only with numpy.random,
+    # which a warm-cache emtt run never draws from
     gt_taxonomy = str(planted_dir / "gt" / "gt_taxonomy.json")
     gett_modules = ["taxoforge.gett", "taxoforge.llm"]
+    cached = ["--cache-dir", str(tmp_path / "cache")]
     commands = {
         "stats": (["stats", gt_taxonomy], []),
         "eval": (["eval", gt_taxonomy, "--gt", str(planted_dir / "gt")], []),
@@ -817,14 +880,16 @@ def test_commands_load_only_the_modules_they_use(planted_dir, gett_dir, tmp_path
             gett_args(gett_dir, tmp_path / "gett-constant", ["--edge-scorer", "constant"]), gett_modules
         ),
         "gett-llm": (gett_args(gett_dir, tmp_path / "gett-llm", ["--edge-scorer", "llm"]), gett_modules),
-        "gett-cosine": (gett_args(gett_dir, tmp_path / "gett-cosine"), ["numpy", *gett_modules]),
-        "emtt": (emtt_args(planted_dir, tmp_path / "emtt"), ["numpy"]),
+        "gett-cosine": (gett_args(gett_dir, tmp_path / "gett-cosine"), ["_hashlib", "numpy", *gett_modules]),
+        "emtt": (emtt_args(planted_dir, tmp_path / "emtt", cached), ["_hashlib", "numpy"]),
+        # the same run again, on the cache the one above filled
+        "emtt-warm": (emtt_args(planted_dir, tmp_path / "emtt-warm", cached), ["numpy"]),
     }
     code = (
         "import json, sys\n"
         "from taxoforge.cli import main\n"
         "assert main(json.loads(sys.argv[1])) == 0\n"
-        "watched = {'numpy', 'requests', 'taxoforge.gett', 'taxoforge.llm'}\n"
+        "watched = {'_hashlib', 'numpy', 'requests', 'taxoforge.gett', 'taxoforge.llm'}\n"
         "print(json.dumps(sorted(watched & set(sys.modules))))\n"
     )
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC_DIR}

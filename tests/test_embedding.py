@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import os
 import subprocess
 import sys
@@ -201,6 +202,18 @@ def test_cache_warm_run_hits_no_provider(tmp_path):
 def test_cache_key_distinguishes_provider_and_text():
     assert cache_key("p1", "x") != cache_key("p2", "x")
     assert cache_key("p1", "x") != cache_key("p1", "y")
+
+
+@pytest.mark.parametrize(
+    "provider_id, text",
+    [("local-hash-d64", "<s> <header>City</header> Oslo"), ("remote:sbert", "Zürich 東京 ☃"), ("p", ""),
+     ("local-hash-d64", "x" * (1 << 20))],
+    ids=["ascii", "non-ascii", "empty", "1-mb"],
+)
+def test_cache_key_is_hashlibs_sha256(provider_id, text):
+    # every existing vectors.pack is keyed by these hex digests
+    expected = hashlib.sha256(provider_id.encode() + b"\0" + text.encode()).hexdigest()
+    assert cache_key(provider_id, text) == expected
 
 
 def test_cache_truncated_entry_treated_as_miss(tmp_path, caplog):

@@ -5,7 +5,8 @@ mutation to it and runs the subcommand that reads it. On exit 1 the last
 stderr line is the error, and when that line names the mutated file the
 run made nothing: ``--out-dir`` (or ``eval --out``) does not exist. Also
 here: the guards that every input file is opened through ``open_input``,
-that only ``pool.py`` forks, signals or reaps processes, that no module
+that only ``pool.py`` forks, signals or reaps processes, that only
+``digests.py`` imports ``hashlib`` and only as its fallback, that no module
 imports another's private names, and that every module uses what it
 imports.
 """
@@ -326,6 +327,49 @@ def test_only_remote_starts_threads():
     assert stray == []
     remote_src = (package / "remote.py").read_text(encoding="utf-8")
     assert [name for _, name in thread_calls(ast.parse(remote_src))] == ["concurrent.futures.ThreadPoolExecutor"]
+
+
+# --- one hashlib import -----------------------------------------------------------
+
+
+def hashlib_imports(tree: ast.Module) -> list[tuple[int, bool]]:
+    """``(line, inside an except ImportError)`` of every import of ``hashlib`` in ``tree``."""
+    fallback = {
+        id(node)
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and isinstance(handler.type, ast.Name)
+        and handler.type.id == "ImportError"
+        for stmt in handler.body
+        for node in ast.walk(stmt)
+    }
+    return sorted(
+        (node.lineno, id(node) in fallback)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "hashlib" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hashlib")
+    )
+
+
+def test_hashlib_imports_are_spotted():
+    src = (
+        "import hashlib\n"
+        "try:\n    from _sha2 import sha256\nexcept ImportError:\n    from hashlib import sha256\n"
+        "def f():\n    import hashlib.x as h\n"
+        "try:\n    pass\nexcept OSError:\n    import hashlib\n"
+    )
+    assert hashlib_imports(ast.parse(src)) == [(1, False), (5, True), (7, False), (11, False)]
+
+
+def test_only_digests_imports_hashlib_and_only_as_its_fallback():
+    # hashlib loads OpenSSL's libcrypto, which a run that hashes only through digests never maps
+    package = Path(taxoforge.__file__).parent
+    imports = {
+        path.name: hashlib_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in imports.items() if found and name != "digests.py"} == {}
+    assert imports["digests.py"] and all(fallback for _, fallback in imports["digests.py"])
 
 
 # --- module boundaries -----------------------------------------------------------

@@ -6,7 +6,9 @@ found on ``PATH`` as ``python3.X`` or under ``$PYENV_ROOT/versions``. Exit
 code, stdout, the last stderr line and every artifact's bytes must agree.
 emtt needs numpy, which another interpreter need not have, so it is not run
 here. With no other interpreter found the test skips and names the versions
-it looked for.
+it looked for. On each interpreter found and the running one,
+``taxoforge.digests`` must load without ``_hashlib`` and give ``hashlib``'s
+digests.
 """
 
 from __future__ import annotations
@@ -167,3 +169,23 @@ def test_command_agrees_across_interpreters(interpreters, tmp_path, case):
         expected = (expected[0], expected[1], prefix, expected[3])
     for version, result in results.items():
         assert result == expected, f"{case} on {version} ({interpreters[version]})"
+
+
+DIGEST_CHECK = """\
+import sys
+from taxoforge.digests import blake2b, sha256
+assert '_hashlib' not in sys.modules, 'taxoforge.digests loaded _hashlib'
+import hashlib
+for data in (b'', b'abc', 'Z\\u00fcrich \\u6771\\u4eac'.encode(), bytes(range(256)) * 4096):
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest(), len(data)
+    assert blake2b(data, digest_size=8).digest() == hashlib.blake2b(data, digest_size=8).digest(), len(data)
+print('ok')
+"""
+
+
+def test_digests_load_no_openssl_and_equal_hashlibs(interpreters):
+    """``taxoforge.digests`` leaves ``_hashlib`` unloaded and gives ``hashlib``'s digests, on every
+    interpreter found."""
+    for version, exe in {RUNNING: sys.executable, **interpreters}.items():
+        proc = subprocess.run([exe, "-c", DIGEST_CHECK], capture_output=True, text=True, env=ENV, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "ok\n"), f"{version} ({exe}): {proc.stderr}"
